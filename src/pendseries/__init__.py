@@ -55,11 +55,8 @@ from .resummation import (
 )
 from .series import (
     SeriesCoefficients,
-    cauchy_product,
     eval_poly,
-    exp_of_series,
     pendulum_series,
-    sincos_of_series,
 )
 from .trajectory import (
     METHODS,
@@ -77,8 +74,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # series
-    "SeriesCoefficients", "cauchy_product", "eval_poly", "exp_of_series",
-    "pendulum_series", "sincos_of_series",
+    "SeriesCoefficients", "eval_poly", "pendulum_series",
     # energy
     "SEPARATRIX_ENERGY", "SEPARATRIX_TOLERANCE", "EnergyState", "Regime",
     "SeparatrixError", "canonical_top_ics", "classify_energy", "energy_of",

@@ -216,7 +216,11 @@ def cmd_roc(args):
                 theta0, omega0 = 0.0, -math.sqrt(2.0 * state.energy)
             estimate = ""
             try:
-                estimate = _fmt(roc_estimate(pendulum_series(theta0, omega0, args.order)))
+                # the radius as unit keeps a_n R^n in range at any order;
+                # the fitted radius does not depend on the unit
+                series = pendulum_series(theta0, omega0, args.order,
+                                         time_unit=rep.exact_roc)
+                estimate = _fmt(roc_estimate(series))
             except ValueError as exc:
                 print(
                     f"note: no root-test estimate for energy={_fmt(e)} "

@@ -199,6 +199,8 @@ def efficient_truncation(a: SeriesCoefficients, state: EnergyState, t_star: floa
     obtained in O(N) operations instead of the O(N^2) convolution.
     Like `resum` it works in the series' time unit h (T* -> T*/h,
     w* -> w* h), so alpha and beta multiply (t/h)^(N+1) and (t/h)^(N+2).
+    A `ValueError` is raised if (T*/h)^-(N+2) leaves double range, as
+    it does at high order for a unit well above T*.
     """
     n_max = _truncation(a, order)
     if not (math.isfinite(t_star) and t_star > 0.0):
@@ -215,9 +217,17 @@ def efficient_truncation(a: SeriesCoefficients, state: EnergyState, t_star: floa
         sig = sig * s_star + coeffs[n]
     _count(4 * n_max)
     inv_t = 1.0 / s_star
-    p_n = inv_t**n_max
+    try:
+        p_n = inv_t**n_max
+    except OverflowError:
+        p_n = math.inf
     p_n1 = p_n * inv_t
     p_n2 = p_n1 * inv_t
+    if not math.isfinite(p_n2):
+        raise ValueError(
+            f"non-finite coefficient encountered: (T*/time_unit)^-{n_max + 2} "
+            f"with T*/time_unit = {s_star!r} leaves double range; carry the "
+            f"series in a time_unit near T*")
     gap = w_s - dsig
     alpha = -(n_max + 2) * sig * p_n1 - gap * p_n
     beta = (n_max + 1) * sig * p_n2 + gap * p_n1

@@ -2,10 +2,10 @@
 
 A series is stored as the coefficient vector (a_0, ..., a_N) of
 sum_n a_n (t/h)^n, where h is the series' time unit (1 unless a caller
-chooses one).  All arithmetic is double precision.  The nonlinear
-recurrences below (exp, sin/cos, and the pendulum solution itself)
-cost O(N^2) total via running Cauchy-product sums; each new order is
-one dot product of previously computed coefficients.
+chooses one).  All arithmetic is double precision.  The pendulum
+recurrence below generates the angle series together with its sine and
+cosine at O(N^2) total cost via running Cauchy-product sums; each new
+order is one dot product of previously computed coefficients.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ import numpy as np
 
 __all__ = [
     "SeriesCoefficients",
-    "cauchy_product",
     "eval_poly",
-    "exp_of_series",
-    "sincos_of_series",
     "pendulum_series",
 ]
 
@@ -70,33 +67,6 @@ class SeriesCoefficients:
         return f"SeriesCoefficients([{head}, ...], N={n}{unit})"
 
 
-def _as01(x) -> np.ndarray:
-    if isinstance(x, SeriesCoefficients):
-        return x.coeffs
-    return np.asarray(x, dtype=float)
-
-
-def _dot(u: np.ndarray, v: np.ndarray, compensated: bool) -> float:
-    # compensated mode trades speed for exactly-rounded accumulation;
-    # useful when sweeping truncation orders past a few hundred.
-    if compensated:
-        return math.fsum((u * v).tolist())
-    return float(np.dot(u, v))
-
-
-def cauchy_product(a, b, order: int | None = None) -> SeriesCoefficients:
-    """Coefficients of the product series, truncated at `order`."""
-    ca, cb = _as01(a), _as01(b)
-    if order is None:
-        order = min(ca.size, cb.size) - 1
-    if order >= min(ca.size, cb.size):
-        raise ValueError("factors carry too few coefficients for requested order")
-    out = np.empty(order + 1)
-    for n in range(order + 1):
-        out[n] = np.dot(ca[: n + 1], cb[n::-1])
-    return SeriesCoefficients(out)
-
-
 def eval_poly(a, t, upto: int | None = None):
     """Horner evaluation of the truncated series at t (scalar or array).
 
@@ -104,7 +74,7 @@ def eval_poly(a, t, upto: int | None = None):
     coefficient vector at t itself.  `upto` evaluates the partial sum
     through order `upto`; by default the whole stored series is used.
     """
-    c = _as01(a)
+    c = a.coeffs if isinstance(a, SeriesCoefficients) else np.asarray(a, dtype=float)
     n = c.size - 1 if upto is None else int(upto)
     if n < 0 or n > c.size - 1:
         raise ValueError(f"upto={upto} outside stored orders 0..{c.size - 1}")
@@ -117,64 +87,20 @@ def eval_poly(a, t, upto: int | None = None):
     return acc
 
 
-def exp_of_series(a, order: int | None = None, *, compensated: bool = False) -> SeriesCoefficients:
-    """Taylor coefficients of exp(A(t)) given those of A(t).
-
-    Differentiating exp(A) = B gives B' = A'B, hence
-        b_{n+1} = (1/(n+1)) sum_{k=0}^{n} (k+1) a_{k+1} b_{n-k},
-    seeded with b_0 = exp(a_0).
-    """
-    ca = _as01(a)
-    n_max = ca.size - 1 if order is None else int(order)
-    if n_max > ca.size - 1:
-        raise ValueError("input carries too few coefficients for requested order")
-    try:
-        b0 = math.exp(ca[0])
-    except OverflowError as exc:
-        raise OverflowError(f"exp of constant term {ca[0]!r} overflows") from exc
-    b = np.empty(n_max + 1)
-    b[0] = b0
-    d = np.arange(1.0, n_max + 1) * ca[1 : n_max + 1]  # d_k = (k+1) a_{k+1}
-    for m in range(1, n_max + 1):
-        b[m] = _dot(d[:m], b[m - 1 :: -1], compensated) / m
-    return SeriesCoefficients(b)
-
-
-def sincos_of_series(a, order: int | None = None, *, compensated: bool = False):
-    """Taylor coefficients of sin(A(t)) and cos(A(t)), as a pair.
-
-    The pair obeys the coupled recurrences obtained from
-    (sin A)' = A' cos A and (cos A)' = -A' sin A:
-
-        s_{n+1} =  (1/(n+1)) sum_{k=0}^{n} (k+1) a_{k+1} c_{n-k}
-        c_{n+1} = -(1/(n+1)) sum_{k=0}^{n} (k+1) a_{k+1} s_{n-k}
-
-    with s_0 = sin a_0, c_0 = cos a_0.
-    """
-    ca = _as01(a)
-    n_max = ca.size - 1 if order is None else int(order)
-    if n_max > ca.size - 1:
-        raise ValueError("input carries too few coefficients for requested order")
-    s = np.empty(n_max + 1)
-    c = np.empty(n_max + 1)
-    s[0] = math.sin(ca[0])
-    c[0] = math.cos(ca[0])
-    d = np.arange(1.0, n_max + 1) * ca[1 : n_max + 1]
-    for m in range(1, n_max + 1):
-        s[m] = _dot(d[:m], c[m - 1 :: -1], compensated) / m
-        c[m] = -_dot(d[:m], s[m - 1 :: -1], compensated) / m
-    return SeriesCoefficients(s), SeriesCoefficients(c)
-
-
 def pendulum_series(theta0: float, omega0: float, order: int,
-                    *, compensated: bool = False,
-                    time_unit: float = 1.0) -> SeriesCoefficients:
+                    *, time_unit: float = 1.0) -> SeriesCoefficients:
     """Taylor coefficients of the pendulum angle theta(t) about t = 0.
 
     Solves theta'' = -sin(theta), theta(0) = theta0, theta'(0) = omega0,
     order by order, in the scaled time s = t/h with h = `time_unit`:
     d^2 theta/ds^2 = -h^2 sin(theta).  The sine of the unknown series is
-    generated alongside it with the sin/cos recurrences, so
+    generated alongside it with the coupled recurrences that follow from
+    (sin A)' = A' cos A and (cos A)' = -A' sin A,
+
+        s_{n+1} =  (1/(n+1)) sum_{k=0}^{n} (k+1) a_{k+1} c_{n-k}
+        c_{n+1} = -(1/(n+1)) sum_{k=0}^{n} (k+1) a_{k+1} s_{n-k},
+
+    with s_0 = sin theta0 and c_0 = cos theta0, so
 
         a_{n+2} = -h^2 s_n / ((n+1)(n+2)),   a_1 = h omega0,
 
@@ -201,6 +127,6 @@ def pendulum_series(theta0: float, omega0: float, order: int,
         m = n + 1
         if m <= order - 2:
             d[n] = m * a[m]
-            s[m] = _dot(d[:m], c[m - 1 :: -1], compensated) / m
-            c[m] = -_dot(d[:m], s[m - 1 :: -1], compensated) / m
+            s[m] = float(np.dot(d[:m], c[m - 1 :: -1])) / m
+            c[m] = -float(np.dot(d[:m], s[m - 1 :: -1])) / m
     return SeriesCoefficients(a, h)

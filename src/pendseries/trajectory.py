@@ -120,7 +120,7 @@ def build_trajectory(state: EnergyState, order: int | None = None,
         raise SeparatrixError(f"closed form requires E = 2, got E = {state.energy}")
     if order is None:
         raise ValueError("series methods require a truncation order")
-    pinfo = period(state, method="resummed")  # tail bound keeps T error < 1e-12
+    pinfo = period(state)
     if state.regime is Regime.LIBRATION:
         theta0, omega0 = canonical_top_ics(state)
     else:

@@ -62,6 +62,14 @@ class TestTrajectoryCommand:
         # span falls back to 2*pi per "period" on the infinite-period orbit
         assert float(rows[-1][0]) == pytest.approx(2.0 * math.pi, rel=1e-15)
 
+    def test_energy_next_to_the_separatrix(self, tmp_path):
+        code, out = run_csv(tmp_path, [
+            "trajectory", "--energy", "1.99999", "--grid", "65",
+            "--oracle-dt", "1e-2"])
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert len(rows) == 65
+
     def test_degrees_only_rescales_display(self, tmp_path):
         argv = ["trajectory", "--energy", "1.0", "--order", "10",
                 "--grid", "21", "--oracle-dt", "1e-2"]
@@ -150,6 +158,14 @@ class TestSurfaceCommand:
         assert len(sep) == 65
         assert np.all(np.abs(column(sep, header, "theta")) < math.pi)
 
+    def test_energies_next_to_the_separatrix(self, tmp_path):
+        code, out = run_csv(tmp_path, [
+            "surface", "--energy", "1.99999,2.00001", "--grid", "33"])
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert len(rows) == 66
+        assert np.all(np.isfinite(column(rows, header, "theta")))
+
 
 class TestRocCommand:
     def test_report_rows(self, tmp_path):
@@ -177,6 +193,15 @@ class TestRocCommand:
                        float(top[header.index("nearest_pole_im")]))
         assert abs(pole) == pytest.approx(
             float(top[header.index("exact_roc")]), rel=1e-12)
+
+    def test_estimate_keeps_improving_near_separatrix(self, tmp_path):
+        # plain coefficients underflow here and stall the estimate
+        _, out = run_csv(tmp_path, ["roc", "--energy", "2.0002", "--order", "2000"])
+        _, header, rows = parse_csv(out)
+        for row in rows:
+            exact = float(row[header.index("exact_roc")])
+            estimate = float(row[header.index("root_test_estimate")])
+            assert estimate == pytest.approx(exact, rel=1e-3)
 
 
 class TestUsageErrors:

@@ -215,6 +215,16 @@ class TestEfficientTruncation:
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(fast - direct)) < 1e-11 * scale
 
+    def test_out_of_range_coefficients_raise_value_error(self):
+        # plain (unit 1) coefficients at E = 30, N = 1000: (1/T*)^N
+        # overflows, and both constructions must say so with a ValueError
+        state, raw, t_star = make_inputs(30.0, 1000, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite coefficient"):
+                resum(raw, state, t_star)
+        with pytest.raises(ValueError, match="time_unit"):
+            efficient_truncation(raw, state, t_star)
+
 
 class TestOpTally:
     def test_counts_are_the_documented_polynomials(self):

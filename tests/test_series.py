@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pendseries import (
-    SeriesCoefficients,
-    cauchy_product,
-    eval_poly,
-    exp_of_series,
-    pendulum_series,
-    sincos_of_series,
-)
+from pendseries import SeriesCoefficients, eval_poly, pendulum_series
 
 
 def taylor_by_cauchy_integral(f, order, radius=0.25, samples=256):
@@ -65,87 +58,6 @@ class TestEvalPoly:
             assert v == eval_poly(coeffs, float(t))
 
 
-class TestCauchyProduct:
-    def test_matches_polymul(self, rng):
-        for _ in range(20):
-            na, nb = rng.integers(1, 12, size=2)
-            a = rng.uniform(-1.0, 1.0, na)
-            b = rng.uniform(-1.0, 1.0, nb)
-            got = cauchy_product(a, b).coeffs
-            want = np.polymul(a[::-1], b[::-1])[::-1]
-            assert_allclose(got, want[: got.size], rtol=0, atol=1e-14)
-
-    def test_order_truncation(self):
-        out = cauchy_product([1.0, 1.0], [1.0, 1.0], order=1)
-        assert_allclose(out.coeffs, [1.0, 2.0])
-
-
-class TestExpOfSeries:
-    def test_zero_series(self):
-        out = exp_of_series(np.zeros(5))
-        assert_allclose(out.coeffs, [1.0, 0.0, 0.0, 0.0, 0.0], atol=0)
-
-    def test_exp_t(self):
-        out = exp_of_series([0.0, 1.0, 0.0, 0.0, 0.0])
-        assert_allclose(out.coeffs, [1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0],
-                        rtol=1e-15)
-
-    def test_two_exp_3t(self):
-        # 2 e^{3t} = 2 + 6t + 9t^2 + ...
-        out = exp_of_series([math.log(2.0), 3.0, 0.0])
-        assert_allclose(out.coeffs, [2.0, 6.0, 9.0], rtol=1e-14)
-        oracle = taylor_by_cauchy_integral(lambda z: 2.0 * np.exp(3.0 * z), 2)
-        assert_allclose(out.coeffs, oracle, rtol=1e-12)
-
-    def test_overflow_reported(self):
-        with pytest.raises(OverflowError):
-            exp_of_series([1e308, 1.0])
-
-    def test_sum_rule(self, rng):
-        # exp(a1 + a2) == exp(a1) * exp(a2) through order N
-        for _ in range(10):
-            n = int(rng.integers(3, 15))
-            a1 = rng.uniform(-1.0, 1.0, n + 1)
-            a2 = rng.uniform(-1.0, 1.0, n + 1)
-            lhs = exp_of_series(a1 + a2).coeffs
-            rhs = cauchy_product(exp_of_series(a1), exp_of_series(a2), order=n).coeffs
-            assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
-
-
-class TestSincosOfSeries:
-    def test_constant_series(self):
-        s, c = sincos_of_series([math.pi / 2.0, 0.0, 0.0])
-        assert_allclose(s.coeffs, [1.0, 0.0, 0.0], atol=1e-16)
-        assert_allclose(c.coeffs, [math.cos(math.pi / 2.0), 0.0, 0.0], atol=1e-16)
-
-    def test_sin_cos_of_t(self):
-        s, c = sincos_of_series([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-        assert_allclose(s.coeffs, [0.0, 1.0, 0.0, -1.0 / 6.0, 0.0, 1.0 / 120.0],
-                        atol=1e-16)
-        assert_allclose(c.coeffs, [1.0, 0.0, -0.5, 0.0, 1.0 / 24.0, 0.0],
-                        atol=1e-16)
-
-    def test_against_cauchy_integral_oracle(self):
-        a = [1.0, 2.0, -1.0, 0.0]
-        s, c = sincos_of_series(a)
-        u = lambda z: 1.0 + 2.0 * z - z * z
-        assert_allclose(s.coeffs, taylor_by_cauchy_integral(lambda z: np.sin(u(z)), 3),
-                        rtol=0, atol=1e-12)
-        assert_allclose(c.coeffs, taylor_by_cauchy_integral(lambda z: np.cos(u(z)), 3),
-                        rtol=0, atol=1e-12)
-
-    def test_pythagoras_property(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 21))
-            a = rng.uniform(-1.0, 1.0, n + 1)
-            s, c = sincos_of_series(a)
-            total = cauchy_product(s, s, order=n).coeffs \
-                + cauchy_product(c, c, order=n).coeffs
-            want = np.zeros(n + 1)
-            want[0] = 1.0
-            assert_allclose(total, want, rtol=0, atol=1e-10)
-
-
 class TestPendulumSeries:
     def test_stable_fixed_point(self):
         assert_allclose(pendulum_series(0.0, 0.0, 10).coeffs, np.zeros(11), atol=0)
@@ -169,16 +81,23 @@ class TestPendulumSeries:
                             atol=1e-18)
 
     def test_ode_residual(self, rng):
-        # theta'' + sin(theta) must vanish coefficientwise through N - 2
+        # theta'' + sin(theta) must vanish coefficientwise through N - 2;
+        # the sine coefficients come from the FFT oracle, not the kernel.
+        # At radius 1 the division by radius^n leaves FFT rounding at
+        # ~1e-16 through n = 38 (radius 0.25 amplifies it to ~1e6), and
+        # sin of the polynomial stays moderate on the circle (at radius 2
+        # it does not).
         for _ in range(5):
             theta0 = float(rng.uniform(-3.0, 3.0))
             omega0 = float(rng.uniform(-2.0, 2.0))
             n = 40
             a = pendulum_series(theta0, omega0, n)
-            s, _ = sincos_of_series(a, order=n - 2)
+            s = taylor_by_cauchy_integral(
+                lambda z: np.sin(np.polynomial.polynomial.polyval(z, a.coeffs)),
+                n - 2, radius=1.0)
             k = np.arange(2.0, n + 1)
             second = k * (k - 1.0) * a.coeffs[2:]
-            assert_allclose(second + s.coeffs, np.zeros(n - 1), rtol=0, atol=1e-12)
+            assert_allclose(second + s, np.zeros(n - 1), rtol=0, atol=1e-12)
 
     def test_odd_coefficients_vanish_at_turning_point(self, rng):
         for _ in range(10):
@@ -192,12 +111,6 @@ class TestPendulumSeries:
         a = pendulum_series(1.2, -0.3, 30)
         _, thetas, _ = rk4_pendulum(1.2, -0.3, 0.5, 1e-5)
         assert abs(eval_poly(a, 0.5) - thetas[-1]) < 1e-12
-
-    def test_compensated_mode_consistent(self):
-        plain = pendulum_series(2.3, 0.0, 300).coeffs
-        comp = pendulum_series(2.3, 0.0, 300, compensated=True).coeffs
-        assert np.all(np.isfinite(comp))
-        assert_allclose(comp, plain, rtol=1e-12, atol=1e-300)
 
     def test_order_too_small(self):
         with pytest.raises(ValueError):

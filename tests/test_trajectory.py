@@ -17,6 +17,7 @@ from pendseries import (
     energy_state,
     eval_poly,
     pendulum_series,
+    period,
     rk4_sample,
     separatrix_theta,
     sup_error,
@@ -62,6 +63,19 @@ class TestBuild:
         rot = build_trajectory(energy_state(3.0), 10, "resummed").period_info
         assert lib.T_star == 0.25 * lib.T
         assert rot.T_star == 0.5 * rot.T
+
+    @pytest.mark.parametrize("energy", [2.0 - 1e-6, 1.99999, 2.0 + 1e-6])
+    @pytest.mark.parametrize("method", ["raw", "resummed", "efficient"])
+    def test_builds_next_to_the_separatrix(self, energy, method):
+        # the period comes from the AGM, exact to rounding as k -> 1; the
+        # resummed K raises "modulus too close to 1" in this band
+        state = energy_state(energy)
+        sol = build_trajectory(state, 40, method)
+        assert sol.period_info == period(state)
+        t_star = sol.period_info.T_star
+        assert np.all(np.isfinite(theta_at(sol, np.linspace(0.0, 8.0 * t_star, 17))))
+        if method == "resummed":
+            assert theta_tilde(sol, t_star) == 0.0
 
 
 class TestCoefficientRange:
