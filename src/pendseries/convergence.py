@@ -64,7 +64,6 @@ class RocReport:
     t_star: float
     margin: float
     ics: str = "top"
-    estimated_roc: float | None = None
 
 
 def _lattice_constants(state: EnergyState) -> tuple[float, float]:

@@ -79,11 +79,8 @@ def _check_modulus(k: float) -> float:
     return k
 
 
-def ellipk_agm(k: float) -> float:
-    """K(k) by the arithmetic-geometric mean, accurate to rounding."""
-    k = _check_modulus(k)
-    a = 1.0
-    b = math.sqrt((1.0 - k) * (1.0 + k))
+def _agm(a: float, b: float) -> float:
+    """Arithmetic-geometric mean of a >= b >= 0."""
     # the gap a - b shrinks quadratically until it hits rounding noise,
     # where it may cycle by an ulp forever; stop on any non-decrease
     gap = math.inf
@@ -93,7 +90,13 @@ def ellipk_agm(k: float) -> float:
             break
         gap = new_gap
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (a + b)
+    return 0.5 * (a + b)
+
+
+def ellipk_agm(k: float) -> float:
+    """K(k) = pi / (2 AGM(1, k')) with k' = sqrt(1 - k^2), accurate to rounding."""
+    k = _check_modulus(k)
+    return math.pi / (2.0 * _agm(1.0, math.sqrt((1.0 - k) * (1.0 + k))))
 
 
 def ellipk_series(k: float, order: int) -> float:
@@ -169,13 +172,12 @@ def resummed_order_for(k: float, tol: float = 1e-13) -> int:
     raise ValueError(f"modulus {k!r} too close to 1 for tail tolerance {tol:g}")
 
 
-def ellipk_prime(k: float, method: str = "quadrature", order: int | None = None) -> float:
-    """Complementary integral K'(k) = K(sqrt(1 - k^2)) for 0 < k <= 1."""
+def ellipk_prime(k: float) -> float:
+    """K'(k) = K(sqrt(1 - k^2)) = pi / (2 AGM(1, k)), 0 < k <= 1; k' is never formed."""
     k = float(k)
     if not (0.0 < k <= 1.0):
         raise ValueError(f"K' requires 0 < k <= 1, got {k!r} (it diverges as k -> 0)")
-    kp = math.sqrt((1.0 - k) * (1.0 + k))
-    return evaluate_k(kp, method, order).value
+    return math.pi / (2.0 * _agm(1.0, k))
 
 
 def evaluate_k(k: float, method: str = "quadrature", order: int | None = None) -> EllipticEval:

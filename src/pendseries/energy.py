@@ -89,8 +89,8 @@ def energy_state(energy: float, direction: int = 1) -> EnergyState:
 
 
 def energy_of(theta0: float, omega0: float) -> EnergyState:
-    """Classify the orbit through the phase-space point (theta0, omega0)."""
-    energy = 0.5 * omega0 * omega0 + 1.0 - math.cos(theta0)
+    """Classify the orbit through (theta0, omega0); 1 - cos is 2 sin^2(theta0/2)."""
+    energy = 0.5 * omega0 * omega0 + 2.0 * math.sin(0.5 * theta0) ** 2
     direction = -1 if omega0 < 0.0 else 1
     return EnergyState(energy, classify_energy(energy), direction)
 
@@ -98,14 +98,15 @@ def energy_of(theta0: float, omega0: float) -> EnergyState:
 def canonical_top_ics(state: EnergyState) -> tuple[float, float]:
     """Initial conditions at the highest point of the orbit.
 
-    Libration starts at the turning point theta = arccos(1 - E) with zero
+    Libration starts at the turning point theta = 2 arcsin(sqrt(E/2))
+    (= arccos(1 - E), without its cancellation at small E) with zero
     velocity; rotation starts at the inverted position theta = pi moving
     with speed sqrt(2E - 4) in the direction carried by `state`.
     """
     if state.regime is Regime.SEPARATRIX:
         raise SeparatrixError("the separatrix only reaches theta = pi asymptotically")
     if state.regime is Regime.LIBRATION:
-        return math.acos(1.0 - state.energy), 0.0
+        return 2.0 * math.asin(math.sqrt(0.5 * state.energy)), 0.0
     return math.pi, state.direction * math.sqrt(2.0 * state.energy - 4.0)
 
 

@@ -133,6 +133,23 @@ def _truncation(a: SeriesCoefficients, order: int | None) -> int:
     return n
 
 
+def _inverse_powers(s_star: float, n_max: int) -> tuple[float, float, float]:
+    """(T*/h)^-n for n = N, N+1, N+2, or a ValueError if they leave double range."""
+    inv_t = 1.0 / s_star
+    try:
+        p_n = inv_t**n_max
+    except OverflowError:
+        p_n = math.inf
+    p_n1 = p_n * inv_t
+    p_n2 = p_n1 * inv_t
+    if not math.isfinite(p_n2):
+        raise ValueError(
+            f"non-finite coefficient encountered: (T*/time_unit)^-{n_max + 2} "
+            f"with T*/time_unit = {s_star!r} leaves double range; carry the "
+            f"series in a time_unit near T*")
+    return p_n, p_n1, p_n2
+
+
 def resum(a: SeriesCoefficients, state: EnergyState, t_star: float,
           order: int | None = None) -> ResummedSeries:
     """Transform raw coefficients into the endpoint-pinned form.
@@ -148,7 +165,8 @@ def resum(a: SeriesCoefficients, state: EnergyState, t_star: float,
 
     The transformation runs in the series' own time unit h, s = t/h:
     T* and w* enter as T*/h and w* h, `b_shift` is in those units and
-    ahat carries the same time unit as `a`.
+    ahat carries the same time unit as `a`.  As in `efficient_truncation`,
+    a `ValueError` is raised up front if (T*/h)^-(N+2) leaves double range.
     """
     n_max = _truncation(a, order)
     if not (math.isfinite(t_star) and t_star > 0.0):
@@ -156,6 +174,7 @@ def resum(a: SeriesCoefficients, state: EnergyState, t_star: float,
     w = omega_star(state)
     h = a.time_unit
     s_star, w_s = t_star / h, w * h  # endpoint and slope in s = t/h
+    _inverse_powers(s_star, n_max)  # raises before the weights overflow
     b = a.coeffs[: n_max + 1].copy()
     b[0] += s_star * w_s
     b[1] -= w_s
@@ -216,18 +235,7 @@ def efficient_truncation(a: SeriesCoefficients, state: EnergyState, t_star: floa
         dsig = dsig * s_star + sig
         sig = sig * s_star + coeffs[n]
     _count(4 * n_max)
-    inv_t = 1.0 / s_star
-    try:
-        p_n = inv_t**n_max
-    except OverflowError:
-        p_n = math.inf
-    p_n1 = p_n * inv_t
-    p_n2 = p_n1 * inv_t
-    if not math.isfinite(p_n2):
-        raise ValueError(
-            f"non-finite coefficient encountered: (T*/time_unit)^-{n_max + 2} "
-            f"with T*/time_unit = {s_star!r} leaves double range; carry the "
-            f"series in a time_unit near T*")
+    p_n, p_n1, p_n2 = _inverse_powers(s_star, n_max)
     gap = w_s - dsig
     alpha = -(n_max + 2) * sig * p_n1 - gap * p_n
     beta = (n_max + 1) * sig * p_n2 + gap * p_n1

@@ -137,14 +137,25 @@ def build_trajectory(state: EnergyState, order: int | None = None,
     return TrajectorySolution(state, pinfo, method, int(order), raw, rs)
 
 
-def _tilde(sol: TrajectorySolution, t):
+def _tilde(sol: TrajectorySolution, t, upto: int | None = None):
+    """Canonical branch at t, unchecked; `upto` selects a partial sum."""
     if sol.method == "raw":
-        return eval_poly(sol.raw, t)
+        return eval_poly(sol.raw, t, upto)
     if sol.method == "resummed":
-        return eval_resummed(sol.resummed, t)
+        return eval_resummed(sol.resummed, t, upto)
+    if upto is not None:
+        raise ValueError(f"partial sums unavailable for method {sol.method!r}; "
+                         "only raw and resummed branches truncate")
     if sol.method == "efficient":
         return eval_efficient(sol.resummed, t)
     return separatrix_theta(0.0, t)
+
+
+def _orient(state: EnergyState, v):
+    """Canonical-frame angle(s) v reflected into the orbit's own sense."""
+    if state.regime is Regime.ROTATION:
+        return v if state.direction < 0 else 2.0 * math.pi - v
+    return v if state.direction > 0 else -v
 
 
 def theta_tilde(sol: TrajectorySolution, t):
@@ -163,8 +174,7 @@ def _theta_at_scalar(sol: TrajectorySolution, t: float) -> float:
     tt = t + sol.origin_shift
     state = sol.energy_state
     if state.regime is Regime.SEPARATRIX:
-        v = separatrix_theta(0.0, tt)
-        return v if state.direction > 0 else -v
+        return _orient(state, _tilde(sol, tt))
     t_full = sol.period_info.T
     t_star = sol.period_info.T_star
     snap = _SEAM_SNAP_FRACTION * t_full
@@ -186,19 +196,13 @@ def _theta_at_scalar(sol: TrajectorySolution, t: float) -> float:
         if j == branches:
             j = 0
             winding += 1
-    if state.regime is Regime.LIBRATION:
-        if j == 0:
-            v = _tilde(sol, u)
-        elif j == 1:
-            v = -_tilde(sol, t_star - u)
-        elif j == 2:
-            v = -_tilde(sol, u)
-        else:
-            v = _tilde(sol, t_star - u)
-        return v if state.direction > 0 else -v
-    v = -2.0 * math.pi * winding
-    v += _tilde(sol, u) if j == 0 else -_tilde(sol, t_star - u)
-    return v if state.direction < 0 else 2.0 * math.pi - v
+    # odd branches run backwards, 1 and 2 are negated, rotation winds by -2 pi k
+    v = _tilde(sol, t_star - u if j % 2 else u)
+    if j in (1, 2):
+        v = -v
+    if state.regime is Regime.ROTATION:
+        v -= 2.0 * math.pi * winding
+    return _orient(state, v)
 
 
 def theta_at(sol: TrajectorySolution, t):

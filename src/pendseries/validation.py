@@ -14,10 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import Regime
-from .resummation import eval_resummed
-from .series import eval_poly
-from .trajectory import TrajectorySolution, canonical_initial_state, theta_at
+from .trajectory import TrajectorySolution, _orient, _tilde, canonical_initial_state
 
 __all__ = [
     "ErrorReport",
@@ -116,36 +113,27 @@ def rk4_sample(theta0: float, omega0: float, times, dt: float):
 def sup_error(sol: TrajectorySolution, upto: int | None = None,
               grid_points: int = 1001, oracle_dt: float = 1e-4,
               span: float | None = None, oracle=None) -> ErrorReport:
-    """Max |theta_series - theta_RK4| over an even grid.
+    """Max |theta_series - theta_RK4| over an even grid on the branch.
 
-    The grid covers [0, T*] unless `span` overrides the endpoint (the
-    separatrix has no T*, so there `span` is required).  `upto` evaluates
-    a lower-order partial sum of a stored raw or resummed solution,
-    letting one high-order build serve a whole truncation sweep.  A
-    precomputed `oracle` (thetas on the same grid) skips the RK4 run.
+    The grid covers [0, T*], the canonical branch in the orbit's own
+    sense, whatever the solution's `origin_shift`; `span` shortens it
+    (the separatrix has no T*, so there `span` is required), and a span
+    outside [0, T*] raises.  `upto` evaluates a lower-order partial sum of a
+    stored raw or resummed solution, letting one high-order build serve
+    a whole truncation sweep.  A precomputed `oracle` (thetas on the
+    same grid) skips the RK4 run.
     """
+    t_star = sol.period_info.T_star
     if span is None:
-        span = sol.period_info.T_star
-        if not math.isfinite(span):
+        if not math.isfinite(t_star):
             raise ValueError("no finite T*; pass an explicit span")
+        span = t_star
+    elif not 0.0 <= span <= t_star * (1.0 + 1e-12):
+        raise ValueError(f"span must lie in [0, T*], T* = {t_star}, got {span!r}")
     if grid_points < 2:
         raise ValueError("grid needs at least 2 points")
-    if upto is not None and sol.method == "efficient":
-        raise ValueError("the two-monomial correction is tied to its own order; "
-                         "rebuild instead of truncating")
     grid = np.linspace(0.0, span, grid_points)
-    if upto is None:
-        approx = theta_at(sol, grid)
-    else:
-        # partial sums only make sense on the canonical branch
-        if span > sol.period_info.T_star * (1.0 + 1e-12):
-            raise ValueError("partial-sum evaluation is limited to [0, T*]")
-        canonical = _tilde_partial(sol, grid, upto)
-        state = sol.energy_state
-        if state.regime is Regime.ROTATION:
-            approx = canonical if state.direction < 0 else 2.0 * math.pi - canonical
-        else:
-            approx = canonical if state.direction > 0 else -canonical
+    approx = _orient(sol.energy_state, _tilde(sol, grid, upto))
     if oracle is None:
         theta0, omega0 = canonical_initial_state(sol)
         oracle, _ = rk4_sample(theta0, omega0, grid, oracle_dt)
@@ -157,11 +145,3 @@ def sup_error(sol: TrajectorySolution, upto: int | None = None,
     return ErrorReport(sol.energy_state.energy, sol.method,
                        upto if upto is not None else sol.order,
                        grid_points, sup, (0.0, float(span)))
-
-
-def _tilde_partial(sol: TrajectorySolution, grid, upto: int):
-    if sol.method == "raw":
-        return eval_poly(sol.raw, grid, upto)
-    if sol.method == "resummed":
-        return eval_resummed(sol.resummed, grid, upto)
-    raise ValueError(f"partial sums unavailable for method {sol.method!r}")

@@ -148,6 +148,14 @@ class TestKPrime:
         k = 1.0 / math.sqrt(2.0)
         assert_allclose(ellipk_prime(k), ellipk_agm(k), rtol=1e-15)
 
+    @pytest.mark.parametrize("k", [1e-7, 1e-5])
+    def test_small_modulus_asymptotics(self, k):
+        # K'(k) = ln(4/k) + (k^2/4)(ln(4/k) - 1) + O(k^4 ln k); forming
+        # k' = sqrt(1 - k^2) first would round away the digits of k
+        log4k = math.log(4.0 / k)
+        expected = log4k + 0.25 * k * k * (log4k - 1.0)
+        assert ellipk_prime(k) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
     def test_fig5_lattice_value_finite(self):
         value = ellipk_prime(math.sqrt(1.71 / 2.0))
         assert math.isfinite(value) and value > 0.0

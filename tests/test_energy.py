@@ -58,6 +58,13 @@ class TestEnergyOf:
         for omega0 in (0.5, -1.25, 3.0):
             assert energy_of(0.0, omega0).energy == 0.5 * omega0 * omega0
 
+    def test_turning_point_energy_is_relatively_exact(self):
+        # 2 sin^2(theta/2) keeps the digits that 1 - cos(theta) cancels
+        for energy in (1e-20, 1e-12, 1e-6, 0.5, 1.71):
+            theta0, _ = canonical_top_ics(energy_state(energy))
+            assert energy_of(theta0, 0.0).energy == pytest.approx(
+                energy, rel=1e-15, abs=0.0)
+
     def test_direction_sign(self):
         assert energy_of(1.0, -0.5).direction == -1
         assert energy_of(1.0, 0.5).direction == 1
@@ -84,6 +91,18 @@ class TestCanonicalTopIcs:
     def test_separatrix_rejected(self):
         with pytest.raises(SeparatrixError):
             canonical_top_ics(energy_state(2.0))
+
+    def test_small_energy_keeps_relative_precision(self):
+        # theta_max = 2 asin(sqrt(E/2)) = sqrt(2E) (1 + E/12 + O(E^2));
+        # arccos(1 - E) loses half the digits of E to the cancellation
+        energy = 1e-12
+        theta0, _ = canonical_top_ics(energy_state(energy))
+        expected = math.sqrt(2.0 * energy) * (1.0 + energy / 12.0)
+        assert theta0 == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_tiny_energy_does_not_collapse_to_rest(self):
+        theta0, _ = canonical_top_ics(energy_state(1e-20))
+        assert theta0 == pytest.approx(math.sqrt(2e-20), rel=1e-15, abs=0.0)
 
     def test_round_trip(self):
         for energy in (0.1, 1.0, 1.9, 2.5, 10.0):

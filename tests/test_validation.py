@@ -1,5 +1,6 @@
 """The RK4 oracle and the sup-norm comparison against it."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -159,12 +160,36 @@ class TestSupError:
         report = sup_error(sol, upto=36, grid_points=201)
         assert report.sup_error < 1.5e-3
 
+    @pytest.mark.parametrize("energy,direction",
+                             [(0.5, 1), (1.71, 1), (2.02, -1), (5.0, 1)])
+    def test_full_order_equals_partial_sum_at_full_order(self, energy, direction):
+        # both paths measure the same raw polynomial on the same branch,
+        # including its value at T*, which no seam rule may flip
+        sol = build_trajectory(energy_state(energy, direction), 20, "raw")
+        grid = np.linspace(0.0, sol.period_info.T_star, 1001)
+        oracle, _ = rk4_sample(*canonical_initial_state(sol), grid, 1e-3)
+        full = sup_error(sol, oracle=oracle)
+        partial = sup_error(sol, upto=sol.order, oracle=oracle)
+        assert full.sup_error == partial.sup_error
+
+    def test_report_ignores_origin_shift(self):
+        sol = build_trajectory(energy_state(1.71), 40, "resummed")
+        grid = np.linspace(0.0, sol.period_info.T_star, 1001)
+        oracle, _ = rk4_sample(*canonical_initial_state(sol), grid, 1e-3)
+        shifted = dataclasses.replace(sol, origin_shift=0.3 * sol.period_info.T)
+        assert (sup_error(shifted, oracle=oracle).sup_error
+                == sup_error(sol, oracle=oracle).sup_error)
+
     def test_guards(self):
         sol = build_trajectory(energy_state(1.71), 10, "resummed")
         with pytest.raises(ValueError):
             sup_error(sol, grid_points=1)
         with pytest.raises(ValueError):
             sup_error(sol, upto=5, span=2.0 * sol.period_info.T_star)
+        with pytest.raises(ValueError):
+            sup_error(sol, span=2.0 * sol.period_info.T_star)
+        with pytest.raises(ValueError):
+            sup_error(sol, span=-1.0, grid_points=11, oracle=np.zeros(11))
         with pytest.raises(ValueError):
             sup_error(sol, grid_points=11, oracle=np.zeros(10))
         eff = build_trajectory(energy_state(1.71), 10, "efficient")
