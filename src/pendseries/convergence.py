@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergyState, Regime, SeparatrixError
-from .elliptic import ellipk_agm, ellipk_prime
+from .elliptic import _modulus, ellipk_agm, ellipk_prime
 from .series import SeriesCoefficients
 
 __all__ = [
@@ -68,11 +68,8 @@ class RocReport:
 
 def _lattice_constants(state: EnergyState) -> tuple[float, float]:
     """Half-lattice constants (real, imaginary) for the regime."""
-    if state.regime is Regime.LIBRATION:
-        k = math.sqrt(0.5 * state.energy)
-        return ellipk_agm(k), ellipk_prime(k)
-    k = math.sqrt(2.0 / state.energy)
-    return k * ellipk_agm(k), k * ellipk_prime(k)
+    k, scale = _modulus(state)
+    return scale * ellipk_agm(k), scale * ellipk_prime(k)
 
 
 def pole_lattice(state: EnergyState, max_index: int = 1) -> PoleLattice:

@@ -197,6 +197,14 @@ def evaluate_k(k: float, method: str = "quadrature", order: int | None = None) -
     raise ValueError(f"unknown method {method!r}")
 
 
+def _modulus(state: EnergyState) -> tuple[float, float]:
+    """(k, s) with T* = s K(k): (sqrt(E/2), 1) libration, (sqrt(2/E), k) rotation."""
+    if state.regime is Regime.LIBRATION:
+        return math.sqrt(0.5 * state.energy), 1.0
+    k = math.sqrt(2.0 / state.energy)
+    return k, k
+
+
 def period(state: EnergyState, method: str = "quadrature",
            order: int | None = None) -> PeriodInfo:
     """Exact period of the orbit with the given energy.
@@ -207,10 +215,7 @@ def period(state: EnergyState, method: str = "quadrature",
     """
     if state.regime is Regime.SEPARATRIX:
         raise SeparatrixError("the separatrix orbit has infinite period")
-    if state.regime is Regime.LIBRATION:
-        k = math.sqrt(0.5 * state.energy)
-        t_full = 4.0 * evaluate_k(k, method, order).value
-        return PeriodInfo(t_full, 0.25 * t_full, state.regime)
-    k = math.sqrt(2.0 / state.energy)
-    t_full = 2.0 * k * evaluate_k(k, method, order).value
-    return PeriodInfo(t_full, 0.5 * t_full, state.regime)
+    k, scale = _modulus(state)
+    t_star = scale * evaluate_k(k, method, order).value
+    branches = 4.0 if state.regime is Regime.LIBRATION else 2.0
+    return PeriodInfo(branches * t_star, t_star, state.regime)

@@ -124,12 +124,10 @@ def omega_star(state: EnergyState) -> float:
     return -math.sqrt(2.0 * state.energy)
 
 
-def _truncation(a: SeriesCoefficients, order: int | None) -> int:
-    n = a.truncation_order if order is None else int(order)
+def _truncation(a: SeriesCoefficients) -> int:
+    n = a.truncation_order
     if n < 2:
         raise ValueError("order must be at least 2")
-    if n > a.truncation_order:
-        raise ValueError("input carries too few coefficients for requested order")
     return n
 
 
@@ -150,8 +148,7 @@ def _inverse_powers(s_star: float, n_max: int) -> tuple[float, float, float]:
     return p_n, p_n1, p_n2
 
 
-def resum(a: SeriesCoefficients, state: EnergyState, t_star: float,
-          order: int | None = None) -> ResummedSeries:
+def resum(a: SeriesCoefficients, state: EnergyState, t_star: float) -> ResummedSeries:
     """Transform raw coefficients into the endpoint-pinned form.
 
     With b the raw coefficients after absorbing the linear endpoint term
@@ -168,14 +165,14 @@ def resum(a: SeriesCoefficients, state: EnergyState, t_star: float,
     ahat carries the same time unit as `a`.  As in `efficient_truncation`,
     a `ValueError` is raised up front if (T*/h)^-(N+2) leaves double range.
     """
-    n_max = _truncation(a, order)
+    n_max = _truncation(a)
     if not (math.isfinite(t_star) and t_star > 0.0):
         raise ValueError(f"t_star must be positive and finite, got {t_star!r}")
     w = omega_star(state)
     h = a.time_unit
     s_star, w_s = t_star / h, w * h  # endpoint and slope in s = t/h
     _inverse_powers(s_star, n_max)  # raises before the weights overflow
-    b = a.coeffs[: n_max + 1].copy()
+    b = a.coeffs.copy()
     b[0] += s_star * w_s
     b[1] -= w_s
     _count(3)
@@ -204,8 +201,8 @@ def eval_resummed(r: ResummedSeries, t, upto: int | None = None):
     return out
 
 
-def efficient_truncation(a: SeriesCoefficients, state: EnergyState, t_star: float,
-                         order: int | None = None) -> EfficientTruncation:
+def efficient_truncation(a: SeriesCoefficients, state: EnergyState,
+                         t_star: float) -> EfficientTruncation:
     """Append two monomials to the raw partial sum to pin the endpoint.
 
     Requiring sigma_N(t) + alpha t^(N+1) + beta t^(N+2) to take the value
@@ -221,7 +218,7 @@ def efficient_truncation(a: SeriesCoefficients, state: EnergyState, t_star: floa
     A `ValueError` is raised if (T*/h)^-(N+2) leaves double range, as
     it does at high order for a unit well above T*.
     """
-    n_max = _truncation(a, order)
+    n_max = _truncation(a)
     if not (math.isfinite(t_star) and t_star > 0.0):
         raise ValueError(f"t_star must be positive and finite, got {t_star!r}")
     w = omega_star(state)
@@ -240,8 +237,7 @@ def efficient_truncation(a: SeriesCoefficients, state: EnergyState, t_star: floa
     alpha = -(n_max + 2) * sig * p_n1 - gap * p_n
     beta = (n_max + 1) * sig * p_n2 + gap * p_n1
     _count(15)
-    return EfficientTruncation(SeriesCoefficients(coeffs[: n_max + 1], h),
-                               float(alpha), float(beta), t_star)
+    return EfficientTruncation(a, float(alpha), float(beta), t_star)
 
 
 def eval_efficient(e: EfficientTruncation, t):

@@ -169,8 +169,8 @@ def theta_tilde(sol: TrajectorySolution, t):
 
 
 def _theta_at_scalar(sol: TrajectorySolution, t: float) -> float:
-    if t < 0.0:
-        raise ValueError("trajectories are evaluated for t >= 0 only")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"trajectories are evaluated at finite t >= 0 only, got {t!r}")
     tt = t + sol.origin_shift
     state = sol.energy_state
     if state.regime is Regime.SEPARATRIX:
@@ -210,6 +210,8 @@ def theta_at(sol: TrajectorySolution, t):
 
     Applies the periodic branch extension, the winding count for
     rotation, and the reflection selected by the solution's direction.
+    A negative, infinite or NaN time (anywhere in an array) raises
+    `ValueError`, in every regime.
     """
     tt = np.asarray(t, dtype=float)
     if tt.ndim == 0:

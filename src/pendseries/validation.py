@@ -18,7 +18,6 @@ from .trajectory import TrajectorySolution, _orient, _tilde, canonical_initial_s
 
 __all__ = [
     "ErrorReport",
-    "rk4_pendulum",
     "rk4_sample",
     "sup_error",
 ]
@@ -50,35 +49,6 @@ def _rk4_advance(theta: float, omega: float, h: float, steps: int,
         theta += h * (k1t + 2.0 * (k2t + k3t) + k4t) / 6.0
         omega += h * (k1w + 2.0 * (k2w + k3w) + k4w) / 6.0
     return theta, omega
-
-
-def rk4_pendulum(theta0: float, omega0: float, t_end: float, dt: float,
-                 stride: int = 1):
-    """Integrate the pendulum to t_end, recording every `stride` steps.
-
-    The step is h = t_end / ceil(t_end / dt) <= dt so the final sample
-    lands exactly on t_end.  Returns (times, thetas, omegas) arrays.
-    """
-    if t_end < 0.0:
-        raise ValueError("t_end must be >= 0")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    steps = max(1, math.ceil(t_end / dt)) if t_end > 0.0 else 0
-    h = t_end / steps if steps else 0.0
-    stride = max(1, int(stride))
-    times = [0.0]
-    thetas = [theta0]
-    omegas = [omega0]
-    theta, omega = theta0, omega0
-    done = 0
-    while done < steps:
-        chunk = min(stride, steps - done)
-        theta, omega = _rk4_advance(theta, omega, h, chunk)
-        done += chunk
-        times.append(done * h)
-        thetas.append(theta)
-        omegas.append(omega)
-    return np.array(times), np.array(thetas), np.array(omegas)
 
 
 def rk4_sample(theta0: float, omega0: float, times, dt: float):

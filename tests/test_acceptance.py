@@ -14,26 +14,23 @@ import numpy as np
 from pendseries import (
     build_trajectory,
     canonical_initial_state,
-    canonical_top_ics,
-    efficient_truncation,
-    ellipk_agm,
-    ellipk_resummed,
-    ellipk_series,
     energy_state,
-    eval_efficient,
-    eval_poly,
-    eval_resummed,
-    pendulum_series,
     period,
-    resum,
-    rk4_sample,
-    roc_estimate,
-    roc_exact,
-    separatrix_theta,
     sup_error,
     tally_coefficient_ops,
     theta_at,
 )
+from pendseries.convergence import roc_estimate, roc_exact
+from pendseries.elliptic import ellipk_agm, ellipk_resummed, ellipk_series
+from pendseries.energy import canonical_top_ics, separatrix_theta
+from pendseries.resummation import (
+    efficient_truncation,
+    eval_efficient,
+    eval_resummed,
+    resum,
+)
+from pendseries.series import eval_poly, pendulum_series
+from pendseries.validation import rk4_sample
 
 ORACLE_DT = 1e-5
 

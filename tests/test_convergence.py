@@ -5,19 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from pendseries import (
+from pendseries import SeparatrixError, energy_state
+from pendseries.convergence import (
     SEPARATRIX_BRANCH_POINTS,
-    SeparatrixError,
-    SeriesCoefficients,
-    canonical_top_ics,
-    ellipk_agm,
-    ellipk_prime,
-    energy_state,
-    pendulum_series,
     pole_lattice,
     roc_estimate,
     roc_exact,
 )
+from pendseries.elliptic import ellipk_agm, ellipk_prime
+from pendseries.energy import canonical_top_ics
+from pendseries.series import SeriesCoefficients, pendulum_series
 
 
 class TestPoleLattice:

@@ -11,19 +11,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pendseries import (
-    Regime,
-    SeparatrixError,
+from pendseries import SeparatrixError, energy_state, period
+from pendseries.elliptic import (
+    PeriodInfo,
     ellipk_agm,
     ellipk_prime,
     ellipk_resummed,
     ellipk_series,
-    energy_state,
     evaluate_k,
-    period,
     resummed_order_for,
 )
-from pendseries.elliptic import PeriodInfo
+from pendseries.energy import Regime
 
 
 def ellipk_gauss_legendre(k, tol=1e-13):

@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pendseries import (
+from pendseries import SeparatrixError, energy_state
+from pendseries.energy import (
     SEPARATRIX_ENERGY,
     SEPARATRIX_TOLERANCE,
     EnergyState,
     Regime,
-    SeparatrixError,
     canonical_top_ics,
     classify_energy,
     energy_of,
-    energy_state,
     separatrix_theta,
 )
+from pendseries.validation import rk4_sample
 
 
 class TestClassification:
@@ -146,9 +146,7 @@ class TestSeparatrixTheta:
         assert np.max(np.abs(residual)) < 1e-7
 
     def test_against_rk4(self):
-        from pendseries import rk4_pendulum
-
-        _, thetas, _ = rk4_pendulum(0.0, 2.0, 1.0, 1e-5)
+        thetas, _ = rk4_sample(0.0, 2.0, [1.0], 1e-5)
         assert abs(separatrix_theta(0.0, 1.0) - thetas[-1]) < 1e-8
 
     def test_saturates_without_overflow_warning(self):

@@ -8,21 +8,21 @@ from numpy.testing import assert_allclose
 
 from pendseries import (
     SeparatrixError,
-    SeriesCoefficients,
     build_trajectory,
-    canonical_top_ics,
-    efficient_truncation,
     energy_state,
-    eval_efficient,
-    eval_poly,
-    eval_resummed,
-    omega_star,
-    pendulum_series,
     period,
-    resum,
     sup_error,
     tally_coefficient_ops,
 )
+from pendseries.energy import canonical_top_ics
+from pendseries.resummation import (
+    efficient_truncation,
+    eval_efficient,
+    eval_resummed,
+    omega_star,
+    resum,
+)
+from pendseries.series import SeriesCoefficients, eval_poly, pendulum_series
 
 
 def make_inputs(energy, order, direction=1):
@@ -127,7 +127,8 @@ class TestEvalResummed:
         h = 1e-4
         curvatures = []
         for order in (10, 20, 40, 80):
-            r = resum(raw, state, t_star, order=order)
+            r = resum(SeriesCoefficients(raw.coeffs[:order + 1], raw.time_unit),
+                      state, t_star)
             c = (eval_resummed(r, t_star + h) - 2.0 * eval_resummed(r, t_star)
                  + eval_resummed(r, t_star - h)) / (h * h)
             curvatures.append(abs(c))

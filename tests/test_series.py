@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pendseries import SeriesCoefficients, eval_poly, pendulum_series
+from pendseries.series import SeriesCoefficients, eval_poly, pendulum_series
+from pendseries.validation import rk4_sample
 
 
 def taylor_by_cauchy_integral(f, order, radius=0.25, samples=256):
@@ -106,10 +107,8 @@ class TestPendulumSeries:
             assert np.all(a[1::2] == 0.0)
 
     def test_small_time_against_rk4(self):
-        from pendseries import rk4_pendulum
-
         a = pendulum_series(1.2, -0.3, 30)
-        _, thetas, _ = rk4_pendulum(1.2, -0.3, 0.5, 1e-5)
+        thetas, _ = rk4_sample(1.2, -0.3, [0.5], 1e-5)
         assert abs(eval_poly(a, 0.5) - thetas[-1]) < 1e-12
 
     def test_order_too_small(self):

@@ -8,22 +8,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pendseries import (
-    Regime,
     SeparatrixError,
     align_to_ics,
     build_trajectory,
     canonical_initial_state,
-    energy_of,
     energy_state,
-    eval_poly,
-    pendulum_series,
     period,
-    rk4_sample,
-    separatrix_theta,
     sup_error,
     theta_at,
     theta_tilde,
 )
+from pendseries.energy import Regime, energy_of, separatrix_theta
+from pendseries.series import eval_poly, pendulum_series
+from pendseries.validation import rk4_sample
 
 
 class TestBuild:
@@ -117,6 +114,15 @@ class TestThetaAt:
         sol = build_trajectory(energy_state(1.0), 10, "resummed")
         with pytest.raises(ValueError):
             theta_at(sol, -0.5)
+
+    def test_non_finite_time_rejected(self):
+        sols = [build_trajectory(energy_state(1.71), 20, "resummed"),
+                build_trajectory(energy_state(2.02, -1), 20, "raw"),
+                build_trajectory(energy_state(2.0), method="separatrix")]
+        for sol in sols:
+            for t in (math.inf, -math.inf, math.nan, np.array([1.0, math.nan])):
+                with pytest.raises(ValueError, match="finite t >= 0"):
+                    theta_at(sol, t)
 
     def test_libration_symmetry_values(self):
         sol = build_trajectory(energy_state(1.71), 30, "resummed")

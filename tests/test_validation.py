@@ -11,25 +11,29 @@ from pendseries import (
     build_trajectory,
     canonical_initial_state,
     energy_state,
-    separatrix_theta,
     sup_error,
 )
-from pendseries.validation import rk4_pendulum, rk4_sample
+from pendseries.energy import separatrix_theta
+from pendseries.validation import rk4_sample
 
 
 class TestRk4Pendulum:
+    """RK4 on the pendulum as an oracle: its accuracy, through rk4_sample."""
+
     def test_fixed_point_stays_put(self):
-        ts, thetas, omegas = rk4_pendulum(0.0, 0.0, 1.0, 1e-3)
+        thetas, omegas = rk4_sample(0.0, 0.0, np.linspace(0.0, 1.0, 1001), 1e-3)
         assert np.all(thetas == 0.0)
         assert np.all(omegas == 0.0)
 
     def test_harmonic_limit(self):
-        ts, thetas, _ = rk4_pendulum(0.001, 0.0, 2.0 * math.pi, 1e-4)
+        ts = np.linspace(0.0, 2.0 * math.pi, 1001)
+        thetas, _ = rk4_sample(0.001, 0.0, ts, 1e-4)
         assert abs(thetas[-1] - 0.001) < 1e-7
         assert np.max(np.abs(thetas - 0.001 * np.cos(ts))) < 1e-7
 
     def test_separatrix_closed_form(self):
-        ts, thetas, _ = rk4_pendulum(0.0, 2.0, 5.0, 1e-5, stride=5000)
+        ts = np.linspace(0.0, 5.0, 101)
+        thetas, _ = rk4_sample(0.0, 2.0, ts, 1e-5)
         exact = np.array([separatrix_theta(0.0, t) for t in ts])
         assert abs(thetas[-1] - separatrix_theta(0.0, 5.0)) < 1e-10
         assert np.max(np.abs(thetas - exact)) < 1e-10
@@ -37,9 +41,11 @@ class TestRk4Pendulum:
     def test_fourth_order_self_convergence(self):
         # reference is the closed form, so only truncation error remains;
         # dt below 2e-3 hits the rounding floor on this span
+        ts = np.linspace(0.0, 5.0, 101)
+        exact = np.array([separatrix_theta(0.0, t) for t in ts])
+
         def err(dt):
-            ts, thetas, _ = rk4_pendulum(0.0, 2.0, 5.0, dt)
-            exact = np.array([separatrix_theta(0.0, t) for t in ts])
+            thetas, _ = rk4_sample(0.0, 2.0, ts, dt)
             return np.max(np.abs(thetas - exact))
 
         e8, e4, e2 = err(8e-3), err(4e-3), err(2e-3)
@@ -52,7 +58,8 @@ class TestRk4Pendulum:
         t_full = sol.period_info.T
 
         def return_error(k):
-            _, thetas, omegas = rk4_pendulum(theta0, omega0, t_full, t_full / 2**k)
+            # T / (T / 2^k) is exactly 2^k, so the run takes 2^k steps
+            thetas, omegas = rk4_sample(theta0, omega0, [t_full], t_full / 2**k)
             return math.hypot(thetas[-1] - theta0, omegas[-1] - omega0)
 
         errors = [return_error(k) for k in (6, 7, 8, 9)]
@@ -62,35 +69,27 @@ class TestRk4Pendulum:
     def test_energy_drift_below_oracle_budget(self):
         sol = build_trajectory(energy_state(1.71), 4, "resummed")
         theta0, omega0 = canonical_initial_state(sol)
-        _, thetas, omegas = rk4_pendulum(
-            theta0, omega0, 4.0 * sol.period_info.T, 1e-5, stride=20000)
+        ts = np.linspace(0.0, 4.0 * sol.period_info.T, 201)
+        thetas, omegas = rk4_sample(theta0, omega0, ts, 1e-5)
         energies = 0.5 * omegas**2 + 1.0 - np.cos(thetas)
         assert np.max(np.abs(energies - 1.71)) < 1e-10
 
-    def test_stride_changes_sampling_not_integration(self):
-        _, dense_t, dense_w = rk4_pendulum(0.3, 0.1, 2.0, 1e-3)
-        ts, thetas, omegas = rk4_pendulum(0.3, 0.1, 2.0, 1e-3, stride=7)
-        assert ts[-1] == 2.0
-        assert thetas[-1] == dense_t[-1]
-        assert omegas[-1] == dense_w[-1]
-        assert ts.size == 1 + math.ceil(2000 / 7)
-
     def test_degenerate_and_invalid_inputs(self):
-        ts, thetas, omegas = rk4_pendulum(0.5, 0.0, 0.0, 1e-3)
-        assert ts.tolist() == [0.0] and thetas.tolist() == [0.5]
+        thetas, omegas = rk4_sample(0.5, 0.0, [0.0], 1e-3)
+        assert thetas.tolist() == [0.5] and omegas.tolist() == [0.0]
         with pytest.raises(ValueError):
-            rk4_pendulum(0.0, 1.0, -1.0, 1e-3)
-        with pytest.raises(ValueError):
-            rk4_pendulum(0.0, 1.0, 1.0, 0.0)
+            rk4_sample(0.0, 1.0, [1.0], 0.0)
 
 
 class TestRk4Sample:
     def test_agrees_with_dense_run(self):
-        ts, thetas, omegas = rk4_pendulum(0.4, -0.2, 3.0, 1e-3)
-        # dt marginally above the dense step keeps one substep per gap
-        got_t, got_w = rk4_sample(0.4, -0.2, ts, 1.05e-3)
-        assert_allclose(got_t, thetas, rtol=0, atol=1e-12)
-        assert_allclose(got_w, omegas, rtol=0, atol=1e-12)
+        # dt marginally above the grid step keeps one substep per dense
+        # gap and seven per coarse gap: sampling must not change the run
+        ts = np.linspace(0.0, 3.0, 3001)
+        thetas, omegas = rk4_sample(0.4, -0.2, ts, 1.05e-3)
+        got_t, got_w = rk4_sample(0.4, -0.2, ts[::7], 1.05e-3)
+        assert_allclose(got_t, thetas[::7], rtol=0, atol=1e-12)
+        assert_allclose(got_w, omegas[::7], rtol=0, atol=1e-12)
 
     def test_initial_sample_is_exact(self):
         thetas, omegas = rk4_sample(0.7, 0.3, [0.0, 1.0], 1e-3)
