@@ -211,7 +211,10 @@ def period(state: EnergyState, method: str = "quadrature",
 
     Libration: T = 4 K(sqrt(E/2)), effective period T* = T/4.
     Rotation:  T = 2 sqrt(2/E) K(sqrt(2/E)), effective period T* = T/2.
-    The separatrix has no period; requesting it raises.
+    The separatrix has no period; requesting it raises.  The default AGM
+    route serves every other energy.  `method="resummed"` without an
+    `order` raises `ValueError` ("too close to 1") for 0 < |E - 2| below
+    about 1.1e-5, where `resummed_order_for` exceeds its order cap.
     """
     if state.regime is Regime.SEPARATRIX:
         raise SeparatrixError("the separatrix orbit has infinite period")

@@ -5,7 +5,8 @@ sum_n a_n (t/h)^n, where h is the series' time unit (1 unless a caller
 chooses one).  All arithmetic is double precision.  The pendulum
 recurrence below generates the angle series together with its sine and
 cosine at O(N^2) total cost via running Cauchy-product sums; each new
-order is one dot product of previously computed coefficients.
+order is two dot products, against the sine and cosine histories kept
+reversed in contiguous buffers.
 """
 
 from __future__ import annotations
@@ -117,16 +118,19 @@ def pendulum_series(theta0: float, omega0: float, order: int,
     a = np.zeros(order + 1)
     a[0] = theta0
     a[1] = omega0 * h
-    s = np.zeros(order - 1)
-    c = np.zeros(order - 1)
-    s[0] = math.sin(theta0)
-    c[0] = math.cos(theta0)
+    top = order - 2  # s_j, c_j are needed for j <= top
+    # s_j at s_rev[top - j]: order m reads s_{m-1}..s_0 as the tail [top-m+1:]
+    s_rev = np.zeros(top + 1)
+    c_rev = np.zeros(top + 1)
+    s_n = s_rev[top] = math.sin(theta0)
+    c_rev[top] = math.cos(theta0)
     d = np.zeros(order)  # d_k = (k+1) a_{k+1}
     for n in range(order - 1):
-        a[n + 2] = -(h2 * s[n]) / ((n + 1) * (n + 2))
+        a[n + 2] = -(h2 * s_n) / ((n + 1) * (n + 2))
         m = n + 1
-        if m <= order - 2:
+        if m <= top:
             d[n] = m * a[m]
-            s[m] = float(np.dot(d[:m], c[m - 1 :: -1])) / m
-            c[m] = -float(np.dot(d[:m], s[m - 1 :: -1])) / m
+            s_n = float(np.dot(d[:m], c_rev[top - n :])) / m
+            c_rev[top - m] = -float(np.dot(d[:m], s_rev[top - n :])) / m
+            s_rev[top - m] = s_n
     return SeriesCoefficients(a, h)

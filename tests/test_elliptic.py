@@ -214,6 +214,16 @@ class TestPeriod:
         with pytest.raises(SeparatrixError):
             period(energy_state(2.0))
 
+    def test_resummed_route_band_next_to_the_separatrix(self):
+        # the arctanh-series order cap is reached within ~1.1e-5 of E = 2;
+        # the AGM default serves the same energies
+        resummed = period(energy_state(1.9999), "resummed")
+        assert_allclose(resummed.T, period(energy_state(1.9999)).T, rtol=1e-12)
+        for energy in (1.99999, 2.0 - 1e-6):
+            with pytest.raises(ValueError, match="too close to 1"):
+                period(energy_state(energy), "resummed")
+            assert math.isfinite(period(energy_state(energy)).T)
+
     def test_period_info_validates(self):
         with pytest.raises(ValueError):
             PeriodInfo(-1.0, -0.25, Regime.LIBRATION)

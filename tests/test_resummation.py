@@ -42,6 +42,20 @@ def reexpand(w, t_star, a_hat):
     return prod
 
 
+def unit_inputs(energy, order, direction):
+    """Raw series in a unit of 0.9 T*, so that T*/h = 1/0.9 exercises the powers."""
+    state = energy_state(energy, direction)
+    theta0, omega0 = canonical_top_ics(state)
+    t_star = period(state).T_star
+    h = 0.9 * t_star
+    raw = pendulum_series(theta0, omega0, order, time_unit=h)
+    return state, raw, t_star, t_star / h, omega_star(state) * h
+
+
+FSUM_CASES = [(0.5, 1), (1.71, -1), (1.9998, 1), (5.0, -1)]
+FSUM_ORDERS = [2, 3, 6, 10, 20, 200, 1000]
+
+
 class TestOmegaStar:
     def test_rotation_clockwise_value(self):
         assert omega_star(energy_state(2.02, -1)) == -math.sqrt(4.04)
@@ -92,6 +106,21 @@ class TestResum:
         ])
         back = reexpand(w, t_star, a_hat)
         assert_allclose(back[:21], raw.coeffs, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("energy,direction", FSUM_CASES)
+    @pytest.mark.parametrize("order", FSUM_ORDERS)
+    def test_matches_fsum_definition(self, energy, direction, order):
+        # ahat_n = sum_k b_{n-k} (k+1) (1/T*)^(k+2), each n one math.fsum,
+        # in the series' unit s = t/h
+        state, raw, t_star, s_star, w_s = unit_inputs(energy, order, direction)
+        b = raw.coeffs.tolist()
+        b[0] += s_star * w_s
+        b[1] -= w_s
+        q = 1.0 / s_star
+        ref = np.array([math.fsum(b[n - k] * (k + 1) * q ** (k + 2) for k in range(n + 1))
+                        for n in range(order + 1)])
+        got = resum(raw, state, t_star).a_hat.coeffs
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_input_validation(self):
         state, raw, _ = make_inputs(1.71, 12)
@@ -182,6 +211,28 @@ class TestEfficientTruncation:
         assert e.alpha == pytest.approx(alpha, rel=1e-12)
         assert e.beta == pytest.approx(beta, rel=1e-12)
 
+    @pytest.mark.parametrize("energy,direction", FSUM_CASES)
+    @pytest.mark.parametrize("order", FSUM_ORDERS)
+    def test_matches_fsum_endpoint_sums(self, energy, direction, order):
+        # alpha and beta from sigma_N(T*) and sigma_N'(T*) summed with
+        # math.fsum; an error of 1e-14 of the sums' absolute scale in
+        # sigma_N and sigma_N' moves alpha and beta by at most `tol`
+        state, raw, t_star, s, w_s = unit_inputs(energy, order, direction)
+        c = raw.coeffs.tolist()
+        sigma = math.fsum(c[n] * s**n for n in range(order + 1))
+        dsigma = math.fsum(n * c[n] * s ** (n - 1) for n in range(1, order + 1))
+        scale0 = math.fsum(abs(c[n]) * s**n for n in range(order + 1))
+        scale1 = abs(w_s) + math.fsum(n * abs(c[n]) * s ** (n - 1)
+                                      for n in range(1, order + 1))
+        p0, p1, p2 = s**-order, s ** -(order + 1), s ** -(order + 2)
+        gap = w_s - dsigma
+        e = efficient_truncation(raw, state, t_star)
+        tol = 1e-14
+        assert abs(e.alpha - (-(order + 2) * sigma * p1 - gap * p0)) <= tol * (
+            (order + 2) * scale0 * p1 + scale1 * p0)
+        assert abs(e.beta - ((order + 1) * sigma * p2 + gap * p1)) <= tol * (
+            (order + 1) * scale0 * p2 + scale1 * p1)
+
     @pytest.mark.parametrize("energy,direction", [(1.71, 1), (2.02, -1)])
     @pytest.mark.parametrize("order", [6, 20])
     def test_endpoint_derivatives_match_direct_form(self, energy, direction, order):
@@ -228,14 +279,16 @@ class TestEfficientTruncation:
 
 class TestOpTally:
     def test_counts_are_the_documented_polynomials(self):
-        state, raw, t_star = make_inputs(1.71, 6)
-        with tally_coefficient_ops() as direct:
-            resum(raw, state, t_star)
-        with tally_coefficient_ops() as fast:
-            efficient_truncation(raw, state, t_star)
-        n = 6
-        assert direct.total == (n + 1) ** 2 + 2 * n + 7
-        assert fast.total == 4 * n + 15
+        # exact at high order too: the benchmark's resummation.coeff_ops
+        # reads these totals
+        for n in (6, 1000):
+            state, raw, t_star = make_inputs(1.71, n)
+            with tally_coefficient_ops() as direct:
+                resum(raw, state, t_star)
+            with tally_coefficient_ops() as fast:
+                efficient_truncation(raw, state, t_star)
+            assert direct.total == (n + 1) ** 2 + 2 * n + 7
+            assert fast.total == 4 * n + 15
 
     def test_nested_tallies_both_collect(self):
         state, raw, t_star = make_inputs(1.71, 6)

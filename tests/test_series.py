@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pendseries import energy_state, period
+from pendseries.energy import canonical_top_ics
 from pendseries.series import SeriesCoefficients, eval_poly, pendulum_series
 from pendseries.validation import rk4_sample
 
@@ -16,6 +18,32 @@ def taylor_by_cauchy_integral(f, order, radius=0.25, samples=256):
     values = f(radius * np.exp(1j * phi))
     hats = np.fft.fft(values) / samples
     return (hats[: order + 1] / radius ** np.arange(order + 1)).real
+
+
+def pendulum_series_by_fsum(theta0, omega0, order, h):
+    """Second oracle: the docstring's s/c recurrence in Python floats, one
+    exactly rounded `math.fsum` per order.
+
+    Returns the coefficients and, for each, the scale its order's sum
+    carries: h^2 sum_k |(k+1) a_{k+1} c_{n-1-k}| / (n (n+1) (n+2)) for
+    a_{n+2}, |a_n| for n < 2.  Coefficients oscillate in sign, so one
+    that falls near a sign change is a heavy cancellation and can only
+    be held relative to that scale, not to its own size.
+    """
+    a = [theta0, omega0 * h] + [0.0] * (order - 1)
+    scale = [abs(a[0]), abs(a[1])] + [0.0] * (order - 1)
+    s, c, s_abs = [math.sin(theta0)], [math.cos(theta0)], [abs(math.sin(theta0))]
+    for n in range(order - 1):
+        a[n + 2] = -h * h * s[n] / ((n + 1) * (n + 2))
+        scale[n + 2] = h * h * s_abs[n] / ((n + 1) * (n + 2))
+        m = n + 1
+        if m <= order - 2:
+            d = [(k + 1) * a[k + 1] for k in range(m)]
+            terms = [d[k] * c[n - k] for k in range(m)]
+            s.append(math.fsum(terms) / m)
+            s_abs.append(math.fsum(map(abs, terms)) / m)
+            c.append(-math.fsum(d[k] * s[n - k] for k in range(m)) / m)
+    return np.array(a), np.array(scale)
 
 
 class TestSeriesCoefficients:
@@ -99,6 +127,18 @@ class TestPendulumSeries:
             k = np.arange(2.0, n + 1)
             second = k * (k - 1.0) * a.coeffs[2:]
             assert_allclose(second + s, np.zeros(n - 1), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("energy", [0.5, 1.9998, 5.0])
+    @pytest.mark.parametrize("order", [2, 3, 20, 200, 1000])
+    def test_matches_fsum_recurrence(self, energy, order):
+        # in units of T*, as build_trajectory carries the branch, so the
+        # high orders stay in double range
+        state = energy_state(energy)
+        theta0, omega0 = canonical_top_ics(state)
+        h = period(state).T_star
+        got = pendulum_series(theta0, omega0, order, time_unit=h).coeffs
+        ref, scale = pendulum_series_by_fsum(theta0, omega0, order, h)
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
     def test_odd_coefficients_vanish_at_turning_point(self, rng):
         for _ in range(10):
