@@ -31,6 +31,7 @@ from . import __version__
 from .convergence import pole_lattice, roc_estimate, roc_exact
 from .elliptic import period
 from .energy import Regime, canonical_top_ics, classify_energy, energy_state
+from .resummation import omega_star
 from .series import pendulum_series
 from .trajectory import build_trajectory, canonical_initial_state, theta_at
 from .validation import rk4_sample, sup_error
@@ -47,46 +48,78 @@ def _fmt(x) -> str:
     return "%.17g" % x
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number list: {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+def _values(kind, low, strict=False):
+    """Comma-list flag type: each value finite and >= low (> low if strict)."""
+
+    def parse(text: str) -> list:
+        try:
+            values = [kind(part) for part in text.split(",") if part.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value in {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError("empty list")
+        for v in values:
+            if not (math.isfinite(v) and (v > low if strict else v >= low)):
+                raise argparse.ArgumentTypeError(
+                    f"must be finite and {'>' if strict else '>='} {low:g}, got {v!r}")
+        return values
+
+    return parse
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer list: {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+def _value(kind, low, strict=False):
+    """Single-value form of `_values`."""
+    parse = _values(kind, low, strict)
+
+    def one(text: str):
+        if "," in text:
+            raise argparse.ArgumentTypeError(f"takes a single value, got {text!r}")
+        return parse(text)[0]
+
+    return one
 
 
-def _direction_sign(regime: Regime, flag: str) -> int:
-    """Map cw/ccw to the internal orientation sign for one regime.
+def _state(e: float, flag: str):
+    """The orbit of energy e whose initial sense of motion is cw or ccw.
 
-    cw means the initial sense of motion is clockwise (theta decreasing):
-    that is the canonical +1 branch for libration (released from +theta_max)
-    but the -1 branch for circulating and separatrix orbits.
+    cw means clockwise (theta decreasing): that is the canonical +1 branch
+    for libration (released from +theta_max) but the -1 branch for
+    circulating and separatrix orbits.
     """
-    if regime is Regime.LIBRATION:
-        return 1 if flag == "cw" else -1
-    return -1 if flag == "cw" else 1
+    libration = classify_energy(e) is Regime.LIBRATION
+    return energy_state(e, 1 if (flag == "cw") == libration else -1)
+
+
+def _off_separatrix(energies, skipped: list, reason: str):
+    """Yield the energies with a finite period; record each other one as a skip."""
+    for e in energies:
+        if classify_energy(e) is Regime.SEPARATRIX:
+            skipped.append(f"energy={_fmt(e)} reason=separatrix ({reason})")
+        else:
+            yield e
 
 
 def _angle_scale(args) -> float:
-    return _RAD2DEG if getattr(args, "degrees", False) else 1.0
+    return _RAD2DEG if args.degrees else 1.0
 
 
-def _resolve_method(method: str, regime: Regime) -> str:
+def _orbit(e: float, args, method: str):
+    """One orbit on `args.grid` points over `args.periods` periods (2 pi each at E = 2).
+
+    `auto` is the closed form at E = 2 and resummed elsewhere.  Returns
+    (solution, grid, theta on the grid, meta line).
+    """
+    state = _state(e, args.direction)
     if method == "auto":
-        return "separatrix" if regime is Regime.SEPARATRIX else "resummed"
-    return method
+        method = "separatrix" if state.regime is Regime.SEPARATRIX else "resummed"
+    sol = build_trajectory(state, None if method == "separatrix" else args.order, method)
+    t_full = sol.period_info.T
+    span = args.periods * (t_full if math.isfinite(t_full) else 2.0 * math.pi)
+    grid = np.linspace(0.0, span, args.grid)
+    meta = (f"energy={_fmt(e)} method={sol.method} order={sol.order} "
+            f"T={_fmt(t_full)} T_star={_fmt(sol.period_info.T_star)}")
+    return sol, grid, theta_at(sol, grid), meta
 
 
 # ---------------------------------------------------------------------------
@@ -94,28 +127,15 @@ def _resolve_method(method: str, regime: Regime) -> str:
 
 
 def cmd_trajectory(args):
-    e = args.energy[0]
-    regime = classify_energy(e)
-    state = energy_state(e, _direction_sign(regime, args.direction))
-    method = _resolve_method(args.method, regime)
-    order = None if method == "separatrix" else args.order
-    sol = build_trajectory(state, order, method)
-    t_full = sol.period_info.T
-    span = args.periods * (t_full if math.isfinite(t_full) else 2.0 * math.pi)
-    grid = np.linspace(0.0, span, args.grid)
-    theta = theta_at(sol, grid)
+    sol, grid, theta, meta = _orbit(args.energy, args, args.method)
     theta0, omega0 = canonical_initial_state(sol)
     oracle, _ = rk4_sample(theta0, omega0, grid, args.oracle_dt)
     scale = _angle_scale(args)
-    meta = [
-        f"energy={_fmt(e)} method={sol.method} order={sol.order} "
-        f"T={_fmt(t_full)} T_star={_fmt(sol.period_info.T_star)}"
-    ]
     rows = [
         [_fmt(t), _fmt(scale * a), _fmt(scale * r), _fmt(scale * abs(a - r))]
         for t, a, r in zip(grid, theta, oracle)
     ]
-    return meta, ["t", "theta_analytic", "theta_rk4", "abs_error"], rows, []
+    return [meta], ["t", "theta_analytic", "theta_rk4", "abs_error"], rows, []
 
 
 def cmd_error_sweep(args):
@@ -126,10 +146,7 @@ def cmd_error_sweep(args):
 
 def _period_sweep(args):
     meta, rows, skipped = [], [], []
-    for e in args.energy:
-        if classify_energy(e) is Regime.SEPARATRIX:
-            skipped.append(f"energy={_fmt(e)} reason=separatrix (no finite period)")
-            continue
+    for e in _off_separatrix(args.energy, skipped, "no finite period"):
         state = energy_state(e)
         exact = period(state).T_star
         meta.append(f"energy={_fmt(e)} T_star={_fmt(exact)}")
@@ -145,11 +162,8 @@ def _trajectory_sweep(args):
     methods = ["raw", "resummed"] if args.method == "auto" else [args.method]
     n_max = max(args.order)
     scale = _angle_scale(args)
-    for e in args.energy:
-        if classify_energy(e) is Regime.SEPARATRIX:
-            skipped.append(f"energy={_fmt(e)} reason=separatrix (no finite T*)")
-            continue
-        state = energy_state(e, _direction_sign(classify_energy(e), args.direction))
+    for e in _off_separatrix(args.energy, skipped, "no finite T*"):
+        state = _state(e, args.direction)
         base = build_trajectory(state, n_max, "resummed")
         t_star = base.period_info.T_star
         grid = np.linspace(0.0, t_star, args.grid)
@@ -159,15 +173,13 @@ def _trajectory_sweep(args):
         for method in methods:
             if method == "efficient":
                 # the two-monomial correction is tied to its order: rebuild
-                for n in args.order:
-                    sol = build_trajectory(state, n, "efficient")
-                    rep = sup_error(sol, grid_points=args.grid, oracle=oracle)
-                    rows.append([_fmt(e), str(n), method, _fmt(scale * rep.sup_error)])
+                runs = [(build_trajectory(state, n, method), None) for n in args.order]
             else:
                 sol = base if method == "resummed" else build_trajectory(state, n_max, method)
-                for n in args.order:
-                    rep = sup_error(sol, upto=n, grid_points=args.grid, oracle=oracle)
-                    rows.append([_fmt(e), str(n), method, _fmt(scale * rep.sup_error)])
+                runs = [(sol, n) for n in args.order]
+            for n, (sol, upto) in zip(args.order, runs):
+                rep = sup_error(sol, upto=upto, grid_points=args.grid, oracle=oracle)
+                rows.append([_fmt(e), str(n), method, _fmt(scale * rep.sup_error)])
     return meta, ["energy", "order", "method", "sup_error"], rows, skipped
 
 
@@ -175,45 +187,25 @@ def cmd_surface(args):
     meta, rows = [], []
     scale = _angle_scale(args)
     for e in args.energy:
-        regime = classify_energy(e)
-        state = energy_state(e, _direction_sign(regime, args.direction))
-        if regime is Regime.SEPARATRIX:
-            sol = build_trajectory(state, method="separatrix")
-            span = args.periods * 2.0 * math.pi  # no period: nominal 2 pi units
-        else:
-            sol = build_trajectory(state, args.order, "resummed")
-            span = args.periods * sol.period_info.T
-        meta.append(
-            f"energy={_fmt(e)} method={sol.method} order={sol.order} "
-            f"T={_fmt(sol.period_info.T)} T_star={_fmt(sol.period_info.T_star)}"
-        )
-        theta = theta_at(sol, np.linspace(0.0, span, args.grid))
-        rows.extend(
-            [_fmt(e), _fmt(t), _fmt(scale * th)]
-            for t, th in zip(np.linspace(0.0, span, args.grid), theta)
-        )
+        _, grid, theta, line = _orbit(e, args, "auto")
+        meta.append(line)
+        rows.extend([_fmt(e), _fmt(t), _fmt(scale * th)] for t, th in zip(grid, theta))
     return meta, ["energy", "t", "theta"], rows, []
 
 
 def cmd_roc(args):
     meta, rows, skipped = [], [], []
-    for e in args.energy:
-        if classify_energy(e) is Regime.SEPARATRIX:
-            skipped.append(
-                f"energy={_fmt(e)} reason=separatrix (branch points at +-i*pi/2, "
-                f"no pole lattice)"
-            )
-            continue
+    reason = "branch points at +-i*pi/2, no pole lattice"
+    for e in _off_separatrix(args.energy, skipped, reason):
         state = energy_state(e)
         poles = pole_lattice(state, max_index=3).poles
         for ics in ("top", "bottom"):
             rep = roc_exact(state, ics)
-            x0 = 0.0 if ics == "top" else rep.t_star
-            nearest = poles[int(np.argmin(np.abs(poles - x0)))]
             if ics == "top":
-                theta0, omega0 = canonical_top_ics(state)
+                x0, (theta0, omega0) = 0.0, canonical_top_ics(state)
             else:
-                theta0, omega0 = 0.0, -math.sqrt(2.0 * state.energy)
+                x0, theta0, omega0 = rep.t_star, 0.0, omega_star(state)
+            nearest = poles[int(np.argmin(np.abs(poles - x0)))]
             estimate = ""
             try:
                 # the radius as unit keeps a_n R^n in range at any order;
@@ -355,6 +347,11 @@ def _add_output_flags(p, plottable: bool) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    energies = _values(float, 0.0, strict=True)  # E = 0 is the rest fixed point
+    orders = _value(int, 2)
+    grid = _value(int, 2)
+    periods = _value(int, 1)
+    dt = _value(float, 0.0, strict=True)
     parser = argparse.ArgumentParser(
         prog="pendseries",
         description="Analytic pendulum trajectories as CSV artifacts.",
@@ -364,17 +361,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trajectory", help="one orbit sampled against the RK4 oracle")
-    p.add_argument("--energy", type=_float_list, required=True,
+    p.add_argument("--energy", type=_value(float, 0.0, strict=True), required=True,
                    help="orbit energy (single value)")
-    p.add_argument("--order", type=int, default=20, help="truncation order N")
+    p.add_argument("--order", type=orders, default=20, help="truncation order N")
     p.add_argument("--method", choices=("raw", "resummed", "efficient", "auto"),
                    default="auto", help="auto = resummed, closed form at E=2")
     p.add_argument("--direction", choices=("cw", "ccw"), default="cw",
                    help="initial sense of motion")
-    p.add_argument("--periods", type=int, default=1,
+    p.add_argument("--periods", type=periods, default=1,
                    help="time span in full periods (2*pi units at E=2)")
-    p.add_argument("--grid", type=int, default=1001, help="number of samples")
-    p.add_argument("--oracle-dt", type=float, default=1e-4,
+    p.add_argument("--grid", type=grid, default=1001, help="number of samples")
+    p.add_argument("--oracle-dt", type=dt, default=1e-4,
                    help="RK4 oracle step (1e-5 reproduces the reference runs)")
     p.add_argument("--degrees", action="store_true",
                    help="format angle columns in degrees")
@@ -383,16 +380,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("error-sweep",
                        help="sup-norm or period error over energy/order grids")
-    p.add_argument("--energy", type=_float_list, required=True,
+    p.add_argument("--energy", type=energies, required=True,
                    help="comma-separated energy grid")
-    p.add_argument("--order", type=_int_list, default=[5, 10, 20],
+    p.add_argument("--order", type=_values(int, 2), default=[5, 10, 20],
                    help="comma-separated truncation orders")
     p.add_argument("--method", choices=("raw", "resummed", "efficient", "auto"),
                    default="auto", help="auto = compare raw and resummed")
     p.add_argument("--direction", choices=("cw", "ccw"), default="cw")
-    p.add_argument("--grid", type=int, default=1001,
+    p.add_argument("--grid", type=grid, default=1001,
                    help="samples per [0, T*] error grid")
-    p.add_argument("--oracle-dt", type=float, default=1e-4)
+    p.add_argument("--oracle-dt", type=dt, default=1e-4)
     p.add_argument("--period", action="store_true",
                    help="sweep the effective-period error of K routes instead")
     p.add_argument("--degrees", action="store_true",
@@ -402,20 +399,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surface",
                        help="long-format (energy, t, theta) over several orbits")
-    p.add_argument("--energy", type=_float_list, required=True,
+    p.add_argument("--energy", type=energies, required=True,
                    help="comma-separated energy grid")
-    p.add_argument("--order", type=int, default=40)
+    p.add_argument("--order", type=orders, default=40)
     p.add_argument("--direction", choices=("cw", "ccw"), default="cw")
-    p.add_argument("--periods", type=int, default=2)
-    p.add_argument("--grid", type=int, default=257, help="samples per energy")
+    p.add_argument("--periods", type=periods, default=2)
+    p.add_argument("--grid", type=grid, default=257, help="samples per energy")
     p.add_argument("--degrees", action="store_true")
     _add_output_flags(p, plottable=True)
     p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("roc", help="convergence radii, exact and estimated")
-    p.add_argument("--energy", type=_float_list, required=True,
+    p.add_argument("--energy", type=energies, required=True,
                    help="comma-separated energy grid")
-    p.add_argument("--order", type=int, default=400,
+    p.add_argument("--order", type=orders, default=400,
                    help="coefficient count for the root-test estimate")
     _add_output_flags(p, plottable=False)
     p.set_defaults(func=cmd_roc)
@@ -423,34 +420,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, args) -> None:
-    if any(e <= 0.0 for e in args.energy):
-        parser.error("energies must be positive (E = 0 is the rest fixed point)")
-    if args.command == "trajectory" and len(args.energy) != 1:
-        parser.error("trajectory takes a single energy; use surface for grids")
-    orders = args.order if isinstance(args.order, list) else [args.order]
-    if args.command == "roc":
-        if any(n < 2 for n in orders):
-            parser.error("--order must be >= 2")
-    elif any(n < 2 for n in orders):
-        parser.error("series methods need order >= 2")
-    grid = getattr(args, "grid", None)
-    if grid is not None and grid < 2:
-        parser.error("--grid must be >= 2")
-    periods = getattr(args, "periods", None)
-    if periods is not None and periods < 1:
-        parser.error("--periods must be >= 1")
-    dt = getattr(args, "oracle_dt", None)
-    if dt is not None and dt <= 0.0:
-        parser.error("--oracle-dt must be positive")
-    if getattr(args, "plot_script", False) and not args.out:
-        parser.error("--plot-script requires --out")
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _validate(parser, args)
+    if getattr(args, "plot_script", False) and not args.out:
+        parser.error("--plot-script requires --out")
     meta, header, rows, skipped = args.func(args)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as stream:

@@ -159,11 +159,11 @@ def _orient(state: EnergyState, v):
 
 
 def theta_tilde(sol: TrajectorySolution, t):
-    """Canonical branch angle on 0 <= t <= T* (scalar or array)."""
+    """Canonical branch angle on 0 <= t <= T* (scalar or array); NaN raises."""
     t_star = sol.period_info.T_star
     tt = np.asarray(t, dtype=float)
     slack = _SEAM_SNAP_FRACTION * t_star if math.isfinite(t_star) else 0.0
-    if np.any(tt < -slack) or np.any(tt > t_star + slack):
+    if not np.all((-slack <= tt) & (tt <= t_star + slack)):
         raise ValueError(f"branch parameter outside [0, T*], T* = {t_star}")
     return _tilde(sol, tt)
 

@@ -56,15 +56,19 @@ def rk4_sample(theta0: float, omega0: float, times, dt: float):
 
     Each gap between consecutive sorted sample times is covered by
     uniform substeps of size <= dt, so no interpolation ever happens.
-    Returns (thetas, omegas) aligned with `times`.
+    Returns (thetas, omegas) aligned with `times`.  Times must be finite,
+    sorted and non-negative, and dt finite and positive; otherwise
+    `ValueError`.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("times must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("times must be finite")
     if ts[0] < 0.0 or np.any(np.diff(ts) < 0.0):
         raise ValueError("times must be sorted and non-negative")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     thetas = np.empty(ts.size)
     omegas = np.empty(ts.size)
     theta, omega = theta0, omega0
@@ -88,7 +92,7 @@ def sup_error(sol: TrajectorySolution, upto: int | None = None,
     The grid covers [0, T*], the canonical branch in the orbit's own
     sense, whatever the solution's `origin_shift`; `span` shortens it
     (the separatrix has no T*, so there `span` is required), and a span
-    outside [0, T*] raises.  `upto` evaluates a lower-order partial sum of a
+    that is not finite or lies outside [0, T*] raises.  `upto` evaluates a lower-order partial sum of a
     stored raw or resummed solution, letting one high-order build serve
     a whole truncation sweep.  A precomputed `oracle` (thetas on the
     same grid) skips the RK4 run.
@@ -98,8 +102,9 @@ def sup_error(sol: TrajectorySolution, upto: int | None = None,
         if not math.isfinite(t_star):
             raise ValueError("no finite T*; pass an explicit span")
         span = t_star
-    elif not 0.0 <= span <= t_star * (1.0 + 1e-12):
-        raise ValueError(f"span must lie in [0, T*], T* = {t_star}, got {span!r}")
+    elif not (math.isfinite(span) and 0.0 <= span <= t_star * (1.0 + 1e-12)):
+        raise ValueError(f"span must be finite and lie in [0, T*], T* = {t_star}, "
+                         f"got {span!r}")
     if grid_points < 2:
         raise ValueError("grid needs at least 2 points")
     grid = np.linspace(0.0, span, grid_points)

@@ -3,6 +3,8 @@
 import csv
 import io
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +217,11 @@ class TestUsageErrors:
         ["trajectory", "--energy", "1.0", "--oracle-dt", "0"],
         ["trajectory", "--energy", "1.0", "--plot-script"],
         ["error-sweep", "--energy", "1.0", "--order", "5,1"],
+        ["trajectory", "--energy", "nan"],
+        ["trajectory", "--energy", "inf"],
+        ["surface", "--energy", "1,inf"],
+        ["trajectory", "--energy", "1.0", "--oracle-dt", "inf"],
+        ["trajectory", "--energy", "1.0", "--oracle-dt", "nan"],
     ])
     def test_rejected_with_usage_exit(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -227,3 +234,20 @@ class TestUsageErrors:
                          "--grid", "5", "--oracle-dt", "1e-2"])
         assert code == 0
         assert capsys.readouterr().out.startswith("# pendseries")
+
+
+def readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line)[1:] for line in section.splitlines()
+            if line.startswith("    pendseries ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    commands = readme_commands()
+    assert len(commands) == 5
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+        out = tmp_path / argv[argv.index("--out") + 1]
+        assert out.read_text(encoding="utf-8").startswith("# pendseries"), argv

@@ -101,6 +101,9 @@ class TestThetaTilde:
             theta_tilde(sol, -0.1)
         with pytest.raises(ValueError):
             theta_tilde(sol, 1.001 * sol.period_info.T_star)
+        for t in (math.nan, [0.1, math.nan]):
+            with pytest.raises(ValueError):
+                theta_tilde(sol, t)
 
     def test_midbranch_against_oracle(self):
         sol = build_trajectory(energy_state(1.9998), 40, "resummed")

@@ -108,6 +108,12 @@ class TestRk4Sample:
             rk4_sample(0.0, 1.0, [-1.0, 0.5], 1e-3)
         with pytest.raises(ValueError):
             rk4_sample(0.0, 1.0, [0.0, 1.0], -1e-3)
+        for dt in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                rk4_sample(0.0, 1.0, [0.0, 1.0], dt)
+        for times in ([0.0, math.inf], [0.0, 1.0, math.nan, 2.0, 3.0], [math.nan]):
+            with pytest.raises(ValueError):
+                rk4_sample(1.0, 0.0, times, 1e-2)
 
 
 class TestSupError:
@@ -197,3 +203,6 @@ class TestSupError:
         sep = build_trajectory(energy_state(2.0), method="separatrix")
         with pytest.raises(ValueError):
             sup_error(sep, upto=5, span=1.0)
+        for span in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                sup_error(sep, span=span)
