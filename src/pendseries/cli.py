@@ -164,22 +164,23 @@ def _trajectory_sweep(args):
     scale = _angle_scale(args)
     for e in _off_separatrix(args.energy, skipped, "no finite T*"):
         state = _state(e, args.direction)
-        base = build_trajectory(state, n_max, "resummed")
-        t_star = base.period_info.T_star
-        grid = np.linspace(0.0, t_star, args.grid)
-        theta0, omega0 = canonical_initial_state(base)
-        oracle, _ = rk4_sample(theta0, omega0, grid, args.oracle_dt)
+        t_star = period(state).T_star
         meta.append(f"energy={_fmt(e)} T_star={_fmt(t_star)}")
+        runs = []  # (method, order, solution, partial-sum order)
         for method in methods:
             if method == "efficient":
                 # the two-monomial correction is tied to its order: rebuild
-                runs = [(build_trajectory(state, n, method), None) for n in args.order]
+                runs += [(method, n, build_trajectory(state, n, method), None)
+                         for n in args.order]
             else:
-                sol = base if method == "resummed" else build_trajectory(state, n_max, method)
-                runs = [(sol, n) for n in args.order]
-            for n, (sol, upto) in zip(args.order, runs):
-                rep = sup_error(sol, upto=upto, grid_points=args.grid, oracle=oracle)
-                rows.append([_fmt(e), str(n), method, _fmt(scale * rep.sup_error)])
+                sol = build_trajectory(state, n_max, method)
+                runs += [(method, n, sol, n) for n in args.order]
+        grid = np.linspace(0.0, t_star, args.grid)
+        theta0, omega0 = canonical_initial_state(runs[0][2])
+        oracle, _ = rk4_sample(theta0, omega0, grid, args.oracle_dt)
+        for method, n, sol, upto in runs:
+            rep = sup_error(sol, upto=upto, grid_points=args.grid, oracle=oracle)
+            rows.append([_fmt(e), str(n), method, _fmt(scale * rep.sup_error)])
     return meta, ["energy", "order", "method", "sup_error"], rows, skipped
 
 
@@ -198,7 +199,7 @@ def cmd_roc(args):
     reason = "branch points at +-i*pi/2, no pole lattice"
     for e in _off_separatrix(args.energy, skipped, reason):
         state = energy_state(e)
-        poles = pole_lattice(state, max_index=3).poles
+        poles = pole_lattice(state).poles
         for ics in ("top", "bottom"):
             rep = roc_exact(state, ics)
             if ics == "top":

@@ -1,16 +1,19 @@
 """Convergence domain of the pendulum Taylor series.
 
 The analytic continuation of theta(t) has simple poles on a rectangular
-lattice in complex time, built from K and K' of the regime modulus:
+lattice in complex time, built from K and K' of the regime modulus.
+Measured from the canonical top start, both regimes put them at
 
   libration:  n K + i n' K'          with n, n' both odd,
-  rotation:   n Kt + i n' Kt'        with n even, n' odd,
+  rotation:   n Kt + i n' Kt'        with n, n' both odd,
 
 where Kt = sqrt(2/E) K(sqrt(2/E)) and Kt' = sqrt(2/E) K'(sqrt(2/E)) are
-the rescaled half-lattice constants.  The radius of convergence about a
-chosen expansion point is the distance to the nearest pole; for the
-canonical top start it always exceeds the effective period T*, which is
-what makes the single-branch construction in ``trajectory`` possible.
+the rescaled half-lattice constants, and K or Kt is exactly T*.  About
+the bottom, t = T*, the same lattice is (even, odd).  The radius of
+convergence about a chosen expansion point is the distance to the
+nearest pole; for the canonical top start it always exceeds the
+effective period T*, which is what makes the single-branch construction
+in ``trajectory`` possible.
 On the separatrix the lattice degenerates into branch points at
 +- i pi/2 (``SEPARATRIX_BRANCH_POINTS``).
 """
@@ -75,10 +78,9 @@ def _lattice_constants(state: EnergyState) -> tuple[float, float]:
 def pole_lattice(state: EnergyState, max_index: int = 1) -> PoleLattice:
     """Poles out to `max_index` lattice cells in each direction.
 
-    For libration the real/imaginary integer pairs are (odd, odd); for
-    rotation they are (even, odd) including the pure imaginary column.
-    max_index = 1 already contains every pole that can limit convergence
-    about the canonical start.
+    The real/imaginary integer pairs are (odd, odd) about the canonical
+    top start in both regimes.  max_index = 1 already contains every
+    pole that can limit convergence about the top or the bottom start.
     """
     if state.regime is Regime.SEPARATRIX:
         raise SeparatrixError(
@@ -89,11 +91,7 @@ def pole_lattice(state: EnergyState, max_index: int = 1) -> PoleLattice:
         raise ValueError("max_index must be >= 1")
     re_unit, im_unit = _lattice_constants(state)
     odds = [s * (2 * j - 1) for j in range(1, max_index + 1) for s in (1, -1)]
-    if state.regime is Regime.LIBRATION:
-        re_indices = odds
-    else:
-        re_indices = [0] + [s * 2 * j for j in range(1, max_index + 1) for s in (1, -1)]
-    points = sorted((n * re_unit, m * im_unit) for n in re_indices for m in odds)
+    points = sorted((n * re_unit, m * im_unit) for n in odds for m in odds)
     return PoleLattice(state.regime, state.energy,
                        np.array([complex(re, im) for re, im in points]))
 
@@ -102,11 +100,10 @@ def roc_exact(state: EnergyState, ics: str = "top") -> RocReport:
     """Exact convergence radius about the canonical top or bottom start.
 
     Top of the orbit (turning point / inverted position): the nearest
-    pole is a corner of the first lattice cell, at
+    poles are the corners of the first lattice cell, at
     sqrt(T*^2 + K'^2) (libration) or sqrt(T*^2 + Kt'^2) (rotation).
-    Bottom of the orbit: rotation sees the pure imaginary pole at
-    distance Kt'; libration is handled by direct minimisation over the
-    lattice shifted to the bottom time t = T*.
+    Bottom of the orbit, t = T*: the nearest poles sit straight above
+    and below it, at K' (libration) or Kt' (rotation).
     """
     if state.regime is Regime.SEPARATRIX:
         raise SeparatrixError(
@@ -117,13 +114,7 @@ def roc_exact(state: EnergyState, ics: str = "top") -> RocReport:
         raise ValueError(f"ics must be 'top' or 'bottom', got {ics!r}")
     re_unit, im_unit = _lattice_constants(state)
     t_star = re_unit  # K (libration) or Kt (rotation): exactly T*
-    if ics == "top":
-        radius = math.hypot(t_star, im_unit)
-    elif state.regime is Regime.ROTATION:
-        radius = im_unit
-    else:
-        lattice = pole_lattice(state, max_index=3)
-        radius = float(np.min(np.abs(lattice.poles - t_star)))
+    radius = math.hypot(t_star, im_unit) if ics == "top" else im_unit
     return RocReport(radius, t_star, radius - t_star, ics)
 
 

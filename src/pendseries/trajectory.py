@@ -77,8 +77,8 @@ class TrajectorySolution:
     they fall like (T*/R)^n and stay in double range at every order and
     energy; `resummed` holds the endpoint-pinned form (or its
     two-monomial variant), in the same unit, when the method uses one.
-    `origin_shift` is added to every evaluation time, letting a solution
-    aligned to user initial conditions be carried around as data.
+    Time 0 is the canonical start; `align_to_ics` gives the offset of
+    any other start on the orbit.
     """
 
     energy_state: EnergyState
@@ -87,7 +87,6 @@ class TrajectorySolution:
     order: int
     raw: SeriesCoefficients | None
     resummed: ResummedSeries | EfficientTruncation | None
-    origin_shift: float = 0.0
 
 
 def build_trajectory(state: EnergyState, order: int | None = None,
@@ -171,15 +170,14 @@ def theta_tilde(sol: TrajectorySolution, t):
 def _theta_at_scalar(sol: TrajectorySolution, t: float) -> float:
     if not 0.0 <= t < math.inf:
         raise ValueError(f"trajectories are evaluated at finite t >= 0 only, got {t!r}")
-    tt = t + sol.origin_shift
     state = sol.energy_state
     if state.regime is Regime.SEPARATRIX:
-        return _orient(state, _tilde(sol, tt))
+        return _orient(state, _tilde(sol, t))
     t_full = sol.period_info.T
     t_star = sol.period_info.T_star
     snap = _SEAM_SNAP_FRACTION * t_full
-    winding = math.floor(tt / t_full)
-    that = tt - t_full * winding
+    winding = math.floor(t / t_full)
+    that = t - t_full * winding
     if that < 0.0:
         that = 0.0
     if t_full - that < snap:
@@ -210,17 +208,18 @@ def theta_at(sol: TrajectorySolution, t):
 
     Applies the periodic branch extension, the winding count for
     rotation, and the reflection selected by the solution's direction.
-    A negative, infinite or NaN time (anywhere in an array) raises
-    `ValueError`, in every regime.
+    An array result has the input's shape.  A negative, infinite or NaN
+    time (anywhere in an array) raises `ValueError`, in every regime.
     """
     tt = np.asarray(t, dtype=float)
     if tt.ndim == 0:
         return _theta_at_scalar(sol, float(tt))
-    return np.array([_theta_at_scalar(sol, float(x)) for x in tt])
+    flat = [_theta_at_scalar(sol, float(x)) for x in tt.ravel()]
+    return np.array(flat, dtype=float).reshape(tt.shape)
 
 
 def canonical_initial_state(sol: TrajectorySolution) -> tuple[float, float]:
-    """(theta, dtheta/dt) at t = 0 for an unshifted solution.
+    """(theta, dtheta/dt) at t = 0.
 
     These are the exact initial conditions of the orbit the solution
     represents after reflections, suitable for seeding an independent
@@ -276,30 +275,26 @@ def align_to_ics(sol: TrajectorySolution, theta0: float, omega0: float) -> float
         if reduced == 0.0:
             return 0.0  # log(tan(pi/4)) would leave a rounding ulp
         return math.log(math.tan(0.25 * (reduced + math.pi)))
-    t_star = sol.period_info.T_star
+    # reflect into the canonical frame, where libration falls from
+    # +theta_max and rotation turns clockwise, then invert the fold of
+    # `_theta_at_scalar`: branch j from the signs of angle and velocity,
+    # branches 1 and 2 negated, odd branches run backwards
+    sense = d if state.regime is Regime.LIBRATION else -d
+    theta_c = math.remainder(sense * theta0, 2.0 * math.pi)
+    omega_c = sense * omega0
     if state.regime is Regime.ROTATION:
-        if omega0 * d <= 0.0:
+        if omega_c >= 0.0:
             raise ValueError("velocity sign does not match the sense of rotation")
-        # map to the clockwise canonical frame and reduce to (-pi, pi]
-        theta_c = math.remainder(theta0 if d < 0 else -theta0, 2.0 * math.pi)
         if theta_c == -math.pi:
-            theta_c = math.pi
-        if theta_c >= 0.0:
-            return _invert_tilde(sol, theta_c)
-        return 2.0 * t_star - _invert_tilde(sol, -theta_c)
-    # libration: reflect into the canonical frame, then pick the branch
-    # by velocity sign and angle sign
-    theta_c = math.remainder(d * theta0, 2.0 * math.pi)
-    omega_c = d * omega0
+            theta_c = math.pi  # the top, where branch 0 starts
+    t_star = sol.period_info.T_star
+    if omega_c == 0.0:  # libration turning points, exactly
+        return 0.0 if theta_c >= 0.0 else 2.0 * t_star
     if omega_c < 0.0:
-        t0 = (_invert_tilde(sol, theta_c) if theta_c >= 0.0
-              else 2.0 * t_star - _invert_tilde(sol, -theta_c))
-    elif omega_c > 0.0:
-        t0 = (2.0 * t_star + _invert_tilde(sol, -theta_c) if theta_c <= 0.0
-              else 4.0 * t_star - _invert_tilde(sol, theta_c))
+        j = 0 if theta_c >= 0.0 else 1
     else:
-        t0 = 0.0 if theta_c >= 0.0 else 2.0 * t_star
+        j = 2 if theta_c <= 0.0 else 3
+    u = _invert_tilde(sol, abs(theta_c))
+    t0 = (j + 1) * t_star - u if j % 2 else j * t_star + u
     t_full = sol.period_info.T
-    if t0 >= t_full:
-        t0 -= t_full
-    return t0
+    return t0 - t_full if t0 >= t_full else t0

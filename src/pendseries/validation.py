@@ -90,11 +90,11 @@ def sup_error(sol: TrajectorySolution, upto: int | None = None,
     """Max |theta_series - theta_RK4| over an even grid on the branch.
 
     The grid covers [0, T*], the canonical branch in the orbit's own
-    sense, whatever the solution's `origin_shift`; `span` shortens it
-    (the separatrix has no T*, so there `span` is required), and a span
-    that is not finite or lies outside [0, T*] raises.  `upto` evaluates a lower-order partial sum of a
-    stored raw or resummed solution, letting one high-order build serve
-    a whole truncation sweep.  A precomputed `oracle` (thetas on the
+    sense; `span` shortens it (the separatrix has no T*, so there `span`
+    is required), and a span that is not finite or lies outside [0, T*]
+    raises.  `upto` evaluates a lower-order partial sum of a stored raw
+    or resummed solution, letting one high-order build serve a whole
+    truncation sweep.  A precomputed `oracle` (thetas on the
     same grid) skips the RK4 run.
     """
     t_star = sol.period_info.T_star

@@ -1,5 +1,6 @@
 """The package's top-level names are exactly the ones README documents."""
 
+import math
 import types
 from pathlib import Path
 
@@ -25,3 +26,10 @@ def test_benchmark_entry_points_stay_top_level():
     for name in ("build_trajectory", "energy_state", "theta_at", "align_to_ics",
                  "tally_coefficient_ops"):
         assert callable(getattr(pendseries, name))
+
+
+def test_readme_library_block_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert math.isfinite(float(capsys.readouterr().out))

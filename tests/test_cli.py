@@ -130,6 +130,27 @@ class TestErrorSweepCommand:
                 assert err[(e, n, "resummed")] <= err[(e, n, "raw")]
             assert err[(e, "10", "raw")] < err[(e, "5", "raw")]
 
+    @pytest.mark.parametrize("method,builds", [
+        ("raw", [(10, "raw")]),
+        ("efficient", [(5, "efficient"), (10, "efficient")]),
+        ("auto", [(10, "raw"), (10, "resummed")]),
+    ])
+    def test_trajectory_sweep_builds_only_the_requested_methods(
+            self, tmp_path, monkeypatch, method, builds):
+        calls = []
+        real_build = cli.build_trajectory
+
+        def counting_build(state, order=None, method="resummed"):
+            calls.append((order, method))
+            return real_build(state, order, method)
+
+        monkeypatch.setattr(cli, "build_trajectory", counting_build)
+        code, _ = run_csv(tmp_path, [
+            "error-sweep", "--energy", "1.0", "--order", "5,10", "--method", method,
+            "--grid", "11", "--oracle-dt", "1e-2"])
+        assert code == 0
+        assert sorted(calls) == builds
+
 
 class TestSurfaceCommand:
     def test_libration_reflection(self, tmp_path):
@@ -188,13 +209,15 @@ class TestRocCommand:
         assert abs(estimate - exact) / exact < 0.02
 
     def test_nearest_pole_is_on_the_circle(self, tmp_path):
-        _, out = run_csv(tmp_path, ["roc", "--energy", "1.71", "--order", "100"])
+        _, out = run_csv(tmp_path, ["roc", "--energy", "1.71,2.02,5", "--order", "100"])
         _, header, rows = parse_csv(out)
-        top = next(r for r in rows if r[1] == "top")
-        pole = complex(float(top[header.index("nearest_pole_re")]),
-                       float(top[header.index("nearest_pole_im")]))
-        assert abs(pole) == pytest.approx(
-            float(top[header.index("exact_roc")]), rel=1e-12)
+        assert len(rows) == 6
+        for row in rows:
+            pole = complex(float(row[header.index("nearest_pole_re")]),
+                           float(row[header.index("nearest_pole_im")]))
+            start = 0.0 if row[1] == "top" else float(row[header.index("t_star")])
+            assert abs(pole - start) == pytest.approx(
+                float(row[header.index("exact_roc")]), rel=1e-12), row[:2]
 
     def test_estimate_keeps_improving_near_separatrix(self, tmp_path):
         # plain coefficients underflow here and stall the estimate

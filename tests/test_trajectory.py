@@ -1,6 +1,5 @@
 """Solution assembly, periodic extension, and initial-condition alignment."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -126,6 +125,16 @@ class TestThetaAt:
             for t in (math.inf, -math.inf, math.nan, np.array([1.0, math.nan])):
                 with pytest.raises(ValueError, match="finite t >= 0"):
                     theta_at(sol, t)
+
+    def test_array_keeps_its_shape(self):
+        for sol in (build_trajectory(energy_state(1.71), 20, "resummed"),
+                    build_trajectory(energy_state(2.0), method="separatrix")):
+            ts = np.linspace(0.0, 7.0, 6)
+            grid = theta_at(sol, ts.reshape(2, 3))
+            assert grid.shape == (2, 3)
+            assert np.all(grid == theta_at(sol, ts).reshape(2, 3))
+            empty = theta_at(sol, np.zeros(0))
+            assert empty.shape == (0,) and empty.dtype == float
 
     def test_libration_symmetry_values(self):
         sol = build_trajectory(energy_state(1.71), 30, "resummed")
@@ -276,8 +285,7 @@ class TestAlign:
         t0 = align_to_ics(sol, theta0, omega0)
         ts = np.linspace(0.0, sol.period_info.T, 201)
         oracle, _ = rk4_sample(theta0, omega0, ts, 1e-4)
-        shifted = dataclasses.replace(sol, origin_shift=t0)
-        assert np.max(np.abs(theta_at(shifted, ts) - oracle)) < 1e-7
+        assert np.max(np.abs(theta_at(sol, ts + t0) - oracle)) < 1e-7
 
     def test_rotation_alignment_against_rk4(self):
         theta0 = -2.0
@@ -307,6 +315,32 @@ class TestAlign:
         rot = build_trajectory(energy_state(2.5, 1), 20, "resummed")
         with pytest.raises(ValueError):
             align_to_ics(rot, math.pi, -1.0)  # opposite sense of rotation
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("energy", [0.5, 1.71, 2.5, 5.0])
+    def test_round_trip_on_every_branch(self, energy, direction):
+        sol = build_trajectory(energy_state(energy, direction), 60, "resummed")
+        t_star, t_full = sol.period_info.T_star, sol.period_info.T
+
+        def on_orbit(theta, sign):
+            return theta, sign * math.sqrt(2.0 * energy - 4.0 * math.sin(0.5 * theta) ** 2)
+
+        starts = []
+        for j in range(round(t_full / t_star)):
+            for f in (0.1, 0.5, 0.9):
+                t = (j + f) * t_star
+                rising = theta_at(sol, t + 1e-6) > theta_at(sol, t - 1e-6)
+                starts.append(on_orbit(theta_at(sol, t), 1.0 if rising else -1.0))
+        if sol.energy_state.regime is Regime.LIBRATION:
+            top = theta_at(sol, 0.0)
+            starts += [(top, 0.0), (-top, 0.0), on_orbit(0.0, 1.0), on_orbit(0.0, -1.0)]
+        else:  # the velocity keeps the sign of the direction
+            starts += [on_orbit(theta, float(direction))
+                       for theta in (0.0, math.pi, -math.pi, 3.0 * math.pi)]
+        for theta0, omega0 in starts:
+            t0 = align_to_ics(sol, theta0, omega0)
+            assert 0.0 <= t0 < t_full
+            assert abs(math.remainder(theta_at(sol, t0) - theta0, 2.0 * math.pi)) < 1e-9
 
     def test_every_libration_quadrant(self):
         # one start per (angle sign, velocity sign) quadrant of the orbit

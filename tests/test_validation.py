@@ -1,6 +1,5 @@
 """The RK4 oracle and the sup-norm comparison against it."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -176,14 +175,6 @@ class TestSupError:
         full = sup_error(sol, oracle=oracle)
         partial = sup_error(sol, upto=sol.order, oracle=oracle)
         assert full.sup_error == partial.sup_error
-
-    def test_report_ignores_origin_shift(self):
-        sol = build_trajectory(energy_state(1.71), 40, "resummed")
-        grid = np.linspace(0.0, sol.period_info.T_star, 1001)
-        oracle, _ = rk4_sample(*canonical_initial_state(sol), grid, 1e-3)
-        shifted = dataclasses.replace(sol, origin_shift=0.3 * sol.period_info.T)
-        assert (sup_error(shifted, oracle=oracle).sup_error
-                == sup_error(sol, oracle=oracle).sup_error)
 
     def test_guards(self):
         sol = build_trajectory(energy_state(1.71), 10, "resummed")
