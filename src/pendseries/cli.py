@@ -199,7 +199,7 @@ def cmd_roc(args):
     reason = "branch points at +-i*pi/2, no pole lattice"
     for e in _off_separatrix(args.energy, skipped, reason):
         state = energy_state(e)
-        poles = pole_lattice(state).poles
+        poles = pole_lattice(state)
         for ics in ("top", "bottom"):
             rep = roc_exact(state, ics)
             if ics == "top":

@@ -26,12 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergyState, Regime, SeparatrixError
-from .elliptic import _modulus, ellipk_agm, ellipk_prime
+from .elliptic import _modulus, ellipk_prime, period
 from .series import SeriesCoefficients
 
 __all__ = [
     "SEPARATRIX_BRANCH_POINTS",
-    "PoleLattice",
     "RocReport",
     "pole_lattice",
     "roc_exact",
@@ -45,55 +44,37 @@ _MIN_FIT_COEFFS = 50
 
 
 @dataclass(frozen=True)
-class PoleLattice:
-    """Singularity lattice of one orbit, relative to the canonical start."""
-
-    regime: Regime
-    energy: float
-    poles: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.poles, dtype=complex)
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "poles", arr)
-
-
-@dataclass(frozen=True)
 class RocReport:
     """Convergence radius about one expansion point, against T*."""
 
     exact_roc: float
     t_star: float
     margin: float
-    ics: str = "top"
 
 
 def _lattice_constants(state: EnergyState) -> tuple[float, float]:
-    """Half-lattice constants (real, imaginary) for the regime."""
+    """Half-lattice constants (real, imaginary): T* from `period`, and K' or Kt'."""
     k, scale = _modulus(state)
-    return scale * ellipk_agm(k), scale * ellipk_prime(k)
+    return period(state).T_star, scale * ellipk_prime(k)
 
 
-def pole_lattice(state: EnergyState, max_index: int = 1) -> PoleLattice:
-    """Poles out to `max_index` lattice cells in each direction.
+def pole_lattice(state: EnergyState) -> np.ndarray:
+    """The four poles of the first lattice cell, as a read-only complex array.
 
-    The real/imaginary integer pairs are (odd, odd) about the canonical
-    top start in both regimes.  max_index = 1 already contains every
-    pole that can limit convergence about the top or the bottom start.
+    They are the (odd, odd) corners (+-T*, +-K') or (+-Kt, +-Kt') about
+    the canonical top start, in both regimes, sorted by real and then
+    imaginary part.  They contain every pole that can limit convergence
+    about the top or the bottom start.
     """
     if state.regime is Regime.SEPARATRIX:
         raise SeparatrixError(
             "no pole lattice at E = 2: the orbit has branch points at "
             "+- i pi/2 (SEPARATRIX_BRANCH_POINTS)"
         )
-    if max_index < 1:
-        raise ValueError("max_index must be >= 1")
-    re_unit, im_unit = _lattice_constants(state)
-    odds = [s * (2 * j - 1) for j in range(1, max_index + 1) for s in (1, -1)]
-    points = sorted((n * re_unit, m * im_unit) for n in odds for m in odds)
-    return PoleLattice(state.regime, state.energy,
-                       np.array([complex(re, im) for re, im in points]))
+    t_star, im_unit = _lattice_constants(state)
+    poles = np.array([complex(n * t_star, m * im_unit) for n in (-1, 1) for m in (-1, 1)])
+    poles.flags.writeable = False
+    return poles
 
 
 def roc_exact(state: EnergyState, ics: str = "top") -> RocReport:
@@ -112,10 +93,9 @@ def roc_exact(state: EnergyState, ics: str = "top") -> RocReport:
         )
     if ics not in ("top", "bottom"):
         raise ValueError(f"ics must be 'top' or 'bottom', got {ics!r}")
-    re_unit, im_unit = _lattice_constants(state)
-    t_star = re_unit  # K (libration) or Kt (rotation): exactly T*
+    t_star, im_unit = _lattice_constants(state)
     radius = math.hypot(t_star, im_unit) if ics == "top" else im_unit
-    return RocReport(radius, t_star, radius - t_star, ics)
+    return RocReport(radius, t_star, radius - t_star)
 
 
 def roc_estimate(series: SeriesCoefficients) -> float:

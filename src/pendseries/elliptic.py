@@ -48,7 +48,6 @@ _MAX_AUTO_ORDER = 4_000_000
 class EllipticEval:
     """One K(k) evaluation together with how it was obtained."""
 
-    modulus: float
     value: float
     method: str
 
@@ -185,15 +184,15 @@ def evaluate_k(k: float, method: str = "quadrature", order: int | None = None) -
     if method == "quadrature":
         if order is not None:
             raise ValueError("quadrature route takes no truncation order")
-        return EllipticEval(k, ellipk_agm(k), "quadrature")
+        return EllipticEval(ellipk_agm(k), "quadrature")
     if method == "series":
         if order is None:
             raise ValueError("series route requires a truncation order")
-        return EllipticEval(k, ellipk_series(k, order), f"series(order={order})")
+        return EllipticEval(ellipk_series(k, order), f"series(order={order})")
     if method == "resummed":
         if order is None:
             order = resummed_order_for(k)
-        return EllipticEval(k, ellipk_resummed(k, order), f"resummed(order={order})")
+        return EllipticEval(ellipk_resummed(k, order), f"resummed(order={order})")
     raise ValueError(f"unknown method {method!r}")
 
 

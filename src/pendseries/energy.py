@@ -15,7 +15,7 @@ arbitrary starts by realignment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -53,24 +53,22 @@ class SeparatrixError(ValueError):
 
 @dataclass(frozen=True)
 class EnergyState:
-    """Energy, regime, and sense of motion of one pendulum orbit.
+    """Energy and sense of motion of one pendulum orbit.
 
     direction is +1 (counterclockwise) or -1 (clockwise).  For libration
     it only fixes which turning point the motion starts from; for rotation
-    it is the sign of the angular velocity.
+    it is the sign of the angular velocity.  `regime` is not passed in:
+    it is derived from `energy` by `classify_energy`.
     """
 
     energy: float
-    regime: Regime
     direction: int
+    regime: Regime = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.energy) and self.energy >= 0.0):
-            raise ValueError(f"energy must be finite and >= 0, got {self.energy!r}")
+        object.__setattr__(self, "regime", classify_energy(self.energy))
         if self.direction not in (-1, 1):
             raise ValueError("direction must be +1 or -1")
-        if self.regime is not classify_energy(self.energy):
-            raise ValueError(f"regime {self.regime} inconsistent with energy {self.energy}")
 
 
 def classify_energy(energy: float) -> Regime:
@@ -85,29 +83,31 @@ def classify_energy(energy: float) -> Regime:
 
 def energy_state(energy: float, direction: int = 1) -> EnergyState:
     """EnergyState from an energy value and a sense of motion."""
-    return EnergyState(float(energy), classify_energy(energy), int(direction))
+    return EnergyState(float(energy), int(direction))
 
 
 def energy_of(theta0: float, omega0: float) -> EnergyState:
     """Classify the orbit through (theta0, omega0); 1 - cos is 2 sin^2(theta0/2)."""
     energy = 0.5 * omega0 * omega0 + 2.0 * math.sin(0.5 * theta0) ** 2
     direction = -1 if omega0 < 0.0 else 1
-    return EnergyState(energy, classify_energy(energy), direction)
+    return EnergyState(energy, direction)
 
 
 def canonical_top_ics(state: EnergyState) -> tuple[float, float]:
-    """Initial conditions at the highest point of the orbit.
+    """Start of the canonical branch, at the highest point of the orbit.
 
     Libration starts at the turning point theta = 2 arcsin(sqrt(E/2))
     (= arccos(1 - E), without its cancellation at small E) with zero
     velocity; rotation starts at the inverted position theta = pi moving
-    with speed sqrt(2E - 4) in the direction carried by `state`.
+    clockwise with velocity -sqrt(2E - 4).  The start does not depend on
+    `state.direction`: like `omega_star` it describes the canonical
+    branch, and the orbit's own sense comes from reflecting it.
     """
     if state.regime is Regime.SEPARATRIX:
         raise SeparatrixError("the separatrix only reaches theta = pi asymptotically")
     if state.regime is Regime.LIBRATION:
         return 2.0 * math.asin(math.sqrt(0.5 * state.energy)), 0.0
-    return math.pi, state.direction * math.sqrt(2.0 * state.energy - 4.0)
+    return math.pi, -math.sqrt(2.0 * state.energy - 4.0)
 
 
 def separatrix_theta(theta0: float, t):

@@ -87,16 +87,15 @@ def _count(n: int) -> None:
 class ResummedSeries:
     """Endpoint-pinned form w*(t - T*) + (t - T*)^2 sum ahat_n t^n.
 
-    `omega_star` and `t_star` are in physical time.  `a_hat` and
-    `b_shift` are in the raw series' time unit h (``a_hat.time_unit``),
-    where the form reads w* h (s - T*/h) + (s - T*/h)^2 sum ahat_n s^n
-    with s = t/h; for h = 1 the two readings coincide.
+    `omega_star` and `t_star` are in physical time.  `a_hat` is in the
+    raw series' time unit h (``a_hat.time_unit``), where the form reads
+    w* h (s - T*/h) + (s - T*/h)^2 sum ahat_n s^n with s = t/h; for
+    h = 1 the two readings coincide.
     """
 
     omega_star: float
     t_star: float
     a_hat: SeriesCoefficients
-    b_shift: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,6 @@ class EfficientTruncation:
     base: SeriesCoefficients
     alpha: float
     beta: float
-    t_star: float
 
 
 def omega_star(state: EnergyState) -> float:
@@ -165,9 +163,9 @@ def resum(a: SeriesCoefficients, state: EnergyState, t_star: float) -> ResummedS
     resummed form about t = 0 reproduces a_0..a_N identically.
 
     The transformation runs in the series' own time unit h, s = t/h:
-    T* and w* enter as T*/h and w* h, `b_shift` is in those units and
-    ahat carries the same time unit as `a`.  As in `efficient_truncation`,
-    a `ValueError` is raised up front if (T*/h)^-(N+2) leaves double range.
+    T* and w* enter as T*/h and w* h, and ahat carries the same time
+    unit as `a`.  As in `efficient_truncation`, a `ValueError` is raised
+    up front if (T*/h)^-(N+2) leaves double range.
     """
     n_max = _truncation(a)
     if not (math.isfinite(t_star) and t_star > 0.0):
@@ -185,7 +183,7 @@ def resum(a: SeriesCoefficients, state: EnergyState, t_star: float) -> ResummedS
     _count(2 * (n_max + 1) + 2)
     a_hat = np.convolve(weights, b)[: n_max + 1]
     _count((n_max + 1) ** 2)  # sum over n of 2n+1 multiply-adds
-    return ResummedSeries(w, t_star, SeriesCoefficients(a_hat, h), (b[0], b[1]))
+    return ResummedSeries(w, t_star, SeriesCoefficients(a_hat, h))
 
 
 def eval_resummed(r: ResummedSeries, t, upto: int | None = None):
@@ -239,7 +237,7 @@ def efficient_truncation(a: SeriesCoefficients, state: EnergyState,
     alpha = -(n_max + 2) * sig * p_n1 - gap * p_n
     beta = (n_max + 1) * sig * p_n2 + gap * p_n1
     _count(15)
-    return EfficientTruncation(a, float(alpha), float(beta), t_star)
+    return EfficientTruncation(a, float(alpha), float(beta))
 
 
 def eval_efficient(e: EfficientTruncation, t):

@@ -34,7 +34,6 @@ from .energy import (
     SeparatrixError,
     canonical_top_ics,
     energy_of,
-    energy_state,
     separatrix_theta,
 )
 from .elliptic import PeriodInfo, period
@@ -70,23 +69,24 @@ _ALIGN_TIME_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TrajectorySolution:
-    """One orbit, ready for evaluation at any t >= 0.
+    """One orbit, ready for evaluation at any finite t.
 
-    `raw` holds the Taylor coefficients of the canonical branch, in the
-    branch-normalised time s = t/T* (``raw.time_unit == T*``), so that
-    they fall like (T*/R)^n and stay in double range at every order and
-    energy; `resummed` holds the endpoint-pinned form (or its
-    two-monomial variant), in the same unit, when the method uses one.
-    Time 0 is the canonical start; `align_to_ics` gives the offset of
-    any other start on the orbit.
+    `branch` is the one representation of the canonical branch that
+    `method` evaluates: the Taylor coefficients ("raw"), the
+    endpoint-pinned form ("resummed") or the raw partial sum with its
+    two endpoint monomials ("efficient"), and None for the separatrix
+    closed form.  Series branches are carried in the branch-normalised
+    time s = t/T* (time unit T*), so that their coefficients fall like
+    (T*/R)^n and stay in double range at every order and energy.  Time 0
+    is the canonical start; `align_to_ics` gives the offset of any other
+    start on the orbit.
     """
 
     energy_state: EnergyState
     period_info: PeriodInfo
     method: str
     order: int
-    raw: SeriesCoefficients | None
-    resummed: ResummedSeries | EfficientTruncation | None
+    branch: SeriesCoefficients | ResummedSeries | EfficientTruncation | None
 
 
 def build_trajectory(state: EnergyState, order: int | None = None,
@@ -114,47 +114,49 @@ def build_trajectory(state: EnergyState, order: int | None = None,
                 stacklevel=2,
             )
         pinfo = PeriodInfo(math.inf, math.inf, Regime.SEPARATRIX)
-        return TrajectorySolution(state, pinfo, "separatrix", 0, None, None)
+        return TrajectorySolution(state, pinfo, "separatrix", 0, None)
     if method == "separatrix":
         raise SeparatrixError(f"closed form requires E = 2, got E = {state.energy}")
     if order is None:
         raise ValueError("series methods require a truncation order")
     pinfo = period(state)
-    if state.regime is Regime.LIBRATION:
-        theta0, omega0 = canonical_top_ics(state)
-    else:
-        # canonical branch is clockwise regardless of the requested
-        # direction; counterclockwise comes out of the reflection below
-        theta0, omega0 = canonical_top_ics(energy_state(state.energy, -1))
-    raw = pendulum_series(theta0, omega0, order, time_unit=pinfo.T_star)
-    if method == "raw":
-        rs = None
-    elif method == "resummed":
-        rs = resum(raw, state, pinfo.T_star)
-    else:
-        rs = efficient_truncation(raw, state, pinfo.T_star)
-    return TrajectorySolution(state, pinfo, method, int(order), raw, rs)
+    theta0, omega0 = canonical_top_ics(state)
+    branch = pendulum_series(theta0, omega0, order, time_unit=pinfo.T_star)
+    if method == "resummed":
+        branch = resum(branch, state, pinfo.T_star)
+    elif method == "efficient":
+        branch = efficient_truncation(branch, state, pinfo.T_star)
+    return TrajectorySolution(state, pinfo, method, int(order), branch)
 
 
 def _tilde(sol: TrajectorySolution, t, upto: int | None = None):
     """Canonical branch at t, unchecked; `upto` selects a partial sum."""
     if sol.method == "raw":
-        return eval_poly(sol.raw, t, upto)
+        return eval_poly(sol.branch, t, upto)
     if sol.method == "resummed":
-        return eval_resummed(sol.resummed, t, upto)
+        return eval_resummed(sol.branch, t, upto)
     if upto is not None:
         raise ValueError(f"partial sums unavailable for method {sol.method!r}; "
                          "only raw and resummed branches truncate")
     if sol.method == "efficient":
-        return eval_efficient(sol.resummed, t)
+        return eval_efficient(sol.branch, t)
     return separatrix_theta(0.0, t)
+
+
+def _sense(state: EnergyState) -> int:
+    """+1 where the orbit runs like the canonical branch, -1 where it is reflected.
+
+    The canonical branch falls from +theta_max (libration, direction +1)
+    or turns clockwise (rotation, direction -1).
+    """
+    return -state.direction if state.regime is Regime.ROTATION else state.direction
 
 
 def _orient(state: EnergyState, v):
     """Canonical-frame angle(s) v reflected into the orbit's own sense."""
-    if state.regime is Regime.ROTATION:
-        return v if state.direction < 0 else 2.0 * math.pi - v
-    return v if state.direction > 0 else -v
+    if _sense(state) > 0:
+        return v
+    return 2.0 * math.pi - v if state.regime is Regime.ROTATION else -v
 
 
 def theta_tilde(sol: TrajectorySolution, t):
@@ -168,8 +170,8 @@ def theta_tilde(sol: TrajectorySolution, t):
 
 
 def _theta_at_scalar(sol: TrajectorySolution, t: float) -> float:
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"trajectories are evaluated at finite t >= 0 only, got {t!r}")
+    if not math.isfinite(t):
+        raise ValueError(f"trajectories are evaluated at finite t only, got {t!r}")
     state = sol.energy_state
     if state.regime is Regime.SEPARATRIX:
         return _orient(state, _tilde(sol, t))
@@ -204,12 +206,15 @@ def _theta_at_scalar(sol: TrajectorySolution, t: float) -> float:
 
 
 def theta_at(sol: TrajectorySolution, t):
-    """Angle at any time t >= 0 (scalar or array), any number of periods.
+    """Angle at any finite time t (scalar or array), any number of periods.
 
     Applies the periodic branch extension, the winding count for
     rotation, and the reflection selected by the solution's direction.
-    An array result has the input's shape.  A negative, infinite or NaN
-    time (anywhere in an array) raises `ValueError`, in every regime.
+    Negative times fold onto [0, T) like any other, so the orbit runs
+    backwards from its canonical start too; on the separatrix the closed
+    form holds for every real t.  An array result has the input's shape.
+    An infinite or NaN time (anywhere in an array) raises `ValueError`,
+    in every regime.
     """
     tt = np.asarray(t, dtype=float)
     if tt.ndim == 0:
@@ -228,10 +233,9 @@ def canonical_initial_state(sol: TrajectorySolution) -> tuple[float, float]:
     state = sol.energy_state
     if state.regime is Regime.SEPARATRIX:
         return 0.0, 2.0 * state.direction
-    if state.regime is Regime.LIBRATION:
-        theta_top, _ = canonical_top_ics(state)
-        return state.direction * theta_top, 0.0
-    return math.pi, state.direction * math.sqrt(2.0 * state.energy - 4.0)
+    theta0, omega0 = canonical_top_ics(state)
+    # + 0.0: a reflected turning point starts at rest with +0.0, not -0.0
+    return _orient(state, theta0), _sense(state) * omega0 + 0.0
 
 
 def _invert_tilde(sol: TrajectorySolution, target: float) -> float:
@@ -256,7 +260,7 @@ def align_to_ics(sol: TrajectorySolution, theta0: float, omega0: float) -> float
     its energy must match to 1e-10 and, where the orbit fixes a velocity
     sign, the sign must agree.  Periodic regimes return t0 in [0, T); the
     separatrix returns the closed-form offset, which is negative for
-    starts on the far side of the canonical one.
+    starts on the far side of the canonical one (`theta_at` accepts it).
     """
     state = sol.energy_state
     if omega0 == 0.0 and math.remainder(theta0, math.pi) == 0.0:
@@ -267,11 +271,11 @@ def align_to_ics(sol: TrajectorySolution, theta0: float, omega0: float) -> float
             f"initial conditions have energy {user.energy!r}, "
             f"solution has {state.energy!r}"
         )
-    d = state.direction
+    sense = _sense(state)
     if state.regime is Regime.SEPARATRIX:
-        if omega0 * d <= 0.0:
+        if omega0 * sense <= 0.0:
             raise ValueError("velocity sign does not match the solution's branch")
-        reduced = math.remainder(d * theta0, 2.0 * math.pi)
+        reduced = math.remainder(sense * theta0, 2.0 * math.pi)
         if reduced == 0.0:
             return 0.0  # log(tan(pi/4)) would leave a rounding ulp
         return math.log(math.tan(0.25 * (reduced + math.pi)))
@@ -279,7 +283,6 @@ def align_to_ics(sol: TrajectorySolution, theta0: float, omega0: float) -> float
     # +theta_max and rotation turns clockwise, then invert the fold of
     # `_theta_at_scalar`: branch j from the signs of angle and velocity,
     # branches 1 and 2 negated, odd branches run backwards
-    sense = d if state.regime is Regime.LIBRATION else -d
     theta_c = math.remainder(sense * theta0, 2.0 * math.pi)
     omega_c = sense * omega0
     if state.regime is Regime.ROTATION:

@@ -1,12 +1,15 @@
 """The package's top-level names are exactly the ones README documents."""
 
+import importlib
+import importlib.util
 import math
 import types
 from pathlib import Path
 
 import pendseries
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_every_export_has_a_readme_api_entry():
@@ -33,3 +36,15 @@ def test_readme_library_block_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     assert math.isfinite(float(capsys.readouterr().out))
+
+
+def test_every_traced_name_resolves():
+    # the benchmark tracer wraps functions by "<module>.<name>"; a name
+    # that moves or disappears would otherwise drop out of --trace silently
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.FUNCTIONS
+    for qual in tracer.FUNCTIONS:
+        layer, name = qual.split(".")
+        assert callable(getattr(importlib.import_module(f"pendseries.{layer}"), name, None)), qual

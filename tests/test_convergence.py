@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pendseries import SeparatrixError, energy_state
+from pendseries import SeparatrixError, energy_state, period
 from pendseries.convergence import (
     SEPARATRIX_BRANCH_POINTS,
     pole_lattice,
@@ -21,12 +21,12 @@ class TestPoleLattice:
     def test_libration_first_cell(self):
         state = energy_state(1.0)
         k = math.sqrt(0.5)
-        lattice = pole_lattice(state, max_index=1)
+        poles = pole_lattice(state)
         expected = {
             (re * ellipk_agm(k), im * ellipk_prime(k))
             for re in (1, -1) for im in (1, -1)
         }
-        got = {(p.real, p.imag) for p in lattice.poles}
+        got = {(p.real, p.imag) for p in poles}
         assert len(got) == 4
         for re, im in expected:
             assert any(math.isclose(re, gr, rel_tol=1e-14)
@@ -38,8 +38,8 @@ class TestPoleLattice:
         state = energy_state(5.0)
         k = math.sqrt(2.0 / 5.0)
         kt, ktp = k * ellipk_agm(k), k * ellipk_prime(k)
-        lattice = pole_lattice(state, max_index=1)
-        got = {(round(p.real, 12), round(p.imag, 12)) for p in lattice.poles}
+        poles = pole_lattice(state)
+        got = {(round(p.real, 12), round(p.imag, 12)) for p in poles}
         expected = {
             (round(n * kt, 12), round(m * ktp, 12))
             for n in (1, -1) for m in (1, -1)
@@ -48,13 +48,13 @@ class TestPoleLattice:
 
     def test_fig5_nearest_singularity(self):
         k = math.sqrt(0.855)
-        lattice = pole_lattice(energy_state(1.71), max_index=1)
+        poles = pole_lattice(energy_state(1.71))
         target = complex(ellipk_agm(k), ellipk_prime(k))
-        assert min(abs(lattice.poles - target)) < 1e-13
+        assert min(abs(poles - target)) < 1e-13
 
     def test_no_real_poles_and_symmetry(self):
         for energy in (0.3, 1.71, 2.5, 12.0):
-            poles = pole_lattice(energy_state(energy), max_index=2).poles
+            poles = pole_lattice(energy_state(energy))
             assert np.all(poles.imag != 0.0)
             as_set = {(p.real, p.imag) for p in poles}
             assert {(p.real, -p.imag) for p in poles} == as_set
@@ -65,9 +65,13 @@ class TestPoleLattice:
             pole_lattice(energy_state(2.0))
         assert SEPARATRIX_BRANCH_POINTS == (0.5j * math.pi, -0.5j * math.pi)
 
-    def test_max_index_validation(self):
-        with pytest.raises(ValueError):
-            pole_lattice(energy_state(1.0), max_index=0)
+    def test_first_cell_is_a_read_only_array_with_t_star_from_period(self):
+        for energy in (0.3, 1.71, 2.02, 12.0):
+            state = energy_state(energy)
+            poles = pole_lattice(state)
+            assert poles.shape == (4,) and poles.dtype == complex
+            assert not poles.flags.writeable
+            assert set(np.abs(poles.real)) == {period(state).T_star}
 
 
 class TestRocExact:

@@ -43,9 +43,16 @@ class TestClassification:
 
     def test_state_consistency_enforced(self):
         with pytest.raises(ValueError):
-            EnergyState(1.0, Regime.ROTATION, 1)
-        with pytest.raises(ValueError):
-            EnergyState(1.0, Regime.LIBRATION, 0)
+            EnergyState(1.0, 0)
+
+    def test_regime_is_derived_from_energy(self):
+        for energy, regime in ((1.0, Regime.LIBRATION), (2.0, Regime.SEPARATRIX),
+                               (5.0, Regime.ROTATION)):
+            assert EnergyState(energy, -1).regime is regime
+        with pytest.raises(TypeError):
+            EnergyState(1.0, 1, Regime.LIBRATION)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            EnergyState(math.nan, 1)
 
 
 class TestEnergyOf:
@@ -73,9 +80,11 @@ class TestEnergyOf:
 
 class TestCanonicalTopIcs:
     def test_rotation_just_above_threshold(self):
-        theta0, omega0 = canonical_top_ics(energy_state(2.02, 1))
-        assert theta0 == math.pi
-        assert_allclose(omega0, 0.2, rtol=1e-15)
+        # the canonical branch turns clockwise whatever the direction
+        for direction in (1, -1):
+            theta0, omega0 = canonical_top_ics(energy_state(2.02, direction))
+            assert theta0 == math.pi
+            assert_allclose(omega0, -0.2, rtol=1e-15)
 
     def test_libration_reference_energy(self):
         theta0, omega0 = canonical_top_ics(energy_state(1.71))

@@ -79,7 +79,6 @@ class TestResum:
         w = omega_star(state)
         a = raw.coeffs
         b0, b1 = a[0] + t_star * w, a[1] - w
-        assert r.b_shift == (b0, b1)
         assert r.a_hat.coeffs[0] == pytest.approx(b0 / t_star**2, rel=1e-13)
         # the two n=1 convolution terms nearly cancel: compare loosely
         assert r.a_hat.coeffs[1] == pytest.approx(
@@ -136,6 +135,18 @@ class TestEvalResummed:
             state, raw, t_star = make_inputs(energy, 14, -1 if energy > 2 else 1)
             r = resum(raw, state, t_star)
             assert eval_resummed(r, t_star) == 0.0
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("energy", [2.02, 5.0, 40.0])
+    def test_canonical_start_agrees_with_its_raw_sum(self, energy, direction):
+        # resum pins w* = -sqrt(2E), the canonical branch's endpoint, so the
+        # start it is handed must be the canonical one whatever the direction
+        state = energy_state(energy, direction)
+        t_star = period(state).T_star
+        raw = pendulum_series(*canonical_top_ics(state), 200, time_unit=t_star)
+        grid = np.linspace(0.0, t_star, 201)
+        gap = eval_resummed(resum(raw, state, t_star), grid) - eval_poly(raw, grid)
+        assert np.max(np.abs(gap)) < 1e-8
 
     def test_value_at_origin(self):
         state, raw, t_star = make_inputs(1.71, 14)

@@ -112,10 +112,31 @@ class TestThetaTilde:
 
 
 class TestThetaAt:
-    def test_negative_time_rejected(self):
-        sol = build_trajectory(energy_state(1.0), 10, "resummed")
-        with pytest.raises(ValueError):
-            theta_at(sol, -0.5)
+    @pytest.mark.parametrize("energy,direction",
+                             [(1.0, 1), (1.71, -1), (2.02, -1), (2.02, 1), (5.0, 1)])
+    def test_negative_times_are_periodic_images(self, energy, direction):
+        # libration repeats exactly; rotation winds by 2 pi per period in
+        # its own sense, so t - kT lies 2 pi k behind (ccw) or ahead (cw)
+        sol = build_trajectory(energy_state(energy, direction), 40, "resummed")
+        t_full = sol.period_info.T
+        winding = 0.0
+        if sol.energy_state.regime is Regime.ROTATION:
+            winding = 2.0 * math.pi * direction
+        ts = np.array([0.0, 0.3, 0.5 * t_full, 0.9 * t_full])
+        for k in (1, 2, 5):
+            assert_allclose(theta_at(sol, ts - k * t_full),
+                            theta_at(sol, ts) - k * winding, rtol=0, atol=1e-12)
+            assert theta_at(sol, -k * t_full) == pytest.approx(
+                theta_at(sol, 0.0) - k * winding, abs=1e-12)
+
+    def test_separatrix_aligned_before_the_canonical_start(self):
+        # the far-side start has a negative offset; t + t0 < 0 must evaluate
+        sol = build_trajectory(energy_state(2.0), method="separatrix")
+        t0 = align_to_ics(sol, -1.0, math.sqrt(2.0 * (1.0 + math.cos(1.0))))
+        assert t0 < 0.0
+        ts = np.linspace(0.0, 2.0, 41)
+        assert_allclose(theta_at(sol, ts + t0), separatrix_theta(-1.0, ts),
+                        rtol=0, atol=1e-12)
 
     def test_non_finite_time_rejected(self):
         sols = [build_trajectory(energy_state(1.71), 20, "resummed"),
@@ -123,7 +144,7 @@ class TestThetaAt:
                 build_trajectory(energy_state(2.0), method="separatrix")]
         for sol in sols:
             for t in (math.inf, -math.inf, math.nan, np.array([1.0, math.nan])):
-                with pytest.raises(ValueError, match="finite t >= 0"):
+                with pytest.raises(ValueError, match="finite t"):
                     theta_at(sol, t)
 
     def test_array_keeps_its_shape(self):
@@ -265,6 +286,25 @@ class TestCanonicalInitialState:
         assert omega0 == pytest.approx(0.2, rel=1e-15)
         sep = build_trajectory(energy_state(2.0), method="separatrix")
         assert canonical_initial_state(sep) == (0.0, 2.0)
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("energy,method", [
+        (1.71, "raw"), (1.71, "resummed"), (1.71, "efficient"),
+        (2.0, "separatrix"),
+        (2.02, "raw"), (2.02, "resummed"), (2.02, "efficient"),
+        (5.0, "raw"), (5.0, "resummed"), (5.0, "efficient"),
+    ])
+    def test_matches_the_solution_at_zero(self, energy, method, direction):
+        state = energy_state(energy, direction)
+        sol = build_trajectory(state, None if method == "separatrix" else 40, method)
+        theta0, omega0 = canonical_initial_state(sol)
+        assert theta0 == pytest.approx(theta_at(sol, 0.0), rel=0, abs=1e-12)
+        forward = np.sign(theta_at(sol, 1e-6) - theta_at(sol, 0.0))
+        if state.regime is Regime.LIBRATION:
+            # at rest on a turning point, then moving back toward the bottom
+            assert omega0 == 0.0 and forward == -np.sign(theta0)
+        else:
+            assert np.sign(omega0) == forward
 
 
 class TestAlign:
