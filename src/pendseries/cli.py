@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .convergence import pole_lattice, roc_estimate, roc_exact
+from .convergence import roc_estimate, roc_exact
 from .elliptic import period
 from .energy import Regime, canonical_top_ics, classify_energy, energy_state
 from .resummation import omega_star
@@ -199,14 +199,12 @@ def cmd_roc(args):
     reason = "branch points at +-i*pi/2, no pole lattice"
     for e in _off_separatrix(args.energy, skipped, reason):
         state = energy_state(e)
-        poles = pole_lattice(state)
         for ics in ("top", "bottom"):
             rep = roc_exact(state, ics)
             if ics == "top":
-                x0, (theta0, omega0) = 0.0, canonical_top_ics(state)
+                theta0, omega0 = canonical_top_ics(state)
             else:
-                x0, theta0, omega0 = rep.t_star, 0.0, omega_star(state)
-            nearest = poles[int(np.argmin(np.abs(poles - x0)))]
+                theta0, omega0 = 0.0, omega_star(state)
             estimate = ""
             try:
                 # the radius as unit keeps a_n R^n in range at any order;
@@ -222,7 +220,8 @@ def cmd_roc(args):
                 )
             rows.append(
                 [_fmt(e), ics, _fmt(rep.exact_roc), _fmt(rep.t_star),
-                 _fmt(rep.margin), estimate, _fmt(nearest.real), _fmt(nearest.imag)]
+                 _fmt(rep.margin), estimate, _fmt(rep.nearest_pole.real),
+                 _fmt(rep.nearest_pole.imag)]
             )
     header = ["energy", "ics", "exact_roc", "t_star", "margin",
               "root_test_estimate", "nearest_pole_re", "nearest_pole_im"]
@@ -260,11 +259,12 @@ _PLOT_TEMPLATES = {
     "trajectory": '''#!/usr/bin/env python3
 """Plot __CSV__ (pendseries trajectory output)."""
 import csv
+from pathlib import Path
 
 import matplotlib.pyplot as plt
 
 ts, ana, rk4, err = [], [], [], []
-with open(__CSV__) as f:
+with open(Path(__file__).with_name(__CSV__)) as f:
     for row in csv.reader(line for line in f if not line.startswith("#")):
         if row[0] == "t":
             continue
@@ -288,11 +288,12 @@ plt.show()
 """Plot __CSV__ (pendseries error-sweep output)."""
 import csv
 from collections import defaultdict
+from pathlib import Path
 
 import matplotlib.pyplot as plt
 
 curves = defaultdict(list)
-with open(__CSV__) as f:
+with open(Path(__file__).with_name(__CSV__)) as f:
     rows = [r for r in csv.reader(line for line in f if not line.startswith("#"))]
 for row in rows[1:]:
     curves[(row[0], row[2])].append((int(row[1]), float(row[3])))
@@ -311,11 +312,12 @@ plt.show()
 """Plot __CSV__ (pendseries surface output)."""
 import csv
 from collections import defaultdict
+from pathlib import Path
 
 import matplotlib.pyplot as plt
 
 curves = defaultdict(list)
-with open(__CSV__) as f:
+with open(Path(__file__).with_name(__CSV__)) as f:
     for row in csv.reader(line for line in f if not line.startswith("#")):
         if row[0] == "energy":
             continue

@@ -45,11 +45,16 @@ _MIN_FIT_COEFFS = 50
 
 @dataclass(frozen=True)
 class RocReport:
-    """Convergence radius about one expansion point, against T*."""
+    """Convergence radius about one expansion point, against T*.
+
+    `nearest_pole` is the lattice pole at distance `exact_roc` from the
+    expansion point.
+    """
 
     exact_roc: float
     t_star: float
     margin: float
+    nearest_pole: complex
 
 
 def _lattice_constants(state: EnergyState) -> tuple[float, float]:
@@ -84,7 +89,9 @@ def roc_exact(state: EnergyState, ics: str = "top") -> RocReport:
     poles are the corners of the first lattice cell, at
     sqrt(T*^2 + K'^2) (libration) or sqrt(T*^2 + Kt'^2) (rotation).
     Bottom of the orbit, t = T*: the nearest poles sit straight above
-    and below it, at K' (libration) or Kt' (rotation).
+    and below it, at K' (libration) or Kt' (rotation).  Of each
+    equidistant set the report names the pole (-T*, -K') for the top and
+    (T*, -K') for the bottom start.
     """
     if state.regime is Regime.SEPARATRIX:
         raise SeparatrixError(
@@ -94,8 +101,10 @@ def roc_exact(state: EnergyState, ics: str = "top") -> RocReport:
     if ics not in ("top", "bottom"):
         raise ValueError(f"ics must be 'top' or 'bottom', got {ics!r}")
     t_star, im_unit = _lattice_constants(state)
-    radius = math.hypot(t_star, im_unit) if ics == "top" else im_unit
-    return RocReport(radius, t_star, radius - t_star)
+    x0 = 0.0 if ics == "top" else t_star
+    pole = complex(-t_star if ics == "top" else t_star, -im_unit)
+    radius = abs(pole - x0)
+    return RocReport(radius, t_star, radius - t_star, pole)
 
 
 def roc_estimate(series: SeriesCoefficients) -> float:

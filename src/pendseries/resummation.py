@@ -15,7 +15,9 @@ approximate has been introduced.
 ``efficient_truncation`` produces the identical polynomial a second way:
 keep the raw partial sum sigma_N and append only the two monomials
 alpha t^(N+1) + beta t^(N+2) that restore the endpoint value and slope.
-That replaces the O(N^2) coefficient transformation with O(N) work.
+That replaces the O(N^2) coefficient transformation with O(N) work, and
+the result is an ordinary polynomial of degree N+2: the raw coefficients
+with alpha and beta appended, evaluated by ``eval_poly`` like any other.
 
 Both construction routes tally their floating-point coefficient-stage
 operation counts into any active ``tally_coefficient_ops`` context, so
@@ -39,7 +41,6 @@ from .series import SeriesCoefficients, eval_poly
 
 __all__ = [
     "ResummedSeries",
-    "EfficientTruncation",
     "OpTally",
     "tally_coefficient_ops",
     "omega_star",
@@ -98,19 +99,6 @@ class ResummedSeries:
     a_hat: SeriesCoefficients
 
 
-@dataclass(frozen=True)
-class EfficientTruncation:
-    """Raw partial sum plus the two endpoint-restoring monomials.
-
-    `alpha` and `beta` multiply (t/h)^(N+1) and (t/h)^(N+2), with h the
-    time unit of `base`.
-    """
-
-    base: SeriesCoefficients
-    alpha: float
-    beta: float
-
-
 def omega_star(state: EnergyState) -> float:
     """Angular velocity at the branch endpoint, canonical orientation.
 
@@ -125,15 +113,23 @@ def omega_star(state: EnergyState) -> float:
     return -math.sqrt(2.0 * state.energy)
 
 
-def _truncation(a: SeriesCoefficients) -> int:
-    n = a.truncation_order
-    if n < 2:
+def _endpoint(a: SeriesCoefficients, state: EnergyState, t_star: float):
+    """Shared prologue of both resummations, in the series' time unit h.
+
+    Returns (N, w*, s*, w* h, inverse powers) with s* = T*/h and the
+    inverse powers (s*)^-n for n = N, N+1, N+2.  Raises, in this order,
+    a `ValueError` for N < 2 or for a T* that is not positive and
+    finite, a `SeparatrixError` at E = 2, and a `ValueError` if
+    (s*)^-(N+2) leaves double range.
+    """
+    n_max = a.truncation_order
+    if n_max < 2:
         raise ValueError("order must be at least 2")
-    return n
-
-
-def _inverse_powers(s_star: float, n_max: int) -> tuple[float, float, float]:
-    """(T*/h)^-n for n = N, N+1, N+2, or a ValueError if they leave double range."""
+    if not (math.isfinite(t_star) and t_star > 0.0):
+        raise ValueError(f"t_star must be positive and finite, got {t_star!r}")
+    w = omega_star(state)
+    h = a.time_unit
+    s_star = t_star / h
     inv_t = 1.0 / s_star
     try:
         p_n = inv_t**n_max
@@ -146,7 +142,7 @@ def _inverse_powers(s_star: float, n_max: int) -> tuple[float, float, float]:
             f"non-finite coefficient encountered: (T*/time_unit)^-{n_max + 2} "
             f"with T*/time_unit = {s_star!r} leaves double range; carry the "
             f"series in a time_unit near T*")
-    return p_n, p_n1, p_n2
+    return n_max, w, s_star, w * h, (p_n, p_n1, p_n2)
 
 
 def resum(a: SeriesCoefficients, state: EnergyState, t_star: float) -> ResummedSeries:
@@ -167,13 +163,8 @@ def resum(a: SeriesCoefficients, state: EnergyState, t_star: float) -> ResummedS
     unit as `a`.  As in `efficient_truncation`, a `ValueError` is raised
     up front if (T*/h)^-(N+2) leaves double range.
     """
-    n_max = _truncation(a)
-    if not (math.isfinite(t_star) and t_star > 0.0):
-        raise ValueError(f"t_star must be positive and finite, got {t_star!r}")
-    w = omega_star(state)
-    h = a.time_unit
-    s_star, w_s = t_star / h, w * h  # endpoint and slope in s = t/h
-    _inverse_powers(s_star, n_max)  # raises before the weights overflow
+    # the range check raises before the weights overflow
+    n_max, w, s_star, w_s, _ = _endpoint(a, state, t_star)
     b = a.coeffs.copy()
     b[0] += s_star * w_s
     b[1] -= w_s
@@ -183,7 +174,7 @@ def resum(a: SeriesCoefficients, state: EnergyState, t_star: float) -> ResummedS
     _count(2 * (n_max + 1) + 2)
     a_hat = np.convolve(weights, b)[: n_max + 1]
     _count((n_max + 1) ** 2)  # sum over n of 2n+1 multiply-adds
-    return ResummedSeries(w, t_star, SeriesCoefficients(a_hat, h))
+    return ResummedSeries(w, t_star, SeriesCoefficients(a_hat, a.time_unit))
 
 
 def eval_resummed(r: ResummedSeries, t, upto: int | None = None):
@@ -202,7 +193,7 @@ def eval_resummed(r: ResummedSeries, t, upto: int | None = None):
 
 
 def efficient_truncation(a: SeriesCoefficients, state: EnergyState,
-                         t_star: float) -> EfficientTruncation:
+                         t_star: float) -> SeriesCoefficients:
     """Append two monomials to the raw partial sum to pin the endpoint.
 
     Requiring sigma_N(t) + alpha t^(N+1) + beta t^(N+2) to take the value
@@ -212,18 +203,15 @@ def efficient_truncation(a: SeriesCoefficients, state: EnergyState,
         beta  =  (N+1) sigma_N(T*) / T*^(N+2) + (w* - sigma_N'(T*)) / T*^(N+1)
 
     which is the exact truncation of the resummed form at order N+2,
-    obtained in O(N) operations instead of the O(N^2) convolution.
-    Like `resum` it works in the series' time unit h (T* -> T*/h,
-    w* -> w* h), so alpha and beta multiply (t/h)^(N+1) and (t/h)^(N+2).
-    A `ValueError` is raised if (T*/h)^-(N+2) leaves double range, as
-    it does at high order for a unit well above T*.
+    obtained in O(N) operations instead of the O(N^2) convolution.  The
+    result is that polynomial: the coefficients a_0..a_N, alpha, beta
+    of degree N+2, in the time unit h of `a`.  Like `resum` it works in
+    that unit (T* -> T*/h, w* -> w* h), so alpha and beta multiply
+    (t/h)^(N+1) and (t/h)^(N+2).  A `ValueError` is raised if
+    (T*/h)^-(N+2) leaves double range, as it does at high order for a
+    unit well above T*.
     """
-    n_max = _truncation(a)
-    if not (math.isfinite(t_star) and t_star > 0.0):
-        raise ValueError(f"t_star must be positive and finite, got {t_star!r}")
-    w = omega_star(state)
-    h = a.time_unit
-    s_star, w_s = t_star / h, w * h  # endpoint and slope in s = t/h
+    n_max, _, s_star, w_s, (p_n, p_n1, p_n2) = _endpoint(a, state, t_star)
     coeffs = a.coeffs.tolist()  # Python floats: same IEEE arithmetic, less overhead
     # fused Horner: value and derivative of the partial sum at T*
     sig = coeffs[n_max]
@@ -232,18 +220,13 @@ def efficient_truncation(a: SeriesCoefficients, state: EnergyState,
         dsig = dsig * s_star + sig
         sig = sig * s_star + coeffs[n]
     _count(4 * n_max)
-    p_n, p_n1, p_n2 = _inverse_powers(s_star, n_max)
     gap = w_s - dsig
     alpha = -(n_max + 2) * sig * p_n1 - gap * p_n
     beta = (n_max + 1) * sig * p_n2 + gap * p_n1
     _count(15)
-    return EfficientTruncation(a, float(alpha), float(beta))
+    return SeriesCoefficients(np.append(a.coeffs, (alpha, beta)), a.time_unit)
 
 
-def eval_efficient(e: EfficientTruncation, t):
-    """Evaluate the two-monomial-corrected partial sum at t."""
-    extended = np.concatenate([e.base.coeffs, [e.alpha, e.beta]])
-    out = eval_poly(extended, np.asarray(t, dtype=float) / e.base.time_unit)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+def eval_efficient(e: SeriesCoefficients, t):
+    """Evaluate an `efficient_truncation` polynomial at t, as `eval_poly` does."""
+    return eval_poly(e, t)

@@ -37,14 +37,7 @@ from .energy import (
     separatrix_theta,
 )
 from .elliptic import PeriodInfo, period
-from .resummation import (
-    EfficientTruncation,
-    ResummedSeries,
-    efficient_truncation,
-    eval_efficient,
-    eval_resummed,
-    resum,
-)
+from .resummation import ResummedSeries, efficient_truncation, eval_resummed, resum
 from .series import SeriesCoefficients, eval_poly, pendulum_series
 
 __all__ = [
@@ -72,9 +65,10 @@ class TrajectorySolution:
     """One orbit, ready for evaluation at any finite t.
 
     `branch` is the one representation of the canonical branch that
-    `method` evaluates: the Taylor coefficients ("raw"), the
-    endpoint-pinned form ("resummed") or the raw partial sum with its
-    two endpoint monomials ("efficient"), and None for the separatrix
+    `method` evaluates: a polynomial for "raw" (the Taylor coefficients
+    a_0..a_N) and "efficient" (the same coefficients with the two
+    endpoint monomials alpha and beta appended, degree N+2), the
+    endpoint-pinned form for "resummed", and None for the separatrix
     closed form.  Series branches are carried in the branch-normalised
     time s = t/T* (time unit T*), so that their coefficients fall like
     (T*/R)^n and stay in double range at every order and energy.  Time 0
@@ -86,7 +80,7 @@ class TrajectorySolution:
     period_info: PeriodInfo
     method: str
     order: int
-    branch: SeriesCoefficients | ResummedSeries | EfficientTruncation | None
+    branch: SeriesCoefficients | ResummedSeries | None
 
 
 def build_trajectory(state: EnergyState, order: int | None = None,
@@ -131,16 +125,14 @@ def build_trajectory(state: EnergyState, order: int | None = None,
 
 def _tilde(sol: TrajectorySolution, t, upto: int | None = None):
     """Canonical branch at t, unchecked; `upto` selects a partial sum."""
-    if sol.method == "raw":
-        return eval_poly(sol.branch, t, upto)
     if sol.method == "resummed":
         return eval_resummed(sol.branch, t, upto)
-    if upto is not None:
+    if upto is not None and sol.method != "raw":
         raise ValueError(f"partial sums unavailable for method {sol.method!r}; "
                          "only raw and resummed branches truncate")
-    if sol.method == "efficient":
-        return eval_efficient(sol.branch, t)
-    return separatrix_theta(0.0, t)
+    if sol.method == "separatrix":
+        return separatrix_theta(0.0, t)
+    return eval_poly(sol.branch, t, upto)
 
 
 def _sense(state: EnergyState) -> int:

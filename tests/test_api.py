@@ -1,8 +1,14 @@
-"""The package's top-level names are exactly the ones README documents."""
+"""The package's top-level names are exactly the ones README documents.
 
+The last two checks stand in for a linter: every module's `__all__`
+resolves, and no module imports a name it never uses.
+"""
+
+import ast
 import importlib
 import importlib.util
 import math
+import pkgutil
 import types
 from pathlib import Path
 
@@ -10,6 +16,7 @@ import pendseries
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+SOURCES = sorted((ROOT / "src" / "pendseries").glob("*.py"))
 
 
 def test_every_export_has_a_readme_api_entry():
@@ -48,3 +55,41 @@ def test_every_traced_name_resolves():
     for qual in tracer.FUNCTIONS:
         layer, name = qual.split(".")
         assert callable(getattr(importlib.import_module(f"pendseries.{layer}"), name, None)), qual
+
+
+def test_every_module_all_resolves():
+    for info in pkgutil.iter_modules(pendseries.__path__):
+        module = importlib.import_module(f"pendseries.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert not missing, (info.name, missing)
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):  # re-exports through __all__ count as uses
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_module_imports_an_unused_name():
+    assert SOURCES
+    unused = {path.name: names for path in SOURCES
+              if (names := _unused_imports(path.read_text(encoding="utf-8")))}
+    assert not unused
+
+
+def test_unused_import_check_sees_a_stale_name():
+    assert _unused_imports("import math\nfrom .a import b, c\n__all__ = ['c']\n") == [
+        "b (line 2)", "math (line 1)"]

@@ -3,7 +3,10 @@
 import csv
 import io
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +96,46 @@ class TestTrajectoryCommand:
         text = script.read_text(encoding="utf-8")
         assert "'traj.csv'" in text
         compile(text, str(script), "exec")  # must at least be valid python
+
+
+PYPLOT_STUB = """
+class _Any:
+    def __call__(self, *args, **kwargs):
+        return self
+
+    def __getattr__(self, name):
+        return self
+
+    def __iter__(self):
+        return iter((self, self))
+
+
+def __getattr__(name):
+    return _Any()
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["trajectory", "--energy", "1.0", "--order", "6", "--grid", "11", "--oracle-dt", "1e-2"],
+    ["error-sweep", "--period", "--energy", "1.5", "--order", "5"],
+    ["surface", "--energy", "1.0", "--order", "6", "--grid", "5"],
+])
+def test_plot_script_runs_from_another_directory(tmp_path, argv):
+    # matplotlib need not be installed: a stub pyplot accepts every call
+    stub = tmp_path / "stub" / "matplotlib"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("", encoding="utf-8")
+    (stub / "pyplot.py").write_text(PYPLOT_STUB, encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    run_csv(out, argv + ["--plot-script"], "data.csv")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    done = subprocess.run(
+        [sys.executable, str(out / "data_plot.py")], cwd=elsewhere,
+        env={**os.environ, "PYTHONPATH": str(stub.parent)},
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 class TestErrorSweepCommand:

@@ -108,6 +108,17 @@ class TestRocExact:
     def test_small_energy_radius_diverges(self):
         assert roc_exact(energy_state(1e-4), "top").exact_roc > 5.0
 
+    @pytest.mark.parametrize("energy", [0.3, 1.71, 1.9998, 2.02, 5.0, 100.0])
+    @pytest.mark.parametrize("ics", ["top", "bottom"])
+    def test_nearest_pole_is_a_lattice_pole_at_the_radius(self, energy, ics):
+        state = energy_state(energy)
+        report = roc_exact(state, ics)
+        poles = pole_lattice(state).tolist()
+        x0 = 0.0 if ics == "top" else report.t_star
+        assert report.nearest_pole in poles
+        assert abs(report.nearest_pole - x0) == report.exact_roc
+        assert all(abs(p - x0) >= report.exact_roc for p in poles)
+
     def test_guards(self):
         with pytest.raises(SeparatrixError):
             roc_exact(energy_state(2.0))

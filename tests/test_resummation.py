@@ -199,7 +199,7 @@ class TestEfficientTruncation:
         state = energy_state(0.0)
         raw = SeriesCoefficients(np.zeros(9))
         e = efficient_truncation(raw, state, period(state).T_star)
-        assert e.alpha == 0.0 and e.beta == 0.0
+        assert e.coeffs[-2] == 0.0 and e.coeffs[-1] == 0.0
 
     def test_endpoint_matching(self):
         state, raw, t_star = make_inputs(1.71, 20)
@@ -219,8 +219,8 @@ class TestEfficientTruncation:
         gap = omega_star(state) - dsigma
         alpha = -(n + 2) * sigma * t_star ** (-n - 1) - gap * t_star**-n
         beta = (n + 1) * sigma * t_star ** (-n - 2) + gap * t_star ** (-n - 1)
-        assert e.alpha == pytest.approx(alpha, rel=1e-12)
-        assert e.beta == pytest.approx(beta, rel=1e-12)
+        assert e.coeffs[-2] == pytest.approx(alpha, rel=1e-12)
+        assert e.coeffs[-1] == pytest.approx(beta, rel=1e-12)
 
     @pytest.mark.parametrize("energy,direction", FSUM_CASES)
     @pytest.mark.parametrize("order", FSUM_ORDERS)
@@ -239,9 +239,9 @@ class TestEfficientTruncation:
         gap = w_s - dsigma
         e = efficient_truncation(raw, state, t_star)
         tol = 1e-14
-        assert abs(e.alpha - (-(order + 2) * sigma * p1 - gap * p0)) <= tol * (
+        assert abs(e.coeffs[-2] - (-(order + 2) * sigma * p1 - gap * p0)) <= tol * (
             (order + 2) * scale0 * p1 + scale1 * p0)
-        assert abs(e.beta - ((order + 1) * sigma * p2 + gap * p1)) <= tol * (
+        assert abs(e.coeffs[-1] - ((order + 1) * sigma * p2 + gap * p1)) <= tol * (
             (order + 1) * scale0 * p2 + scale1 * p1)
 
     @pytest.mark.parametrize("energy,direction", [(1.71, 1), (2.02, -1)])
@@ -253,16 +253,16 @@ class TestEfficientTruncation:
         state, raw, t_star = make_inputs(energy, order, direction)
         r = resum(raw, state, t_star)
         e = efficient_truncation(raw, state, t_star)
-        c = np.asarray(e.base.coeffs)
+        c = e.coeffs[:-2]
         powers = t_star ** np.arange(c.size)
         d1_sigma = np.dot(np.arange(c.size), c * powers) / t_star
-        d1 = (d1_sigma + e.alpha * (order + 1) * t_star**order
-              + e.beta * (order + 2) * t_star ** (order + 1))
+        d1 = (d1_sigma + e.coeffs[-2] * (order + 1) * t_star**order
+              + e.coeffs[-1] * (order + 2) * t_star ** (order + 1))
         assert d1 == pytest.approx(r.omega_star, rel=1e-12)
         ks = np.arange(c.size)
         d2_sigma = np.dot(ks * (ks - 1), c * powers) / t_star**2
-        d2 = (d2_sigma + e.alpha * (order + 1) * order * t_star ** (order - 1)
-              + e.beta * (order + 2) * (order + 1) * t_star**order)
+        d2 = (d2_sigma + e.coeffs[-2] * (order + 1) * order * t_star ** (order - 1)
+              + e.coeffs[-1] * (order + 2) * (order + 1) * t_star**order)
         d2_direct = 2.0 * eval_poly(r.a_hat, t_star)
         assert d2 == pytest.approx(d2_direct, rel=1e-10)
 

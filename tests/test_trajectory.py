@@ -74,6 +74,29 @@ class TestBuild:
             assert theta_tilde(sol, t_star) == 0.0
 
 
+class TestEfficientBranch:
+    @pytest.mark.parametrize("energy,direction", [(0.5, 1), (1.71, -1), (2.02, 1), (5.0, -1)])
+    def test_raw_coefficients_with_two_appended(self, energy, direction):
+        state = energy_state(energy, direction)
+        raw = build_trajectory(state, 20, "raw").branch
+        sol = build_trajectory(state, 20, "efficient")
+        assert len(sol.branch) == 20 + 3
+        assert sol.branch.time_unit == sol.period_info.T_star
+        assert sol.branch.coeffs[:21].tobytes() == raw.coeffs.tobytes()
+
+    # the orders that reach 1e-13 at each energy (ROADMAP's table)
+    @pytest.mark.parametrize("energy,order", [
+        (0.5, 64), (1.71, 168), (1.9998, 1004), (2.0 - 1e-6, 2096),
+        (2.0 + 1e-6, 2096), (2.02, 391), (5.0, 79), (1e4, 23)])
+    def test_agrees_with_resummed_at_convergence_orders(self, energy, order):
+        state = energy_state(energy)
+        efficient = build_trajectory(state, order, "efficient")
+        resummed = build_trajectory(state, order, "resummed")
+        grid = np.linspace(0.0, efficient.period_info.T_star, 401)
+        gap = np.abs(theta_tilde(efficient, grid) - theta_tilde(resummed, grid))
+        assert np.max(gap) <= 1e-14
+
+
 class TestCoefficientRange:
     """The branch is carried in units of T*, so its coefficients stay in range.
 
