@@ -43,6 +43,9 @@ _SMALL_K = 1e-4
 
 _MAX_AUTO_ORDER = 4_000_000
 
+# Tail bound `resummed_order_for` sizes its order to.
+_TAIL_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class EllipticEval:
@@ -98,23 +101,31 @@ def ellipk_agm(k: float) -> float:
     return math.pi / (2.0 * _agm(1.0, math.sqrt((1.0 - k) * (1.0 + k))))
 
 
-def ellipk_series(k: float, order: int) -> float:
-    """Partial sum of K(k) = (pi/2) sum_n beta_n k^(2n) through n = order.
+def _series_args(k: float, order: int = 0) -> tuple[float, int]:
+    """(k, order) as float and int; `ValueError` unless k is finite, k^2 < 1, order >= 0."""
+    k = float(k)
+    order = int(order)
+    if not k * k < 1.0:  # also catches NaN and infinities
+        raise ValueError(f"series requires finite k with k^2 < 1, got k={k!r}")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return k, order
+
+
+def _beta_k2n(k: float, order: int) -> np.ndarray:
+    """beta_n k^(2n) for n = 1..order.
 
     beta_n = ((2n)! / (2^n n!)^2)^2 is generated by the stable product
     beta_(n+1) = beta_n ((2n+1)/(2n+2))^2, folded with k^2.
     """
-    k = float(k)
-    order = int(order)
-    if k * k >= 1.0:
-        raise ValueError(f"series requires k^2 < 1, got k={k!r}")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if order == 0:
-        return 0.5 * math.pi
     n = np.arange(1.0, order + 1)
-    terms = np.cumprod(((2.0 * n - 1.0) / (2.0 * n)) ** 2 * (k * k))
-    return 0.5 * math.pi * (1.0 + float(np.sum(terms)))
+    return np.cumprod(((2.0 * n - 1.0) / (2.0 * n)) ** 2 * (k * k))
+
+
+def ellipk_series(k: float, order: int) -> float:
+    """Partial sum of K(k) = (pi/2) sum_n beta_n k^(2n) through n = order."""
+    k, order = _series_args(k, order)
+    return 0.5 * math.pi * (1.0 + float(np.sum(_beta_k2n(k, order))))
 
 
 def _arctanh_over_k(k: float) -> float:
@@ -134,41 +145,31 @@ def ellipk_resummed(k: float, order: int) -> float:
     size ~ 1/(8 n^2) that converge at the same slow-but-sure rate for
     every modulus below 1.
     """
-    k = float(k)
-    order = int(order)
-    if k * k >= 1.0:
-        raise ValueError(f"resummed series requires k^2 < 1, got k={k!r}")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    total = 0.5 * math.pi - 1.0  # n = 0 bracket
-    if order > 0:
-        k2 = k * k
-        n = np.arange(1.0, order + 1)
-        beta_k2n = np.cumprod(((2.0 * n - 1.0) / (2.0 * n)) ** 2 * k2)
-        k2n = np.cumprod(np.full(order, k2))
-        total += float(np.sum(0.5 * math.pi * beta_k2n - k2n / (2.0 * n + 1.0)))
-    return total + _arctanh_over_k(k)
+    k, order = _series_args(k, order)
+    n = np.arange(1.0, order + 1)
+    k2n = np.cumprod(np.full(order, k * k))
+    brackets = 0.5 * math.pi * _beta_k2n(k, order) - k2n / (2.0 * n + 1.0)
+    bracket_0 = 0.5 * math.pi - 1.0
+    return bracket_0 + float(np.sum(brackets)) + _arctanh_over_k(k)
 
 
-def resummed_order_for(k: float, tol: float = 1e-13) -> int:
-    """Truncation order that bounds the resummed-series tail below tol.
+def resummed_order_for(k: float) -> int:
+    """Truncation order that bounds the resummed-series tail below 1e-13.
 
     Uses bracket_n <= 1/(4 n^2), so the tail after N is at most
     k^(2(N+1)) / (4 N^2 (1 - k^2)).
     """
-    k = float(k)
+    k, _ = _series_args(k)
     if k == 0.0:
         return 0
-    if k * k >= 1.0:
-        raise ValueError(f"resummed series requires k^2 < 1, got k={k!r}")
     k2 = k * k
     order = 8
     while order <= _MAX_AUTO_ORDER:
         tail = k2 ** (order + 1) / (4.0 * order * order * (1.0 - k2))
-        if tail < tol:
+        if tail < _TAIL_TOL:
             return order
         order *= 2
-    raise ValueError(f"modulus {k!r} too close to 1 for tail tolerance {tol:g}")
+    raise ValueError(f"modulus {k!r} too close to 1 for tail tolerance {_TAIL_TOL:g}")
 
 
 def ellipk_prime(k: float) -> float:

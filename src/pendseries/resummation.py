@@ -12,9 +12,17 @@ with w* = -sqrt(2E) the exact endpoint velocity, pins the endpoint value
 are plain linear images of the original coefficients, so nothing
 approximate has been introduced.
 
+Both transforms take the branch as `build_trajectory` carries it, in
+units of T*: with s = t/T* the endpoint sits at s = 1 and the form reads
+
+    w* T* (s - 1) + (s - 1)^2 sum_n ahat_n s^n,
+
+so no power of T* is ever formed.  A series in any other time unit is
+rejected with a `ValueError`.
+
 ``efficient_truncation`` produces the identical polynomial a second way:
 keep the raw partial sum sigma_N and append only the two monomials
-alpha t^(N+1) + beta t^(N+2) that restore the endpoint value and slope.
+alpha s^(N+1) + beta s^(N+2) that restore the endpoint value and slope.
 That replaces the O(N^2) coefficient transformation with O(N) work, and
 the result is an ordinary polynomial of degree N+2: the raw coefficients
 with alpha and beta appended, evaluated by ``eval_poly`` like any other.
@@ -86,16 +94,12 @@ def _count(n: int) -> None:
 
 @dataclass(frozen=True)
 class ResummedSeries:
-    """Endpoint-pinned form w*(t - T*) + (t - T*)^2 sum ahat_n t^n.
+    """Endpoint-pinned form w* T* (s - 1) + (s - 1)^2 sum ahat_n s^n, s = t/T*.
 
-    `omega_star` and `t_star` are in physical time.  `a_hat` is in the
-    raw series' time unit h (``a_hat.time_unit``), where the form reads
-    w* h (s - T*/h) + (s - T*/h)^2 sum ahat_n s^n with s = t/h; for
-    h = 1 the two readings coincide.
+    `omega_star` is in physical time; T* is `a_hat.time_unit`.
     """
 
     omega_star: float
-    t_star: float
     a_hat: SeriesCoefficients
 
 
@@ -114,67 +118,42 @@ def omega_star(state: EnergyState) -> float:
 
 
 def _endpoint(a: SeriesCoefficients, state: EnergyState, t_star: float):
-    """Shared prologue of both resummations, in the series' time unit h.
+    """Shared prologue of both resummations: returns (N, w*).
 
-    Returns (N, w*, s*, w* h, inverse powers) with s* = T*/h and the
-    inverse powers (s*)^-n for n = N, N+1, N+2.  Raises, in this order,
-    a `ValueError` for N < 2 or for a T* that is not positive and
-    finite, a `SeparatrixError` at E = 2, and a `ValueError` if
-    (s*)^-(N+2) leaves double range.
+    Raises, in this order, a `ValueError` for N < 2 or for a series not
+    carried in units of T*, and a `SeparatrixError` at E = 2.
     """
     n_max = a.truncation_order
     if n_max < 2:
         raise ValueError("order must be at least 2")
-    if not (math.isfinite(t_star) and t_star > 0.0):
-        raise ValueError(f"t_star must be positive and finite, got {t_star!r}")
-    w = omega_star(state)
-    h = a.time_unit
-    s_star = t_star / h
-    inv_t = 1.0 / s_star
-    try:
-        p_n = inv_t**n_max
-    except OverflowError:
-        p_n = math.inf
-    p_n1 = p_n * inv_t
-    p_n2 = p_n1 * inv_t
-    if not math.isfinite(p_n2):
-        raise ValueError(
-            f"non-finite coefficient encountered: (T*/time_unit)^-{n_max + 2} "
-            f"with T*/time_unit = {s_star!r} leaves double range; carry the "
-            f"series in a time_unit near T*")
-    return n_max, w, s_star, w * h, (p_n, p_n1, p_n2)
+    if a.time_unit != t_star:
+        raise ValueError(f"the series must be carried in units of T* = {t_star!r}, "
+                         f"got time_unit {a.time_unit!r}")
+    return n_max, omega_star(state)
 
 
 def resum(a: SeriesCoefficients, state: EnergyState, t_star: float) -> ResummedSeries:
     """Transform raw coefficients into the endpoint-pinned form.
 
-    With b the raw coefficients after absorbing the linear endpoint term
-    (b_0 = a_0 + T* w*, b_1 = a_1 - w*, b_n = a_n otherwise), dividing by
-    (t - T*)^2 is the convolution
+    With b the raw coefficients of the series in s = t/T* after absorbing
+    the linear endpoint term (b_0 = a_0 + w* T*, b_1 = a_1 - w* T*,
+    b_n = a_n otherwise), dividing by (s - 1)^2 is the convolution
 
-        ahat_n = sum_{k=0}^{n} b_{n-k} (k+1) (1/T*)^(k+2),
+        ahat_n = sum_{k=0}^{n} b_{n-k} (k+1),
 
     an O(N^2) coefficient transformation, computed by one `np.convolve`
     and tallied as (N+1)^2 operations.  It is exact: re-expanding the
-    resummed form about t = 0 reproduces a_0..a_N identically.
-
-    The transformation runs in the series' own time unit h, s = t/h:
-    T* and w* enter as T*/h and w* h, and ahat carries the same time
-    unit as `a`.  As in `efficient_truncation`, a `ValueError` is raised
-    up front if (T*/h)^-(N+2) leaves double range.
+    resummed form about s = 0 reproduces a_0..a_N identically.
     """
-    # the range check raises before the weights overflow
-    n_max, w, s_star, w_s, _ = _endpoint(a, state, t_star)
+    n_max, w = _endpoint(a, state, t_star)
+    w_s = w * t_star
     b = a.coeffs.copy()
-    b[0] += s_star * w_s
+    b[0] += w_s
     b[1] -= w_s
     _count(3)
-    inv_t = 1.0 / s_star
-    weights = np.arange(1.0, n_max + 2) * inv_t ** np.arange(2.0, n_max + 3)
-    _count(2 * (n_max + 1) + 2)
-    a_hat = np.convolve(weights, b)[: n_max + 1]
+    a_hat = np.convolve(np.arange(1.0, n_max + 2), b)[: n_max + 1]
     _count((n_max + 1) ** 2)  # sum over n of 2n+1 multiply-adds
-    return ResummedSeries(w, t_star, SeriesCoefficients(a_hat, a.time_unit))
+    return ResummedSeries(w, SeriesCoefficients(a_hat, t_star))
 
 
 def eval_resummed(r: ResummedSeries, t, upto: int | None = None):
@@ -184,9 +163,9 @@ def eval_resummed(r: ResummedSeries, t, upto: int | None = None):
     there is exactly w*, independent of where the series is truncated;
     `upto` selects a partial sum of the ahat coefficients.
     """
-    h = r.a_hat.time_unit
-    ds = (np.asarray(t, dtype=float) - r.t_star) / h
-    out = (r.omega_star * h) * ds + ds * ds * eval_poly(r.a_hat, t, upto)
+    t_star = r.a_hat.time_unit
+    ds = (np.asarray(t, dtype=float) - t_star) / t_star
+    out = (r.omega_star * t_star) * ds + ds * ds * eval_poly(r.a_hat, t, upto)
     if out.ndim == 0:
         return float(out)
     return out
@@ -196,35 +175,31 @@ def efficient_truncation(a: SeriesCoefficients, state: EnergyState,
                          t_star: float) -> SeriesCoefficients:
     """Append two monomials to the raw partial sum to pin the endpoint.
 
-    Requiring sigma_N(t) + alpha t^(N+1) + beta t^(N+2) to take the value
-    0 and slope w* at t = T* gives
+    In s = t/T*, requiring sigma_N(s) + alpha s^(N+1) + beta s^(N+2) to
+    take the value 0 and slope w* T* at s = 1 gives
 
-        alpha = -(N+2) sigma_N(T*) / T*^(N+1) - (w* - sigma_N'(T*)) / T*^N
-        beta  =  (N+1) sigma_N(T*) / T*^(N+2) + (w* - sigma_N'(T*)) / T*^(N+1)
+        alpha = -(N+2) sigma_N(1) - (w* T* - sigma_N'(1))
+        beta  =  (N+1) sigma_N(1) + (w* T* - sigma_N'(1))
 
     which is the exact truncation of the resummed form at order N+2,
     obtained in O(N) operations instead of the O(N^2) convolution.  The
     result is that polynomial: the coefficients a_0..a_N, alpha, beta
-    of degree N+2, in the time unit h of `a`.  Like `resum` it works in
-    that unit (T* -> T*/h, w* -> w* h), so alpha and beta multiply
-    (t/h)^(N+1) and (t/h)^(N+2).  A `ValueError` is raised if
-    (T*/h)^-(N+2) leaves double range, as it does at high order for a
-    unit well above T*.
+    of degree N+2, in units of T*.
     """
-    n_max, _, s_star, w_s, (p_n, p_n1, p_n2) = _endpoint(a, state, t_star)
+    n_max, w = _endpoint(a, state, t_star)
     coeffs = a.coeffs.tolist()  # Python floats: same IEEE arithmetic, less overhead
-    # fused Horner: value and derivative of the partial sum at T*
+    # fused Horner at s = 1: value and derivative of the partial sum
     sig = coeffs[n_max]
     dsig = 0.0
     for n in range(n_max - 1, -1, -1):
-        dsig = dsig * s_star + sig
-        sig = sig * s_star + coeffs[n]
-    _count(4 * n_max)
-    gap = w_s - dsig
-    alpha = -(n_max + 2) * sig * p_n1 - gap * p_n
-    beta = (n_max + 1) * sig * p_n2 + gap * p_n1
-    _count(15)
-    return SeriesCoefficients(np.append(a.coeffs, (alpha, beta)), a.time_unit)
+        dsig += sig
+        sig += coeffs[n]
+    _count(2 * n_max)
+    gap = w * t_star - dsig
+    alpha = -(n_max + 2) * sig - gap
+    beta = (n_max + 1) * sig + gap
+    _count(6)
+    return SeriesCoefficients(np.append(a.coeffs, (alpha, beta)), t_star)
 
 
 def eval_efficient(e: SeriesCoefficients, t):

@@ -57,8 +57,8 @@ def rk4_sample(theta0: float, omega0: float, times, dt: float):
     Each gap between consecutive sorted sample times is covered by
     uniform substeps of size <= dt, so no interpolation ever happens.
     Returns (thetas, omegas) aligned with `times`.  Times must be finite,
-    sorted and non-negative, and dt finite and positive; otherwise
-    `ValueError`.
+    sorted and non-negative, the start finite, and dt finite and positive;
+    otherwise `ValueError`.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -69,6 +69,8 @@ def rk4_sample(theta0: float, omega0: float, times, dt: float):
         raise ValueError("times must be sorted and non-negative")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not (math.isfinite(theta0) and math.isfinite(omega0)):
+        raise ValueError(f"start must be finite, got theta0={theta0!r}, omega0={omega0!r}")
     thetas = np.empty(ts.size)
     omegas = np.empty(ts.size)
     theta, omega = theta0, omega0

@@ -167,7 +167,7 @@ def test_criterion_07_two_monomial_form_matches_at_half_the_work():
         grid = np.linspace(0.0, t_star, 100)
         for order in (6, 20, 36):
             series = pendulum_series(*canonical_initial_state(
-                build_trajectory(state, order, "raw")), order)
+                build_trajectory(state, order, "raw")), order, time_unit=t_star)
             with tally_coefficient_ops() as tally:
                 direct = resum(series, state, t_star)
             resummed_ops += tally.total

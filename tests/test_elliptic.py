@@ -138,6 +138,25 @@ class TestResummedRoute:
             assert abs(ellipk_resummed(k, order) - ellipk_agm(k)) < 1e-12
 
 
+@pytest.mark.parametrize("route", [
+    lambda k: ellipk_series(k, 10),
+    lambda k: ellipk_resummed(k, 10),
+    resummed_order_for,
+], ids=["series", "resummed", "order_for"])
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 1.0, -1.0])
+def test_series_routes_reject_a_modulus_off_the_unit_disc(route, k):
+    # NaN used to pass the k^2 >= 1 test: the sums returned NaN and the
+    # order search climbed to its cap to report "too close to 1"
+    with pytest.raises(ValueError, match=r"finite k with k\^2 < 1"):
+        route(k)
+
+
+def test_series_routes_reject_a_negative_order():
+    for route in (ellipk_series, ellipk_resummed):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            route(0.5, -1)
+
+
 class TestKPrime:
     def test_k_one(self):
         assert ellipk_prime(1.0) == 0.5 * math.pi

@@ -16,6 +16,7 @@ from pendseries import (
 )
 from pendseries.energy import canonical_top_ics
 from pendseries.resummation import (
+    ResummedSeries,
     efficient_truncation,
     eval_efficient,
     eval_resummed,
@@ -26,15 +27,19 @@ from pendseries.series import SeriesCoefficients, eval_poly, pendulum_series
 
 
 def make_inputs(energy, order, direction=1):
+    """Canonical raw series carried in units of T*, as `build_trajectory` does."""
     state = energy_state(energy, direction)
     theta0, omega0 = canonical_top_ics(state)
-    raw = pendulum_series(theta0, omega0, order)
     t_star = period(state).T_star
+    raw = pendulum_series(theta0, omega0, order, time_unit=t_star)
     return state, raw, t_star
 
 
 def reexpand(w, t_star, a_hat):
-    """Coefficients of w (t - T*) + (t - T*)^2 sum a_hat_n t^n about t = 0."""
+    """Coefficients of w (t - T*) + (t - T*)^2 sum a_hat_n t^n about t = 0.
+
+    Called in s = t/T* units: T* -> 1 and w -> w* T*.
+    """
     square = np.array([t_star * t_star, -2.0 * t_star, 1.0])
     prod = np.polymul(a_hat[::-1], square[::-1])[::-1]
     prod[0] -= w * t_star
@@ -43,13 +48,9 @@ def reexpand(w, t_star, a_hat):
 
 
 def unit_inputs(energy, order, direction):
-    """Raw series in a unit of 0.9 T*, so that T*/h = 1/0.9 exercises the powers."""
-    state = energy_state(energy, direction)
-    theta0, omega0 = canonical_top_ics(state)
-    t_star = period(state).T_star
-    h = 0.9 * t_star
-    raw = pendulum_series(theta0, omega0, order, time_unit=h)
-    return state, raw, t_star, t_star / h, omega_star(state) * h
+    """`make_inputs` plus the endpoint in s = t/T*: s* = 1 and w_s = w* T*."""
+    state, raw, t_star = make_inputs(energy, order, direction)
+    return state, raw, t_star, 1.0, omega_star(state) * t_star
 
 
 FSUM_CASES = [(0.5, 1), (1.71, -1), (1.9998, 1), (5.0, -1)]
@@ -76,41 +77,44 @@ class TestResum:
     def test_first_two_coefficients(self):
         state, raw, t_star = make_inputs(1.71, 12)
         r = resum(raw, state, t_star)
-        w = omega_star(state)
+        s, w = 1.0, omega_star(state) * t_star  # the endpoint in s = t/T*
         a = raw.coeffs
-        b0, b1 = a[0] + t_star * w, a[1] - w
-        assert r.a_hat.coeffs[0] == pytest.approx(b0 / t_star**2, rel=1e-13)
+        b0, b1 = a[0] + s * w, a[1] - w
+        assert r.a_hat.coeffs[0] == pytest.approx(b0 / s**2, rel=1e-13)
         # the two n=1 convolution terms nearly cancel: compare loosely
         assert r.a_hat.coeffs[1] == pytest.approx(
-            b0 * 2.0 / t_star**3 + b1 / t_star**2, rel=1e-11)
+            b0 * 2.0 / s**3 + b1 / s**2, rel=1e-11)
 
     def test_reconstruction_identity(self):
         state, raw, t_star = make_inputs(1.71, 20)
         r = resum(raw, state, t_star)
-        back = reexpand(r.omega_star, t_star, r.a_hat.coeffs)
+        back = reexpand(r.omega_star * t_star, 1.0, r.a_hat.coeffs)
         assert_allclose(back[:21], raw.coeffs, rtol=0, atol=1e-10)
 
     def test_reconstruction_holds_for_any_slope(self):
         # exactness is an add-and-subtract identity: repeat the coefficient
         # transformation with the opposite slope sign by hand
         state, raw, t_star = make_inputs(1.71, 20)
-        w = math.sqrt(2.0 * state.energy)
+        s, w = 1.0, math.sqrt(2.0 * state.energy) * t_star  # in s = t/T*
         b = raw.coeffs.copy()
-        b[0] += t_star * w
+        b[0] += s * w
         b[1] -= w
-        inv = 1.0 / t_star
+        inv = 1.0 / s
         a_hat = np.array([
             sum(b[n - k] * (k + 1) * inv ** (k + 2) for k in range(n + 1))
             for n in range(21)
         ])
-        back = reexpand(w, t_star, a_hat)
+        back = reexpand(w, s, a_hat)
         assert_allclose(back[:21], raw.coeffs, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("energy,direction", FSUM_CASES)
     @pytest.mark.parametrize("order", FSUM_ORDERS)
     def test_matches_fsum_definition(self, energy, direction, order):
-        # ahat_n = sum_k b_{n-k} (k+1) (1/T*)^(k+2), each n one math.fsum,
-        # in the series' unit s = t/h
+        # ahat_n = sum_k b_{n-k} (k+1) (1/s*)^(k+2), each n one math.fsum,
+        # in the series' unit s = t/T*, where s* = 1.  The weights do not
+        # decay there, so a high ahat_n is a near-cancelling sum of terms
+        # of size ~ n |b_0|: bound each error by 1e-14 of that absolute
+        # scale, and check that the branch it builds matches the exact one
         state, raw, t_star, s_star, w_s = unit_inputs(energy, order, direction)
         b = raw.coeffs.tolist()
         b[0] += s_star * w_s
@@ -118,8 +122,16 @@ class TestResum:
         q = 1.0 / s_star
         ref = np.array([math.fsum(b[n - k] * (k + 1) * q ** (k + 2) for k in range(n + 1))
                         for n in range(order + 1)])
-        got = resum(raw, state, t_star).a_hat.coeffs
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        scale = np.array([math.fsum(abs(b[n - k]) * (k + 1) * q ** (k + 2)
+                                    for k in range(n + 1))
+                          for n in range(order + 1)])
+        r = resum(raw, state, t_star)
+        assert np.all(np.abs(r.a_hat.coeffs - ref) <= 1e-14 * scale)
+        exact = ResummedSeries(r.omega_star, SeriesCoefficients(ref, t_star))
+        grid = np.linspace(0.0, t_star, 101)
+        branch = eval_resummed(exact, grid)
+        gap = np.max(np.abs(eval_resummed(r, grid) - branch))
+        assert gap <= 1e-14 * np.max(np.abs(branch))
 
     def test_input_validation(self):
         state, raw, _ = make_inputs(1.71, 12)
@@ -197,8 +209,9 @@ class TestEvalResummed:
 class TestEfficientTruncation:
     def test_degenerate_zero_energy(self):
         state = energy_state(0.0)
-        raw = SeriesCoefficients(np.zeros(9))
-        e = efficient_truncation(raw, state, period(state).T_star)
+        t_star = period(state).T_star
+        raw = SeriesCoefficients(np.zeros(9), t_star)
+        e = efficient_truncation(raw, state, t_star)
         assert e.coeffs[-2] == 0.0 and e.coeffs[-1] == 0.0
 
     def test_endpoint_matching(self):
@@ -214,11 +227,12 @@ class TestEfficientTruncation:
         e = efficient_truncation(raw, state, t_star)
         n = 8
         a = raw.coeffs
-        sigma = sum(a[i] * t_star**i for i in range(n + 1))
-        dsigma = sum(i * a[i] * t_star ** (i - 1) for i in range(1, n + 1))
-        gap = omega_star(state) - dsigma
-        alpha = -(n + 2) * sigma * t_star ** (-n - 1) - gap * t_star**-n
-        beta = (n + 1) * sigma * t_star ** (-n - 2) + gap * t_star ** (-n - 1)
+        s = 1.0  # the endpoint in s = t/T*
+        sigma = sum(a[i] * s**i for i in range(n + 1))
+        dsigma = sum(i * a[i] * s ** (i - 1) for i in range(1, n + 1))
+        gap = omega_star(state) * t_star - dsigma
+        alpha = -(n + 2) * sigma * s ** (-n - 1) - gap * s**-n
+        beta = (n + 1) * sigma * s ** (-n - 2) + gap * s ** (-n - 1)
         assert e.coeffs[-2] == pytest.approx(alpha, rel=1e-12)
         assert e.coeffs[-1] == pytest.approx(beta, rel=1e-12)
 
@@ -249,20 +263,22 @@ class TestEfficientTruncation:
     def test_endpoint_derivatives_match_direct_form(self, energy, direction, order):
         # both are the same degree-(N+2) polynomial, so the derivatives
         # agree to rounding; higher orders cancel too hard to compare
-        # relatively (the second derivative shrinks toward 0 with N)
+        # relatively (the second derivative shrinks toward 0 with N);
+        # derivatives in s = t/T*, at the endpoint s = 1
         state, raw, t_star = make_inputs(energy, order, direction)
         r = resum(raw, state, t_star)
         e = efficient_truncation(raw, state, t_star)
+        s = 1.0
         c = e.coeffs[:-2]
-        powers = t_star ** np.arange(c.size)
-        d1_sigma = np.dot(np.arange(c.size), c * powers) / t_star
-        d1 = (d1_sigma + e.coeffs[-2] * (order + 1) * t_star**order
-              + e.coeffs[-1] * (order + 2) * t_star ** (order + 1))
-        assert d1 == pytest.approx(r.omega_star, rel=1e-12)
+        powers = s ** np.arange(c.size)
+        d1_sigma = np.dot(np.arange(c.size), c * powers) / s
+        d1 = (d1_sigma + e.coeffs[-2] * (order + 1) * s**order
+              + e.coeffs[-1] * (order + 2) * s ** (order + 1))
+        assert d1 == pytest.approx(r.omega_star * t_star, rel=1e-12)
         ks = np.arange(c.size)
-        d2_sigma = np.dot(ks * (ks - 1), c * powers) / t_star**2
-        d2 = (d2_sigma + e.coeffs[-2] * (order + 1) * order * t_star ** (order - 1)
-              + e.coeffs[-1] * (order + 2) * (order + 1) * t_star**order)
+        d2_sigma = np.dot(ks * (ks - 1), c * powers) / s**2
+        d2 = (d2_sigma + e.coeffs[-2] * (order + 1) * order * s ** (order - 1)
+              + e.coeffs[-1] * (order + 2) * (order + 1) * s**order)
         d2_direct = 2.0 * eval_poly(r.a_hat, t_star)
         assert d2 == pytest.approx(d2_direct, rel=1e-10)
 
@@ -278,13 +294,21 @@ class TestEfficientTruncation:
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(fast - direct)) < 1e-11 * scale
 
-    def test_out_of_range_coefficients_raise_value_error(self):
-        # plain (unit 1) coefficients at E = 30, N = 1000: (1/T*)^N
-        # overflows, and both constructions must say so with a ValueError
-        state, raw, t_star = make_inputs(30.0, 1000, -1)
-        with pytest.raises(ValueError, match="non-finite coefficient"):
+    @pytest.mark.parametrize("energy,order,direction,unit", [
+        (30.0, 1000, -1, None),  # plain unit 1, where (1/T*)^N would overflow
+        (1.71, 20, 1, 0.9),      # 0.9 T*, a unit that stays in range
+    ])
+    def test_series_in_another_unit_raises_value_error(self, energy, order,
+                                                       direction, unit):
+        # both constructions need the branch in units of T*, and say so
+        # with a ValueError, never an OverflowError
+        state = energy_state(energy, direction)
+        t_star = period(state).T_star
+        raw = pendulum_series(*canonical_top_ics(state), order,
+                              time_unit=1.0 if unit is None else unit * t_star)
+        with pytest.raises(ValueError, match=r"units of T\*"):
             resum(raw, state, t_star)
-        with pytest.raises(ValueError, match="time_unit"):
+        with pytest.raises(ValueError, match=r"units of T\*"):
             efficient_truncation(raw, state, t_star)
 
 
@@ -298,8 +322,8 @@ class TestOpTally:
                 resum(raw, state, t_star)
             with tally_coefficient_ops() as fast:
                 efficient_truncation(raw, state, t_star)
-            assert direct.total == (n + 1) ** 2 + 2 * n + 7
-            assert fast.total == 4 * n + 15
+            assert direct.total == (n + 1) ** 2 + 3
+            assert fast.total == 2 * n + 6
 
     def test_nested_tallies_both_collect(self):
         state, raw, t_star = make_inputs(1.71, 6)
@@ -307,7 +331,7 @@ class TestOpTally:
             with tally_coefficient_ops() as inner:
                 efficient_truncation(raw, state, t_star)
             efficient_truncation(raw, state, t_star)
-        assert inner.total == 4 * 6 + 15
+        assert inner.total == 2 * 6 + 6
         assert outer.total == 2 * inner.total
 
     def test_quadratic_vs_linear_scaling(self):

@@ -114,6 +114,12 @@ class TestRk4Sample:
             with pytest.raises(ValueError):
                 rk4_sample(1.0, 0.0, times, 1e-2)
 
+    @pytest.mark.parametrize("theta0,omega0", [(math.nan, 0.0), (0.5, math.inf)])
+    def test_non_finite_start_rejected(self, theta0, omega0):
+        # NaN used to run to NaN columns, inf to a bare "math domain error"
+        with pytest.raises(ValueError, match="start must be finite"):
+            rk4_sample(theta0, omega0, [1.0], 0.1)
+
 
 class TestSupError:
     def test_report_shape(self):
