@@ -12,8 +12,42 @@ from pendseries import (
     energy_state,
     sup_error,
 )
+from pendseries import validation
 from pendseries.energy import separatrix_theta
 from pendseries.validation import rk4_sample
+
+
+def _textbook_advance(theta, omega, h, steps, sin=math.sin):
+    # the classic four-stage step as first written, kept as the bit reference
+    for _ in range(steps):
+        k1t = omega
+        k1w = -sin(theta)
+        k2t = omega + 0.5 * h * k1w
+        k2w = -sin(theta + 0.5 * h * k1t)
+        k3t = omega + 0.5 * h * k2w
+        k3w = -sin(theta + 0.5 * h * k2t)
+        k4t = omega + h * k3w
+        k4w = -sin(theta + h * k3t)
+        theta += h * (k1t + 2.0 * (k2t + k3t) + k4t) / 6.0
+        omega += h * (k1w + 2.0 * (k2w + k3w) + k4w) / 6.0
+    return theta, omega
+
+
+def _textbook_sample(theta0, omega0, times, dt):
+    ts = np.asarray(times, dtype=float)
+    thetas = np.empty(ts.size)
+    omegas = np.empty(ts.size)
+    theta, omega = theta0, omega0
+    prev = 0.0
+    for i, t in enumerate(ts):
+        span = t - prev
+        if span > 0.0:
+            steps = math.ceil(span / dt)
+            theta, omega = _textbook_advance(theta, omega, span / steps, steps)
+        thetas[i] = theta
+        omegas[i] = omega
+        prev = t
+    return thetas, omegas
 
 
 class TestRk4Pendulum:
@@ -119,6 +153,43 @@ class TestRk4Sample:
         # NaN used to run to NaN columns, inf to a bare "math domain error"
         with pytest.raises(ValueError, match="start must be finite"):
             rk4_sample(theta0, omega0, [1.0], 0.1)
+
+    @pytest.mark.parametrize("dt", [5e-324, np.float64(5e-324)], ids=["float", "float64"])
+    def test_too_small_dt_rejected(self, dt):
+        # span / dt overflowed to a bare OverflowError from math.ceil
+        with pytest.raises(ValueError, match=r"dt = 5e-324 .* span 0\.1"):
+            rk4_sample(0.1, 0.0, [1e-3, 0.1], dt)
+
+    def test_steps_on_python_floats(self, monkeypatch):
+        # numpy scalars give the same bits several times slower per step
+        seen = []
+        advance = validation._rk4_advance
+
+        def spy(theta, omega, h, steps):
+            seen.append((theta, omega, h))
+            return advance(theta, omega, h, steps)
+
+        monkeypatch.setattr(validation, "_rk4_advance", spy)
+        rk4_sample(np.float64(0.4), np.float64(-0.2), np.linspace(0.0, 1.0, 5),
+                   np.float64(1e-2))
+        assert len(seen) == 4
+        assert all(type(x) is float for call in seen for x in call)
+
+    @pytest.mark.parametrize("theta0,omega0", [
+        (2.0, 0.5),   # libration, E = 1.54
+        (0.3, 2.4),   # rotation, E = 2.92
+        (0.0, 2.0),   # separatrix, E = 2 exactly
+    ])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("dt", [1e-2, 1.05e-3, 3e-4])
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    def test_bits_match_textbook_step(self, theta0, omega0, sign, dt, scalar):
+        times = [0.0, 0.25, 0.25, 1.0, 1.7, 1.7, 1.7, 3.0]
+        want = _textbook_sample(theta0, sign * omega0, times, dt)
+        got = rk4_sample(scalar(theta0), scalar(sign * omega0),
+                         times if scalar is float else np.array(times), scalar(dt))
+        for g, w in zip(got, want):
+            assert [x.hex() for x in g.tolist()] == [x.hex() for x in w.tolist()]
 
 
 class TestSupError:
