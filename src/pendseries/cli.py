@@ -428,7 +428,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "plot_script", False) and not args.out:
         parser.error("--plot-script requires --out")
-    meta, header, rows, skipped = args.func(args)
+    try:
+        meta, header, rows, skipped = args.func(args)
+    except ValueError as exc:  # a value the flag checks pass but the library rejects
+        parser.error(str(exc))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as stream:
             _emit(stream, args, meta, header, rows)

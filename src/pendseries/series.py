@@ -4,9 +4,11 @@ A series is stored as the coefficient vector (a_0, ..., a_N) of
 sum_n a_n (t/h)^n, where h is the series' time unit (1 unless a caller
 chooses one).  All arithmetic is double precision.  The pendulum
 recurrence below generates the angle series together with its sine and
-cosine at O(N^2) total cost via running Cauchy-product sums; each new
-order is two dot products, against the sine and cosine histories kept
-reversed in contiguous buffers.
+cosine at O(N^2) total cost via running Cauchy-product sums: two dot
+products per computed order, against the sine and cosine histories kept
+reversed in contiguous buffers.  A start at rest gives an orbit even in
+t, whose odd orders are exactly zero, so only the even orders are
+computed.
 """
 
 from __future__ import annotations
@@ -109,6 +111,16 @@ def pendulum_series(theta0: float, omega0: float, order: int,
     The coefficients are those of t^n times h^n; with the default h = 1
     they are the plain Taylor coefficients.  A unit near the span of use
     keeps high orders in double range (see `SeriesCoefficients`).
+
+    Each computed order costs two dot products of length n.  When
+    omega0 == 0 the orbit is even in t: a_1 = 0, and every odd-order a,
+    s and c is a sum of products with an exact zero, so it is exactly
+    zero even in floating point.  The loop then steps n by 2, computes
+    only the even orders and leaves the odd ones at +0.0, which halves
+    the work; any other start steps by 1.  The products use
+    `ndarray.dot` on one shared view of the d history: it calls the same
+    BLAS routine as `np.dot`, so the bits are the same, with less
+    per-call overhead.
     """
     order = int(order)
     if order < 2:
@@ -125,12 +137,15 @@ def pendulum_series(theta0: float, omega0: float, order: int,
     s_n = s_rev[top] = math.sin(theta0)
     c_rev[top] = math.cos(theta0)
     d = np.zeros(order)  # d_k = (k+1) a_{k+1}
-    for n in range(order - 1):
+    # at rest the orbit is even in t: a, s and c vanish at every odd order
+    step = 2 if omega0 == 0.0 else 1
+    for n in range(0, order - 1, step):
         a[n + 2] = -(h2 * s_n) / ((n + 1) * (n + 2))
-        m = n + 1
+        m = n + step
         if m <= top:
-            d[n] = m * a[m]
-            s_n = float(np.dot(d[:m], c_rev[top - n :])) / m
-            c_rev[top - m] = -float(np.dot(d[:m], s_rev[top - n :])) / m
+            d[m - 1] = m * a[m]
+            dm = d[:m]
+            s_n = float(dm.dot(c_rev[top - m + 1 :])) / m
+            c_rev[top - m] = -float(dm.dot(s_rev[top - m + 1 :])) / m
             s_rev[top - m] = s_n
     return SeriesCoefficients(a, h)

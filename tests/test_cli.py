@@ -295,6 +295,29 @@ class TestUsageErrors:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["trajectory", "error-sweep"])
+    def test_library_rejection_exits_2(self, command, capsys):
+        # the flag check passes 5e-324; rk4_sample then rejects it
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--energy", "1.71", "--oracle-dt", "5e-324"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pendseries")
+        assert "error: dt = 5e-324 is too small to step over the span" in err
+
+    @pytest.mark.parametrize("command", ["trajectory", "surface", "error-sweep"])
+    def test_unbuildable_energy_exits_2(self, command):
+        # a plain interpreter, as the command is run: numpy's overflow
+        # warnings go to stderr and the series build raises ValueError
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "pendseries.cli", command, "--energy", "1e308"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert "error: non-finite coefficient encountered" in done.stderr
+
     def test_stdout_default(self, capsys):
         code = cli.main(["trajectory", "--energy", "1.0", "--order", "6",
                          "--grid", "5", "--oracle-dt", "1e-2"])

@@ -1,6 +1,7 @@
 """Power-series arithmetic and the pendulum coefficient recurrence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,50 @@ def pendulum_series_by_fsum(theta0, omega0, order, h):
             s_abs.append(math.fsum(map(abs, terms)) / m)
             c.append(-math.fsum(d[k] * s[n - k] for k in range(m)) / m)
     return np.array(a), np.array(scale)
+
+
+def _two_dot_series(theta0, omega0, order, h):
+    """Reference kernel: every order 1..N on stride 1, two `np.dot` calls
+    each, as the recurrence ran before it skipped the odd orders of a
+    start at rest."""
+    h2 = h * h
+    a = np.zeros(order + 1)
+    a[0] = theta0
+    a[1] = omega0 * h
+    top = order - 2
+    s_rev = np.zeros(top + 1)
+    c_rev = np.zeros(top + 1)
+    s_n = s_rev[top] = math.sin(theta0)
+    c_rev[top] = math.cos(theta0)
+    d = np.zeros(order)
+    for n in range(order - 1):
+        a[n + 2] = -(h2 * s_n) / ((n + 1) * (n + 2))
+        m = n + 1
+        if m <= top:
+            d[n] = m * a[m]
+            s_n = float(np.dot(d[:m], c_rev[top - n :])) / m
+            c_rev[top - m] = -float(np.dot(d[:m], s_rev[top - n :])) / m
+            s_rev[top - m] = s_n
+    return a
+
+
+def _top_start(energy):
+    state = energy_state(energy)
+    return (*canonical_top_ics(state), period(state).T_star)
+
+
+# (theta0, omega0, T*, orders at which unit 1 overflows): libration and
+# rotation tops, the inverted rest point, the bottom start and a general one
+PINNED_STARTS = {
+    **{f"libration {e:g}": (*_top_start(e), ())
+       for e in (1e-12, 1e-6, 0.5, 1.71, 1.9998, 2.0 - 1e-6)},
+    **{f"rotation {e:g}": (*_top_start(e), ())
+       for e in (2.0 + 1e-6, 5.0)},
+    "rotation 10000": (*_top_start(1e4), (1000, 4999)),
+    "inverted at rest": (math.pi, 0.0, 1.0, ()),
+    "bottom 0.5": (0.0, 1.0, 1.0, ()),
+    "general": (0.3, 0.7, 1.0, ()),
+}
 
 
 class TestSeriesCoefficients:
@@ -145,6 +190,33 @@ class TestPendulumSeries:
             theta0 = float(rng.uniform(0.05, 3.0))
             a = pendulum_series(theta0, 0.0, 31).coeffs
             assert np.all(a[1::2] == 0.0)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_STARTS))
+    def test_matches_two_dot_kernel(self, name):
+        # equal by value: the reference leaves -0.0 where a start at rest
+        # skips an odd order and keeps +0.0
+        theta0, omega0, t_star, overflows = PINNED_STARTS[name]
+        raised = []
+        for order in (2, 3, 4, 5, 6, 7, 41, 200, 1000, 4999):
+            for unit in (1.0, t_star):
+                try:
+                    want = _two_dot_series(theta0, omega0, order, unit)
+                except RuntimeWarning as exc:
+                    raised.append(order)
+                    with pytest.raises(RuntimeWarning, match=re.escape(str(exc))):
+                        pendulum_series(theta0, omega0, order, time_unit=unit)
+                    continue
+                got = pendulum_series(theta0, omega0, order, time_unit=unit).coeffs
+                assert np.array_equal(got, want), (order, unit)
+        assert tuple(raised) == overflows
+
+    @pytest.mark.parametrize("energy", [0.5, 1.71, 1.9998])
+    def test_start_at_rest_never_writes_odd_orders(self, energy):
+        theta0, omega0, t_star = _top_start(energy)
+        a = pendulum_series(theta0, omega0, 1000, time_unit=t_star).coeffs
+        assert np.all(a[1::2] == 0.0)
+        assert not np.any(np.signbit(a[1::2]))
+        assert np.all(a[2::2] != 0.0)
 
     def test_small_time_against_rk4(self):
         a = pendulum_series(1.2, -0.3, 30)
