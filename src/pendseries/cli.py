@@ -113,7 +113,7 @@ def _orbit(e: float, args, method: str):
     state = _state(e, args.direction)
     if method == "auto":
         method = "separatrix" if state.regime is Regime.SEPARATRIX else "resummed"
-    sol = build_trajectory(state, None if method == "separatrix" else args.order, method)
+    sol = build_trajectory(state, args.order, method)  # E = 2 ignores the order
     t_full = sol.period_info.T
     span = args.periods * (t_full if math.isfinite(t_full) else 2.0 * math.pi)
     grid = np.linspace(0.0, span, args.grid)
@@ -128,8 +128,7 @@ def _orbit(e: float, args, method: str):
 
 def cmd_trajectory(args):
     sol, grid, theta, meta = _orbit(args.energy, args, args.method)
-    theta0, omega0 = canonical_initial_state(sol)
-    oracle, _ = rk4_sample(theta0, omega0, grid, args.oracle_dt)
+    oracle, _ = rk4_sample(*canonical_initial_state(sol), grid, args.oracle_dt)
     scale = _angle_scale(args)
     rows = [
         [_fmt(t), _fmt(scale * a), _fmt(scale * r), _fmt(scale * abs(a - r))]
@@ -164,8 +163,6 @@ def _trajectory_sweep(args):
     scale = _angle_scale(args)
     for e in _off_separatrix(args.energy, skipped, "no finite T*"):
         state = _state(e, args.direction)
-        t_star = period(state).T_star
-        meta.append(f"energy={_fmt(e)} T_star={_fmt(t_star)}")
         runs = []  # (method, order, solution, partial-sum order)
         for method in methods:
             if method == "efficient":
@@ -175,12 +172,13 @@ def _trajectory_sweep(args):
             else:
                 sol = build_trajectory(state, n_max, method)
                 runs += [(method, n, sol, n) for n in args.order]
+        t_star = runs[0][2].period_info.T_star  # shared by every run
+        meta.append(f"energy={_fmt(e)} T_star={_fmt(t_star)}")
         grid = np.linspace(0.0, t_star, args.grid)
-        theta0, omega0 = canonical_initial_state(runs[0][2])
-        oracle, _ = rk4_sample(theta0, omega0, grid, args.oracle_dt)
+        oracle, _ = rk4_sample(*canonical_initial_state(runs[0][2]), grid, args.oracle_dt)
         for method, n, sol, upto in runs:
-            rep = sup_error(sol, upto=upto, grid_points=args.grid, oracle=oracle)
-            rows.append([_fmt(e), str(n), method, _fmt(scale * rep.sup_error)])
+            err = sup_error(sol, upto=upto, grid_points=args.grid, oracle=oracle)
+            rows.append([_fmt(e), str(n), method, _fmt(scale * err)])
     return meta, ["energy", "order", "method", "sup_error"], rows, skipped
 
 

@@ -55,10 +55,11 @@ class SeparatrixError(ValueError):
 class EnergyState:
     """Energy and sense of motion of one pendulum orbit.
 
-    direction is +1 (counterclockwise) or -1 (clockwise).  For libration
-    it only fixes which turning point the motion starts from; for rotation
-    it is the sign of the angular velocity.  `regime` is not passed in:
-    it is derived from `energy` by `classify_energy`.
+    direction is +1 (counterclockwise) or -1 (clockwise), stored as an
+    int; any other value raises.  For libration it only fixes which
+    turning point the motion starts from; for rotation it is the sign of
+    the angular velocity.  `regime` is derived from `energy` by
+    `classify_energy`, not passed in.
     """
 
     energy: float
@@ -68,7 +69,8 @@ class EnergyState:
     def __post_init__(self):
         object.__setattr__(self, "regime", classify_energy(self.energy))
         if self.direction not in (-1, 1):
-            raise ValueError("direction must be +1 or -1")
+            raise ValueError(f"direction must be +1 or -1, got {self.direction!r}")
+        object.__setattr__(self, "direction", int(self.direction))
 
 
 def classify_energy(energy: float) -> Regime:
@@ -83,7 +85,7 @@ def classify_energy(energy: float) -> Regime:
 
 def energy_state(energy: float, direction: int = 1) -> EnergyState:
     """EnergyState from an energy value and a sense of motion."""
-    return EnergyState(float(energy), int(direction))
+    return EnergyState(float(energy), direction)
 
 
 def energy_of(theta0: float, omega0: float) -> EnergyState:
@@ -99,38 +101,33 @@ def canonical_top_ics(state: EnergyState) -> tuple[float, float]:
     Libration starts at the turning point theta = 2 arcsin(sqrt(E/2))
     (= arccos(1 - E), without its cancellation at small E) with zero
     velocity; rotation starts at the inverted position theta = pi moving
-    clockwise with velocity -sqrt(2E - 4).  The start does not depend on
-    `state.direction`: like `omega_star` it describes the canonical
-    branch, and the orbit's own sense comes from reflecting it.
+    clockwise with velocity -2 sqrt(E/2 - 1) = -sqrt(2E - 4), a form
+    finite at every finite E.  The start does not depend on the
+    direction: like `omega_star` it describes the canonical branch, and
+    the orbit's own sense comes from reflecting it.
     """
     if state.regime is Regime.SEPARATRIX:
         raise SeparatrixError("the separatrix only reaches theta = pi asymptotically")
     if state.regime is Regime.LIBRATION:
         return 2.0 * math.asin(math.sqrt(0.5 * state.energy)), 0.0
-    return math.pi, -math.sqrt(2.0 * state.energy - 4.0)
+    return math.pi, -2.0 * math.sqrt(0.5 * state.energy - 1.0)
 
 
-def separatrix_theta(theta0: float, t):
-    """Closed-form separatrix angle theta(t) through theta(0) = theta0.
+def separatrix_theta(t):
+    """Closed-form separatrix angle theta(t) through theta(0) = 0.
 
     This is the rising (counterclockwise) branch,
 
-        theta(t) = -pi + 4 arctan(exp(t) tan((theta0 + pi)/4)),
+        theta(t) = -pi + 4 arctan(exp(t) tan(pi/4)),
 
     valid for any real t; the angle approaches -pi and +pi as t goes to
-    minus and plus infinity.  theta0 is reduced mod 2 pi and the unwound
-    multiple is added back, so starts outside (-pi, pi) are accepted.
-    theta0 = pi (mod 2 pi) is the unstable fixed point and is rejected.
-    The clockwise branch is the reflection -separatrix_theta(-theta0, t).
+    minus and plus infinity.  The clockwise branch is the reflection
+    -separatrix_theta(t).
     """
-    if math.remainder(theta0 - math.pi, 2.0 * math.pi) == 0.0:
-        raise ValueError("theta0 = pi (mod 2 pi) is the unstable fixed point")
-    reduced = math.remainder(theta0, 2.0 * math.pi)  # in [-pi, pi]
-    offset = theta0 - reduced
-    u = math.tan(0.25 * (reduced + math.pi))
     tt = np.asarray(t, dtype=float)
+    # tan(pi/4) rounds to 1 - 2^-53, not 1.0; it is kept as computed
     with np.errstate(over="ignore"):  # exp saturates to inf, arctan caps it
-        out = offset - math.pi + 4.0 * np.arctan(np.exp(tt) * u)
+        out = -math.pi + 4.0 * np.arctan(np.exp(tt) * math.tan(0.25 * math.pi))
     if out.ndim == 0:
         return float(out)
     return out

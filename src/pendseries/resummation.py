@@ -69,9 +69,6 @@ class OpTally:
 
     total: int = 0
 
-    def add(self, n: int) -> None:
-        self.total += int(n)
-
 
 _tallies: list[OpTally] = []
 
@@ -89,7 +86,7 @@ def tally_coefficient_ops():
 
 def _count(n: int) -> None:
     for tally in _tallies:
-        tally.add(n)
+        tally.total += n
 
 
 @dataclass(frozen=True)
@@ -110,10 +107,13 @@ def omega_star(state: EnergyState) -> float:
     canonical branch integrated here falls clockwise through the bottom,
     so the signed endpoint velocity is -sqrt(2E); counterclockwise
     solutions are obtained from it by reflection in ``trajectory``.
+    Rotation forms it as -2 sqrt(E/2), finite at every finite E.
     """
     if state.regime is Regime.SEPARATRIX:
         raise SeparatrixError("the separatrix never reaches its endpoint; "
                               "no finite-time endpoint velocity exists")
+    if state.regime is Regime.ROTATION:
+        return -2.0 * math.sqrt(0.5 * state.energy)
     return -math.sqrt(2.0 * state.energy)
 
 

@@ -61,27 +61,26 @@ class SeriesCoefficients:
     def __len__(self) -> int:
         return self.coeffs.size
 
-    def __repr__(self) -> str:  # keep reprs short for large N
-        n = self.truncation_order
-        unit = "" if self.time_unit == 1.0 else f", time_unit={self.time_unit!r}"
-        if n <= 6:
-            return f"SeriesCoefficients({self.coeffs.tolist()}{unit})"
-        head = ", ".join(f"{c:g}" for c in self.coeffs[:3])
-        return f"SeriesCoefficients([{head}, ...], N={n}{unit})"
+
+def _whole(value, name: str) -> int:
+    """int(value), raising `ValueError` where int() would truncate."""
+    if int(value) != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
-def eval_poly(a, t, upto: int | None = None):
+def eval_poly(a: SeriesCoefficients, t, upto: int | None = None):
     """Horner evaluation of the truncated series at t (scalar or array).
 
-    A `SeriesCoefficients` is evaluated at t / time_unit; a bare
-    coefficient vector at t itself.  `upto` evaluates the partial sum
-    through order `upto`; by default the whole stored series is used.
+    The series is evaluated at t / time_unit.  `upto` evaluates the
+    partial sum through order `upto`; by default the whole stored series
+    is used.  A non-integral `upto` raises rather than being truncated.
     """
-    c = a.coeffs if isinstance(a, SeriesCoefficients) else np.asarray(a, dtype=float)
-    n = c.size - 1 if upto is None else int(upto)
+    c = a.coeffs
+    n = c.size - 1 if upto is None else _whole(upto, "upto")
     if n < 0 or n > c.size - 1:
         raise ValueError(f"upto={upto} outside stored orders 0..{c.size - 1}")
-    t = np.asarray(t, dtype=float) / getattr(a, "time_unit", 1.0)
+    t = np.asarray(t, dtype=float) / a.time_unit
     acc = np.full_like(t, c[n])
     for k in range(n - 1, -1, -1):
         acc = acc * t + c[k]
@@ -120,9 +119,9 @@ def pendulum_series(theta0: float, omega0: float, order: int,
     the work; any other start steps by 1.  The products use
     `ndarray.dot` on one shared view of the d history: it calls the same
     BLAS routine as `np.dot`, so the bits are the same, with less
-    per-call overhead.
+    per-call overhead.  A non-integral `order` raises `ValueError`.
     """
-    order = int(order)
+    order = _whole(order, "order")
     if order < 2:
         raise ValueError("order must be at least 2 to feed the recurrence")
     h = float(time_unit)

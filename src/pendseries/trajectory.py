@@ -131,7 +131,7 @@ def _tilde(sol: TrajectorySolution, t, upto: int | None = None):
         raise ValueError(f"partial sums unavailable for method {sol.method!r}; "
                          "only raw and resummed branches truncate")
     if sol.method == "separatrix":
-        return separatrix_theta(0.0, t)
+        return separatrix_theta(t)
     return eval_poly(sol.branch, t, upto)
 
 

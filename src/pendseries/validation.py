@@ -4,7 +4,8 @@ The reference here is deliberately boring: classic fixed-step
 fourth-order Runge-Kutta on theta' = omega, omega' = -sin theta.  Its
 global error scales like dt^4, so dt = 1e-5 resolves trajectories to
 roughly rounding level over the time spans used in the test suite,
-making it a trustworthy oracle for everything the series methods claim.
+making it a trustworthy oracle for everything the series methods claim;
+`sup_error` returns a solution's sup-norm distance from it as a float.
 
 The stepper runs on Python floats whatever types the caller passes:
 numpy-scalar arithmetic gives the same IEEE doubles at several times the
@@ -14,29 +15,14 @@ cost per step, and the oracle takes millions of steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .trajectory import TrajectorySolution, _orient, _tilde, canonical_initial_state
 
 __all__ = [
-    "ErrorReport",
     "rk4_sample",
     "sup_error",
 ]
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Sup-norm deviation of one solution from the RK4 oracle."""
-
-    energy: float
-    method: str
-    order: int
-    grid_points: int
-    sup_error: float
-    grid_span: tuple[float, float]
 
 
 def _rk4_advance(theta: float, omega: float, h: float, steps: int,
@@ -101,8 +87,8 @@ def rk4_sample(theta0: float, omega0: float, times, dt: float):
 
 def sup_error(sol: TrajectorySolution, upto: int | None = None,
               grid_points: int = 1001, oracle_dt: float = 1e-4,
-              span: float | None = None, oracle=None) -> ErrorReport:
-    """Max |theta_series - theta_RK4| over an even grid on the branch.
+              span: float | None = None, oracle=None) -> float:
+    """Max |theta_series - theta_RK4| over an even grid on the branch, as a float.
 
     The grid covers [0, T*], the canonical branch in the orbit's own
     sense; `span` shortens it (the separatrix has no T*, so there `span`
@@ -131,7 +117,4 @@ def sup_error(sol: TrajectorySolution, upto: int | None = None,
         oracle = np.asarray(oracle, dtype=float)
         if oracle.shape != grid.shape:
             raise ValueError("oracle samples must match the grid")
-    sup = float(np.max(np.abs(approx - oracle)))
-    return ErrorReport(sol.energy_state.energy, sol.method,
-                       upto if upto is not None else sol.order,
-                       grid_points, sup, (0.0, float(span)))
+    return float(np.max(np.abs(approx - oracle)))

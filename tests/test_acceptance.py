@@ -54,7 +54,7 @@ def raw_top_errors(energy, orders, grid_points=1001):
     grid = np.linspace(0.0, sol.period_info.T_star, grid_points)
     oracle, _ = rk4_sample(*canonical_initial_state(sol), grid, ORACLE_DT)
     return {n: sup_error(sol, upto=n, grid_points=grid_points,
-                         oracle=oracle).sup_error
+                         oracle=oracle)
             for n in orders}
 
 
@@ -62,7 +62,7 @@ def test_criterion_01_separatrix_closed_form_vs_rk4():
     start = time.perf_counter()
     grid = np.linspace(0.0, 10.0, 1001)
     oracle, _ = rk4_sample(0.0, 2.0, grid, ORACLE_DT)
-    exact = np.array([separatrix_theta(0.0, t) for t in grid])
+    exact = np.array([separatrix_theta(t) for t in grid])
     sup = float(np.max(np.abs(exact - oracle)))
     elapsed = time.perf_counter() - start
     print(f"sup |closed form - RK4| on [0,10]: {sup:.3e}  ({elapsed:.1f} s)")
@@ -148,8 +148,8 @@ def test_criterion_06_resummation_never_loses():
         grid = np.linspace(0.0, raw.period_info.T_star, 1001)
         oracle, _ = rk4_sample(*canonical_initial_state(raw), grid, ORACLE_DT)
         for n in (5, 10, 20):
-            raw_err = sup_error(raw, upto=n, oracle=oracle).sup_error
-            res_err = sup_error(res, upto=n, oracle=oracle).sup_error
+            raw_err = sup_error(raw, upto=n, oracle=oracle)
+            res_err = sup_error(res, upto=n, oracle=oracle)
             assert res_err <= raw_err, (
                 f"E={energy} N={n}: resummed {res_err:.3e} > raw {raw_err:.3e}")
             if energy == 1.9998 and n == 20:

@@ -45,6 +45,12 @@ class TestClassification:
         with pytest.raises(ValueError):
             EnergyState(1.0, 0)
 
+    def test_direction_is_never_truncated(self):
+        assert energy_state(1.0, -1.0).direction == -1
+        for bad in (-1.7, 0.5, 1.5, 2):
+            with pytest.raises(ValueError, match="direction must be"):
+                energy_state(1.0, bad)
+
     def test_regime_is_derived_from_energy(self):
         for energy, regime in ((1.0, Regime.LIBRATION), (2.0, Regime.SEPARATRIX),
                                (5.0, Regime.ROTATION)):
@@ -122,42 +128,31 @@ class TestCanonicalTopIcs:
 
 class TestSeparatrixTheta:
     def test_at_origin(self):
-        assert separatrix_theta(0.0, 0.0) == 0.0
+        assert separatrix_theta(0.0) == 0.0
 
     def test_asymptote(self):
         # the approach to pi saturates in doubles near t = 36, so strict
         # monotonicity is only checkable before that
         ts = np.linspace(0.0, 30.0, 150)
-        assert np.all(np.diff(separatrix_theta(0.0, ts)) > 0.0)
-        tail = separatrix_theta(0.0, np.linspace(30.0, 40.0, 50))
+        assert np.all(np.diff(separatrix_theta(ts)) > 0.0)
+        tail = separatrix_theta(np.linspace(30.0, 40.0, 50))
         assert np.all(tail <= math.pi)
         assert math.pi - tail[-1] < 1e-12
-
-    def test_fixed_point_rejected(self):
-        with pytest.raises(ValueError):
-            separatrix_theta(math.pi, 0.5)
-        with pytest.raises(ValueError):
-            separatrix_theta(-3.0 * math.pi, 0.5)
-
-    def test_unwound_start_accepted(self):
-        base = separatrix_theta(0.5, 1.0)
-        assert_allclose(separatrix_theta(0.5 + 2.0 * math.pi, 1.0),
-                        base + 2.0 * math.pi, rtol=1e-14)
 
     def test_ode_residual(self, rng):
         # h balances fd truncation (h^2) against rounding (ulp/h^2);
         # the achievable floor for O(1) angles is a few times 1e-8
         h = 3e-4
         ts = rng.uniform(0.0, 5.0, 100)
-        second = (separatrix_theta(0.0, ts + h) - 2.0 * separatrix_theta(0.0, ts)
-                  + separatrix_theta(0.0, ts - h)) / (h * h)
-        residual = second + np.sin(separatrix_theta(0.0, ts))
+        second = (separatrix_theta(ts + h) - 2.0 * separatrix_theta(ts)
+                  + separatrix_theta(ts - h)) / (h * h)
+        residual = second + np.sin(separatrix_theta(ts))
         assert np.max(np.abs(residual)) < 1e-7
 
     def test_against_rk4(self):
         thetas, _ = rk4_sample(0.0, 2.0, [1.0], 1e-5)
-        assert abs(separatrix_theta(0.0, 1.0) - thetas[-1]) < 1e-8
+        assert abs(separatrix_theta(1.0) - thetas[-1]) < 1e-8
 
     def test_saturates_without_overflow_warning(self):
         # exp(t) overflows to inf around t = 710; arctan must absorb it
-        assert_allclose(separatrix_theta(0.0, 1000.0), math.pi, rtol=1e-15)
+        assert_allclose(separatrix_theta(1000.0), math.pi, rtol=1e-15)

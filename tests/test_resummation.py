@@ -190,9 +190,9 @@ class TestEvalResummed:
     def test_beats_raw_series_near_separatrix(self):
         state = energy_state(1.9998)
         raw_err = sup_error(build_trajectory(state, 20, "raw"),
-                            grid_points=201).sup_error
+                            grid_points=201)
         res_err = sup_error(build_trajectory(state, 20, "resummed"),
-                            grid_points=201).sup_error
+                            grid_points=201)
         assert res_err < raw_err
 
     def test_error_dominance_across_regimes(self):
@@ -200,9 +200,9 @@ class TestEvalResummed:
             direction = -1 if energy > 2 else 1
             state = energy_state(energy, direction)
             raw_err = sup_error(build_trajectory(state, 10, "raw"),
-                                grid_points=101).sup_error
+                                grid_points=101)
             res_err = sup_error(build_trajectory(state, 10, "resummed"),
-                                grid_points=101).sup_error
+                                grid_points=101)
             assert res_err <= raw_err
 
 

@@ -124,6 +124,12 @@ class TestEvalPoly:
         with pytest.raises(ValueError):
             eval_poly(SeriesCoefficients([1.0, 2.0]), 0.5, upto=5)
 
+    def test_upto_is_never_truncated(self):
+        coeffs = SeriesCoefficients([1.0, -2.0, 0.5, 0.25, 3.0])
+        assert eval_poly(coeffs, 0.3, upto=3.0) == eval_poly(coeffs, 0.3, upto=3)
+        with pytest.raises(ValueError, match="upto must be an integer"):
+            eval_poly(coeffs, 0.3, upto=3.9)
+
     def test_array_matches_scalar(self):
         coeffs = SeriesCoefficients([1.0, -2.0, 0.5, 0.25])
         ts = np.linspace(-1.0, 1.0, 7)
@@ -226,6 +232,11 @@ class TestPendulumSeries:
     def test_order_too_small(self):
         with pytest.raises(ValueError):
             pendulum_series(1.0, 0.0, 1)
+
+    def test_order_is_never_truncated(self):
+        assert pendulum_series(1.0, 0.0, 20.0).truncation_order == 20
+        with pytest.raises(ValueError, match="order must be an integer"):
+            pendulum_series(1.0, 0.0, 20.9)
 
     def test_time_unit_scales_coefficients(self, rng):
         # in s = t/h the coefficients are a_n h^n and evaluate at t/h

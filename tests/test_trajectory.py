@@ -1,6 +1,7 @@
 """Solution assembly, periodic extension, and initial-condition alignment."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ class TestBuild:
         # the measured sup error of the N=36 raw branch is 1.29e-3,
         # dominated by the last tenth of [0, T*]
         sol = build_trajectory(energy_state(2.02, -1), 36, "raw")
-        assert sup_error(sol, oracle_dt=1e-5).sup_error < 1.5e-3
+        assert sup_error(sol, oracle_dt=1e-5) < 1.5e-3
 
     def test_period_consistent_with_regime(self):
         lib = build_trajectory(energy_state(1.0), 10, "resummed").period_info
@@ -107,13 +108,24 @@ class TestCoefficientRange:
 
     def test_raw_branch_converges_past_the_underflow_order(self):
         sol = build_trajectory(energy_state(1.9998), 800, "raw")
-        assert sup_error(sol, oracle_dt=1e-4).sup_error < 1e-12
+        assert sup_error(sol, oracle_dt=1e-4) < 1e-12
 
     @pytest.mark.parametrize("energy", [1e4, 200.0])
     @pytest.mark.parametrize("method", ["resummed", "efficient"])
     def test_large_energy_builds_at_high_order(self, energy, method):
         sol = build_trajectory(energy_state(energy, -1), 1000, method)
-        assert sup_error(sol, oracle_dt=1e-4).sup_error < 1e-12
+        assert sup_error(sol, oracle_dt=1e-4) < 1e-12
+
+    @pytest.mark.parametrize("energy", [1e306, 1e308, sys.float_info.max])
+    def test_largest_energies_build(self, energy):
+        # the start velocity and w* are formed from E/2: 2E overflows
+        # above about 9e307, although energy_state accepts every finite E
+        state = energy_state(energy, -1)
+        for method in ("raw", "resummed", "efficient"):
+            sol = build_trajectory(state, 40, method)
+            t_star = sol.period_info.T_star
+            assert np.all(np.isfinite(theta_at(sol, np.linspace(0.0, 4.0 * t_star, 9))))
+            assert sup_error(sol, oracle_dt=t_star / 1000) < 1e-12
 
 
 class TestThetaTilde:
@@ -158,8 +170,9 @@ class TestThetaAt:
         t0 = align_to_ics(sol, -1.0, math.sqrt(2.0 * (1.0 + math.cos(1.0))))
         assert t0 < 0.0
         ts = np.linspace(0.0, 2.0, 41)
-        assert_allclose(theta_at(sol, ts + t0), separatrix_theta(-1.0, ts),
-                        rtol=0, atol=1e-12)
+        # the rising closed form through theta(0) = -1
+        exact = -math.pi + 4.0 * np.arctan(np.exp(ts) * math.tan(0.25 * (math.pi - 1.0)))
+        assert_allclose(theta_at(sol, ts + t0), exact, rtol=0, atol=1e-12)
 
     def test_non_finite_time_rejected(self):
         sols = [build_trajectory(energy_state(1.71), 20, "resummed"),
@@ -366,7 +379,7 @@ class TestAlign:
         for theta0 in (1.0, -1.0):
             omega0 = math.sqrt(2.0 * (1.0 + math.cos(theta0)))
             t0 = align_to_ics(sol, theta0, omega0)
-            assert separatrix_theta(0.0, t0) == pytest.approx(theta0, rel=1e-12)
+            assert separatrix_theta(t0) == pytest.approx(theta0, rel=1e-12)
         assert align_to_ics(sol, -1.0, math.sqrt(2.0 * (1.0 + math.cos(1.0)))) < 0.0
 
     def test_consistency_guards(self):

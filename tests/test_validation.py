@@ -11,6 +11,7 @@ from pendseries import (
     canonical_initial_state,
     energy_state,
     sup_error,
+    theta_at,
 )
 from pendseries import validation
 from pendseries.energy import separatrix_theta
@@ -67,15 +68,15 @@ class TestRk4Pendulum:
     def test_separatrix_closed_form(self):
         ts = np.linspace(0.0, 5.0, 101)
         thetas, _ = rk4_sample(0.0, 2.0, ts, 1e-5)
-        exact = np.array([separatrix_theta(0.0, t) for t in ts])
-        assert abs(thetas[-1] - separatrix_theta(0.0, 5.0)) < 1e-10
+        exact = np.array([separatrix_theta(t) for t in ts])
+        assert abs(thetas[-1] - separatrix_theta(5.0)) < 1e-10
         assert np.max(np.abs(thetas - exact)) < 1e-10
 
     def test_fourth_order_self_convergence(self):
         # reference is the closed form, so only truncation error remains;
         # dt below 2e-3 hits the rounding floor on this span
         ts = np.linspace(0.0, 5.0, 101)
-        exact = np.array([separatrix_theta(0.0, t) for t in ts])
+        exact = np.array([separatrix_theta(t) for t in ts])
 
         def err(dt):
             thetas, _ = rk4_sample(0.0, 2.0, ts, dt)
@@ -193,28 +194,26 @@ class TestRk4Sample:
 
 
 class TestSupError:
-    def test_report_shape(self):
+    def test_returns_the_sup_norm_as_a_float(self):
         sol = build_trajectory(energy_state(1.71), 20, "resummed")
-        report = sup_error(sol, grid_points=51)
-        assert report.energy == 1.71
-        assert report.method == "resummed"
-        assert report.order == 20
-        assert report.grid_points == 51
-        assert report.grid_span == (0.0, sol.period_info.T_star)
-        assert math.isfinite(report.sup_error) and report.sup_error >= 0.0
+        grid = np.linspace(0.0, sol.period_info.T_star, 51)
+        oracle, _ = rk4_sample(*canonical_initial_state(sol), grid, 1e-4)
+        err = sup_error(sol, grid_points=51)
+        assert type(err) is float
+        assert err == np.max(np.abs(theta_at(sol, grid) - oracle))
 
     def test_separatrix_needs_span_then_sits_at_floor(self):
         sol = build_trajectory(energy_state(2.0), method="separatrix")
         with pytest.raises(ValueError):
             sup_error(sol)
-        report = sup_error(sol, span=5.0, grid_points=101, oracle_dt=1e-5)
-        assert report.sup_error < 1e-10
+        err = sup_error(sol, span=5.0, grid_points=101, oracle_dt=1e-5)
+        assert err < 1e-10
 
     def test_resummed_beats_raw_at_same_order(self):
         state = energy_state(1.71)
         raw = sup_error(build_trajectory(state, 20, "raw"))
         res = sup_error(build_trajectory(state, 20, "resummed"))
-        assert res.sup_error < raw.sup_error
+        assert res < raw
 
     def test_error_shrinks_with_order(self):
         sol = build_trajectory(energy_state(1.71), 40, "raw")
@@ -222,8 +221,7 @@ class TestSupError:
                                np.linspace(0.0, sol.period_info.T_star, 201), 1e-4)
         low = sup_error(sol, upto=6, grid_points=201, oracle=oracle)
         high = sup_error(sol, grid_points=201, oracle=oracle)
-        assert high.sup_error < low.sup_error
-        assert low.order == 6 and high.order == 40
+        assert high < low
 
     def test_partial_sums_match_direct_builds(self):
         # one high-order build must reproduce the low-order build exactly
@@ -234,12 +232,12 @@ class TestSupError:
         oracle, _ = rk4_sample(*canonical_initial_state(big), grid, 1e-4)
         a = sup_error(big, upto=12, grid_points=201, oracle=oracle)
         b = sup_error(small, grid_points=201, oracle=oracle)
-        assert a.sup_error == b.sup_error
+        assert a == b
 
     def test_partial_sums_respect_rotation_reflection(self):
         sol = build_trajectory(energy_state(2.02, 1), 36, "raw")
-        report = sup_error(sol, upto=36, grid_points=201)
-        assert report.sup_error < 1.5e-3
+        err = sup_error(sol, upto=36, grid_points=201)
+        assert err < 1.5e-3
 
     @pytest.mark.parametrize("energy,direction",
                              [(0.5, 1), (1.71, 1), (2.02, -1), (5.0, 1)])
@@ -251,7 +249,7 @@ class TestSupError:
         oracle, _ = rk4_sample(*canonical_initial_state(sol), grid, 1e-3)
         full = sup_error(sol, oracle=oracle)
         partial = sup_error(sol, upto=sol.order, oracle=oracle)
-        assert full.sup_error == partial.sup_error
+        assert full == partial
 
     def test_guards(self):
         sol = build_trajectory(energy_state(1.71), 10, "resummed")
@@ -265,6 +263,8 @@ class TestSupError:
             sup_error(sol, span=-1.0, grid_points=11, oracle=np.zeros(11))
         with pytest.raises(ValueError):
             sup_error(sol, grid_points=11, oracle=np.zeros(10))
+        with pytest.raises(ValueError, match="upto must be an integer"):
+            sup_error(sol, upto=3.9, grid_points=11, oracle=np.zeros(11))
         eff = build_trajectory(energy_state(1.71), 10, "efficient")
         with pytest.raises(ValueError):
             sup_error(eff, upto=5)
