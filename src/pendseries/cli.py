@@ -203,7 +203,7 @@ def cmd_roc(args):
                 theta0, omega0 = canonical_top_ics(state)
             else:
                 theta0, omega0 = 0.0, omega_star(state)
-            estimate = ""
+            estimate, note = "", None
             try:
                 # the radius as unit keeps a_n R^n in range at any order;
                 # the fitted radius does not depend on the unit
@@ -211,11 +211,15 @@ def cmd_roc(args):
                                          time_unit=rep.exact_roc)
                 estimate = _fmt(roc_estimate(series))
             except ValueError as exc:
-                print(
-                    f"note: no root-test estimate for energy={_fmt(e)} "
-                    f"ics={ics}: {exc}",
-                    file=sys.stderr,
-                )
+                note = f"no root-test estimate for energy={_fmt(e)} ics={ics}: {exc}"
+            else:
+                # in units of R, a_n ~ (omega0 R)^n / n! until n passes |omega0| R
+                reach = 3.0 * abs(omega0) * rep.exact_roc
+                if args.order < reach:
+                    note = (f"root-test estimate for energy={_fmt(e)} ics={ics} is pre-"
+                            f"asymptotic: order {args.order} < 3|omega0|R = {reach:.4g}")
+            if note:
+                print(f"note: {note}", file=sys.stderr)
             rows.append(
                 [_fmt(e), ics, _fmt(rep.exact_roc), _fmt(rep.t_star),
                  _fmt(rep.margin), estimate, _fmt(rep.nearest_pole.real),
@@ -253,23 +257,20 @@ def _emit(stream, args, meta, header, rows) -> None:
     writer.writerows(rows)
 
 
-_PLOT_TEMPLATES = {
-    "trajectory": '''#!/usr/bin/env python3
-"""Plot __CSV__ (pendseries trajectory output)."""
+_PLOT_HEAD = '''#!/usr/bin/env python3
+"""Plot __CSV__ (pendseries __COMMAND__ output)."""
 import csv
 from pathlib import Path
 
 import matplotlib.pyplot as plt
 
-ts, ana, rk4, err = [], [], [], []
 with open(Path(__file__).with_name(__CSV__)) as f:
-    for row in csv.reader(line for line in f if not line.startswith("#")):
-        if row[0] == "t":
-            continue
-        ts.append(float(row[0]))
-        ana.append(float(row[1]))
-        rk4.append(float(row[2]))
-        err.append(float(row[3]))
+    header, *rows = csv.reader(line for line in f if not line.startswith("#"))
+
+'''
+
+_PLOT_BODIES = {
+    "trajectory": '''ts, ana, rk4, err = ([float(r[i]) for r in rows] for i in range(4))
 
 fig, (top, bottom) = plt.subplots(2, 1, sharex=True)
 top.plot(ts, ana, label="series")
@@ -282,44 +283,23 @@ bottom.set_ylabel("|error|")
 fig.tight_layout()
 plt.show()
 ''',
-    "error-sweep": '''#!/usr/bin/env python3
-"""Plot __CSV__ (pendseries error-sweep output)."""
-import csv
-from collections import defaultdict
-from pathlib import Path
-
-import matplotlib.pyplot as plt
-
-curves = defaultdict(list)
-with open(Path(__file__).with_name(__CSV__)) as f:
-    rows = [r for r in csv.reader(line for line in f if not line.startswith("#"))]
-for row in rows[1:]:
-    curves[(row[0], row[2])].append((int(row[1]), float(row[3])))
+    "error-sweep": '''curves = {}
+for row in rows:
+    curves.setdefault((row[0], row[2]), []).append((int(row[1]), float(row[3])))
 
 for (energy, method), points in sorted(curves.items()):
     points.sort()
     plt.semilogy([n for n, _ in points], [max(v, 1e-18) for _, v in points],
                  marker="o", label=f"E={energy} {method}")
 plt.xlabel("order N")
-plt.ylabel(rows[0][3])
+plt.ylabel(header[3])
 plt.legend()
 plt.tight_layout()
 plt.show()
 ''',
-    "surface": '''#!/usr/bin/env python3
-"""Plot __CSV__ (pendseries surface output)."""
-import csv
-from collections import defaultdict
-from pathlib import Path
-
-import matplotlib.pyplot as plt
-
-curves = defaultdict(list)
-with open(Path(__file__).with_name(__CSV__)) as f:
-    for row in csv.reader(line for line in f if not line.startswith("#")):
-        if row[0] == "energy":
-            continue
-        curves[row[0]].append((float(row[1]), float(row[2])))
+    "surface": '''curves = {}
+for row in rows:
+    curves.setdefault(row[0], []).append((float(row[1]), float(row[2])))
 
 for energy, points in sorted(curves.items(), key=lambda kv: float(kv[0])):
     plt.plot([t for t, _ in points], [th for _, th in points], label=f"E={energy}")
@@ -333,10 +313,10 @@ plt.show()
 
 
 def _write_plot_script(out_path: str, command: str) -> Path:
-    template = _PLOT_TEMPLATES[command]
     path = Path(out_path)
     script = path.with_name(path.stem + "_plot.py")
-    script.write_text(template.replace("__CSV__", repr(path.name)), encoding="utf-8")
+    text = (_PLOT_HEAD + _PLOT_BODIES[command]).replace("__COMMAND__", command)
+    script.write_text(text.replace("__CSV__", repr(path.name)), encoding="utf-8")
     return script
 
 

@@ -13,9 +13,15 @@ the bottom, t = T*, the same lattice is (even, odd).  The radius of
 convergence about a chosen expansion point is the distance to the
 nearest pole; for the canonical top start it always exceeds the
 effective period T*, which is what makes the single-branch construction
-in ``trajectory`` possible.
+in ``trajectory`` possible.  ``roc_exact`` is the one place that forms
+the lattice constants; ``pole_lattice`` mirrors its top-start corner.
 On the separatrix the lattice degenerates into branch points at
 +- i pi/2 (``SEPARATRIX_BRANCH_POINTS``).
+
+The root test of ``roc_estimate`` sees R only past the coefficients'
+pre-asymptotic growth: in units of R a start with velocity omega0 has
+a_n ~ (omega0 R)^n / n! until n passes |omega0| R (693 for the rotation
+top at E = 1e300), so the CLI notes orders below 3 |omega0| R.
 """
 
 from __future__ import annotations
@@ -57,27 +63,18 @@ class RocReport:
     nearest_pole: complex
 
 
-def _lattice_constants(state: EnergyState) -> tuple[float, float]:
-    """Half-lattice constants (real, imaginary): T* from `period`, and K' or Kt'."""
-    k, scale = _modulus(state)
-    return period(state).T_star, scale * ellipk_prime(k)
-
-
 def pole_lattice(state: EnergyState) -> np.ndarray:
     """The four poles of the first lattice cell, as a read-only complex array.
 
     They are the (odd, odd) corners (+-T*, +-K') or (+-Kt, +-Kt') about
-    the canonical top start, in both regimes, sorted by real and then
-    imaginary part.  They contain every pole that can limit convergence
-    about the top or the bottom start.
+    the canonical top start, sorted by real and then imaginary part: the
+    top start's nearest pole from `roc_exact` mirrored through both axes.
+    They contain every pole that can limit convergence about the top or
+    the bottom start.  At E = 2 `roc_exact` raises `SeparatrixError`.
     """
-    if state.regime is Regime.SEPARATRIX:
-        raise SeparatrixError(
-            "no pole lattice at E = 2: the orbit has branch points at "
-            "+- i pi/2 (SEPARATRIX_BRANCH_POINTS)"
-        )
-    t_star, im_unit = _lattice_constants(state)
-    poles = np.array([complex(n * t_star, m * im_unit) for n in (-1, 1) for m in (-1, 1)])
+    corner = roc_exact(state, "top").nearest_pole
+    poles = np.array([complex(n * corner.real, m * corner.imag)
+                      for n in (1, -1) for m in (1, -1)])
     poles.flags.writeable = False
     return poles
 
@@ -91,7 +88,8 @@ def roc_exact(state: EnergyState, ics: str = "top") -> RocReport:
     Bottom of the orbit, t = T*: the nearest poles sit straight above
     and below it, at K' (libration) or Kt' (rotation).  Of each
     equidistant set the report names the pole (-T*, -K') for the top and
-    (T*, -K') for the bottom start.
+    (T*, -K') for the bottom start, with T* from `period` and K' or Kt'
+    from `ellipk_prime`.  At E = 2 it raises `SeparatrixError`.
     """
     if state.regime is Regime.SEPARATRIX:
         raise SeparatrixError(
@@ -100,7 +98,8 @@ def roc_exact(state: EnergyState, ics: str = "top") -> RocReport:
         )
     if ics not in ("top", "bottom"):
         raise ValueError(f"ics must be 'top' or 'bottom', got {ics!r}")
-    t_star, im_unit = _lattice_constants(state)
+    k, scale = _modulus(state)
+    t_star, im_unit = period(state).T_star, scale * ellipk_prime(k)
     x0 = 0.0 if ics == "top" else t_star
     pole = complex(-t_star if ics == "top" else t_star, -im_unit)
     radius = abs(pole - x0)
@@ -121,8 +120,6 @@ def roc_estimate(series: SeriesCoefficients) -> float:
     """
     coeffs = series.coeffs
     nonzero = np.flatnonzero(coeffs != 0.0)
-    if nonzero.size == 0:
-        raise ValueError("convergence radius undefined for the zero series")
     if nonzero.size < _MIN_FIT_COEFFS:
         raise ValueError(
             f"need at least {_MIN_FIT_COEFFS} nonzero coefficients, "

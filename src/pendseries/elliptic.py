@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergyState, Regime, SeparatrixError
+from .series import _whole
 
 __all__ = [
     "EllipticEval",
@@ -36,10 +37,6 @@ __all__ = [
     "evaluate_k",
     "period",
 ]
-
-# Below this modulus arctanh(k)/k is replaced by its own series; the
-# direct quotient loses digits to 0/0 cancellation as k -> 0.
-_SMALL_K = 1e-4
 
 _MAX_AUTO_ORDER = 4_000_000
 
@@ -102,9 +99,9 @@ def ellipk_agm(k: float) -> float:
 
 
 def _series_args(k: float, order: int = 0) -> tuple[float, int]:
-    """(k, order) as float and int; `ValueError` unless k is finite, k^2 < 1, order >= 0."""
+    """k as a float with k^2 < 1 and order as a whole int >= 0, else `ValueError`."""
     k = float(k)
-    order = int(order)
+    order = _whole(order, "order")
     if not k * k < 1.0:  # also catches NaN and infinities
         raise ValueError(f"series requires finite k with k^2 < 1, got k={k!r}")
     if order < 0:
@@ -129,10 +126,7 @@ def ellipk_series(k: float, order: int) -> float:
 
 
 def _arctanh_over_k(k: float) -> float:
-    if abs(k) < _SMALL_K:
-        k2 = k * k
-        return 1.0 + k2 / 3.0 + k2 * k2 / 5.0
-    return math.atanh(k) / k
+    return math.atanh(k) / k if k else 1.0
 
 
 def ellipk_resummed(k: float, order: int) -> float:

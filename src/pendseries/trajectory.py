@@ -171,12 +171,7 @@ def _theta_at_scalar(sol: TrajectorySolution, t: float) -> float:
     t_star = sol.period_info.T_star
     snap = _SEAM_SNAP_FRACTION * t_full
     winding = math.floor(t / t_full)
-    that = t - t_full * winding
-    if that < 0.0:
-        that = 0.0
-    if t_full - that < snap:
-        that = 0.0
-        winding += 1
+    that = max(t - t_full * winding, 0.0)
     branches = 4 if state.regime is Regime.LIBRATION else 2
     j = min(int(that // t_star), branches - 1)
     u = that - j * t_star

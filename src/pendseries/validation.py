@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .trajectory import TrajectorySolution, _orient, _tilde, canonical_initial_state
+from .series import _whole
+from .trajectory import (_SEAM_SNAP_FRACTION, TrajectorySolution, _orient, _tilde,
+                         canonical_initial_state)
 
 __all__ = [
     "rk4_sample",
@@ -95,17 +97,19 @@ def sup_error(sol: TrajectorySolution, upto: int | None = None,
     is required), and a span that is not finite or lies outside [0, T*]
     raises.  `upto` evaluates a lower-order partial sum of a stored raw
     or resummed solution, letting one high-order build serve a whole
-    truncation sweep.  A precomputed `oracle` (thetas on the
-    same grid) skips the RK4 run.
+    truncation sweep.  A precomputed `oracle` (thetas on the same grid)
+    skips the RK4 run.  A non-integral `upto` or `grid_points` raises.
     """
     t_star = sol.period_info.T_star
     if span is None:
         if not math.isfinite(t_star):
             raise ValueError("no finite T*; pass an explicit span")
         span = t_star
-    elif not (math.isfinite(span) and 0.0 <= span <= t_star * (1.0 + 1e-12)):
+    elif not (math.isfinite(span)
+              and 0.0 <= span <= t_star + _SEAM_SNAP_FRACTION * t_star):
         raise ValueError(f"span must be finite and lie in [0, T*], T* = {t_star}, "
                          f"got {span!r}")
+    grid_points = _whole(grid_points, "grid_points")
     if grid_points < 2:
         raise ValueError("grid needs at least 2 points")
     grid = np.linspace(0.0, span, grid_points)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 import os
 import shlex
@@ -99,29 +100,55 @@ class TestTrajectoryCommand:
 
 
 PYPLOT_STUB = """
-class _Any:
+import atexit
+import json
+import os
+
+CALLS = []
+
+
+class _Recorder:
+    def __init__(self, name):
+        self.name = name
+
     def __call__(self, *args, **kwargs):
-        return self
+        CALLS.append([self.name, list(args), kwargs])
+        return _Recorder(self.name + "()")
 
     def __getattr__(self, name):
-        return self
+        return _Recorder(self.name + "." + name)
 
     def __iter__(self):
-        return iter((self, self))
+        return iter((_Recorder(self.name + "[0]"), _Recorder(self.name + "[1]")))
 
 
 def __getattr__(name):
-    return _Any()
+    return _Recorder(name)
+
+
+@atexit.register
+def _dump():
+    with open(os.environ["PYPLOT_LOG"], "w", encoding="utf-8") as f:
+        json.dump(CALLS, f)
 """
+
+
+def _drawn(calls, method):
+    """(args, kwargs) of each recorded call of a pyplot or axes method."""
+    return [(args, kwargs) for name, args, kwargs in calls
+            if name.rsplit(".", 1)[-1] == method]
 
 
 @pytest.mark.parametrize("argv", [
     ["trajectory", "--energy", "1.0", "--order", "6", "--grid", "11", "--oracle-dt", "1e-2"],
     ["error-sweep", "--period", "--energy", "1.5", "--order", "5"],
     ["surface", "--energy", "1.0", "--order", "6", "--grid", "5"],
+    ["error-sweep", "--energy", "0.5,1.5", "--order", "5,10", "--grid", "21",
+     "--oracle-dt", "1e-2"],
+    ["surface", "--energy", "3.0,1.0,2.0", "--order", "6", "--grid", "5"],
 ])
 def test_plot_script_runs_from_another_directory(tmp_path, argv):
-    # matplotlib need not be installed: a stub pyplot accepts every call
+    # matplotlib need not be installed: a stub pyplot records every call
     stub = tmp_path / "stub" / "matplotlib"
     stub.mkdir(parents=True)
     (stub / "__init__.py").write_text("", encoding="utf-8")
@@ -131,11 +158,38 @@ def test_plot_script_runs_from_another_directory(tmp_path, argv):
     run_csv(out, argv + ["--plot-script"], "data.csv")
     elsewhere = tmp_path / "elsewhere"
     elsewhere.mkdir()
+    log = tmp_path / "calls.json"
     done = subprocess.run(
         [sys.executable, str(out / "data_plot.py")], cwd=elsewhere,
-        env={**os.environ, "PYTHONPATH": str(stub.parent)},
+        env={**os.environ, "PYTHONPATH": str(stub.parent), "PYPLOT_LOG": str(log)},
         capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    calls = json.loads(log.read_text(encoding="utf-8"))
+    _, header, rows = parse_csv(out / "data.csv")
+    if argv[0] == "trajectory":
+        t = column(rows, header, "t").tolist()
+        assert [args for args, _ in _drawn(calls, "plot")] == [
+            [t, column(rows, header, "theta_analytic").tolist()],
+            [t, column(rows, header, "theta_rk4").tolist(), "--"],
+        ]
+    elif argv[0] == "error-sweep":
+        # one curve per (energy, method), over the orders
+        curves = {kwargs["label"]: args for args, kwargs in _drawn(calls, "semilogy")}
+        assert len(curves) == len(_drawn(calls, "semilogy"))
+        assert curves == {
+            f"E={e} {m}": [[int(r[1]) for r in rows if r[0] == e and r[2] == m],
+                           [float(r[3]) for r in rows if r[0] == e and r[2] == m]]
+            for e, _, m, _ in rows
+        }
+        assert _drawn(calls, "ylabel") == [([header[3]], {})]
+    else:
+        # one curve per energy, sorted by energy
+        energies = sorted({r[0] for r in rows}, key=float)
+        assert _drawn(calls, "plot") == [
+            ([[float(r[1]) for r in rows if r[0] == e],
+              [float(r[2]) for r in rows if r[0] == e]], {"label": f"E={e}"})
+            for e in energies
+        ]
 
 
 class TestErrorSweepCommand:
@@ -270,6 +324,23 @@ class TestRocCommand:
             exact = float(row[header.index("exact_roc")])
             estimate = float(row[header.index("root_test_estimate")])
             assert estimate == pytest.approx(exact, rel=1e-3)
+
+
+    def test_pre_asymptotic_rows_are_noted(self, tmp_path, capsys):
+        # at E = 1e300, 3|omega0|R is about 2079 for both starts: at order
+        # 400 the coefficients still grow like (omega0 R)^n / n! and the
+        # estimate is 0.43 of the exact radius
+        code, out = run_csv(tmp_path, ["roc", "--energy", "1e300"])
+        assert code == 0
+        err = capsys.readouterr().err
+        for ics in ("top", "bottom"):
+            assert f"ics={ics} is pre-asymptotic: order 400 < 3|omega0|R = 2079" in err
+        _, header, rows = parse_csv(out)
+        assert all(float(r[header.index("root_test_estimate")]) > 0.0 for r in rows)
+        # the libration top starts at rest, and the README energies are well
+        # past their thresholds (12 at most)
+        run_csv(tmp_path, ["roc", "--energy", "1.71,2.02,5"])
+        assert "pre-asymptotic" not in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -60,6 +60,14 @@ class TestPoleLattice:
             assert {(p.real, -p.imag) for p in poles} == as_set
             assert {(-p.real, p.imag) for p in poles} == as_set
 
+    def test_corners_mirror_the_top_starts_nearest_pole(self):
+        for energy in (1e-14, 0.3, 1.71, 2.02, 12.0, 1e300):
+            for direction in (1, -1):
+                state = energy_state(energy, direction)
+                p = roc_exact(state, "top").nearest_pole
+                assert pole_lattice(state).tolist() == [
+                    p, p.conjugate(), -p.conjugate(), -p]
+
     def test_separatrix_constant_instead(self):
         with pytest.raises(SeparatrixError):
             pole_lattice(energy_state(2.0))
@@ -155,7 +163,7 @@ class TestRocEstimate:
         assert errors[-1] < 0.02
 
     def test_guards(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonzero coefficients, got 0"):
             roc_estimate(SeriesCoefficients(np.zeros(10)))
         with pytest.raises(ValueError):
             roc_estimate(SeriesCoefficients(np.ones(30)))

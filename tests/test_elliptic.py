@@ -157,6 +157,20 @@ def test_series_routes_reject_a_negative_order():
             route(0.5, -1)
 
 
+@pytest.mark.parametrize("route", [
+    lambda n: ellipk_series(0.5, n),
+    lambda n: ellipk_resummed(0.5, n),
+    lambda n: evaluate_k(0.5, "series", n).value,
+    lambda n: period(energy_state(1.0), "series", n),
+    lambda n: period(energy_state(1.0), "resummed", n),
+], ids=["series", "resummed", "evaluate_k", "period_series", "period_resummed"])
+def test_k_routes_never_truncate_the_order(route):
+    # int(order) used to sum 10 terms for order 10.7
+    with pytest.raises(ValueError, match="order must be an integer"):
+        route(10.7)
+    assert route(10.0) == route(10)
+
+
 class TestKPrime:
     def test_k_one(self):
         assert ellipk_prime(1.0) == 0.5 * math.pi

@@ -251,6 +251,15 @@ class TestSupError:
         partial = sup_error(sol, upto=sol.order, oracle=oracle)
         assert full == partial
 
+    def test_grid_points_is_never_truncated(self):
+        # np.linspace used to raise a bare TypeError for 51.0
+        sol = build_trajectory(energy_state(1.71), 10, "resummed")
+        oracle = np.zeros(51)
+        assert (sup_error(sol, grid_points=51.0, oracle=oracle)
+                == sup_error(sol, grid_points=51, oracle=oracle))
+        with pytest.raises(ValueError, match="grid_points must be an integer"):
+            sup_error(sol, grid_points=50.5, oracle=oracle)
+
     def test_guards(self):
         sol = build_trajectory(energy_state(1.71), 10, "resummed")
         with pytest.raises(ValueError):
