@@ -193,16 +193,14 @@ def cmd_surface(args):
 
 
 def cmd_roc(args):
+    """Exact and root-test radii about both starts; notes orders below max(3|omega0|, 5) R."""
     meta, rows, skipped = [], [], []
     reason = "branch points at +-i*pi/2, no pole lattice"
     for e in _off_separatrix(args.energy, skipped, reason):
         state = energy_state(e)
-        for ics in ("top", "bottom"):
+        starts = {"top": canonical_top_ics(state), "bottom": (0.0, omega_star(state))}
+        for ics, (theta0, omega0) in starts.items():
             rep = roc_exact(state, ics)
-            if ics == "top":
-                theta0, omega0 = canonical_top_ics(state)
-            else:
-                theta0, omega0 = 0.0, omega_star(state)
             estimate, note = "", None
             try:
                 # the radius as unit keeps a_n R^n in range at any order;
@@ -213,11 +211,11 @@ def cmd_roc(args):
             except ValueError as exc:
                 note = f"no root-test estimate for energy={_fmt(e)} ics={ics}: {exc}"
             else:
-                # in units of R, a_n ~ (omega0 R)^n / n! until n passes |omega0| R
-                reach = 3.0 * abs(omega0) * rep.exact_roc
+                reach = max(3.0 * abs(omega0), 5.0) * rep.exact_roc
                 if args.order < reach:
-                    note = (f"root-test estimate for energy={_fmt(e)} ics={ics} is pre-"
-                            f"asymptotic: order {args.order} < 3|omega0|R = {reach:.4g}")
+                    note = (f"root-test estimate for energy={_fmt(e)} ics={ics} is "
+                            f"pre-asymptotic: order {args.order} < "
+                            f"max(3|omega0|, 5)R = {reach:.4g}")
             if note:
                 print(f"note: {note}", file=sys.stderr)
             rows.append(

@@ -19,9 +19,9 @@ On the separatrix the lattice degenerates into branch points at
 +- i pi/2 (``SEPARATRIX_BRANCH_POINTS``).
 
 The root test of ``roc_estimate`` sees R only past the coefficients'
-pre-asymptotic growth: in units of R a start with velocity omega0 has
-a_n ~ (omega0 R)^n / n! until n passes |omega0| R (693 for the rotation
-top at E = 1e300), so the CLI notes orders below 3 |omega0| R.
+pre-asymptotic growth: in units of R, a_n ~ (w R)^n / n! until n passes
+w R, with frequency w ~ |omega0| at large E and ~1 at small E (a top at
+rest too); so the CLI notes orders below max(3 |omega0|, 5) R.
 """
 
 from __future__ import annotations

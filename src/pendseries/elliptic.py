@@ -2,7 +2,8 @@
 
 K(k) enters the period both below the separatrix, T = 4 K(sqrt(E/2)),
 and above it, T = 2 sqrt(2/E) K(sqrt(2/E)).  Three evaluation routes are
-provided with one contract:
+provided with one contract: each accepts exactly 0 <= k < 1 and raises
+`ValueError` for any other modulus, NaN and infinities included.
 
 * ``ellipk_agm``       -- arithmetic-geometric mean iteration, converges
                           quadratically; the reference the others are
@@ -58,17 +59,15 @@ class PeriodInfo:
 
     T* is the span the series solvers actually have to cover: a quarter
     period for libration, a half period for rotation.  Both are +inf on
-    the separatrix.
+    the separatrix.  `ValueError` unless T* > 0 (not NaN) and T = 2 T* or 4 T*.
     """
 
     T: float
     T_star: float
-    regime: Regime
 
     def __post_init__(self):
-        if self.regime is not Regime.SEPARATRIX:
-            if not (math.isfinite(self.T) and self.T > 0.0):
-                raise ValueError(f"period must be positive and finite, got {self.T!r}")
+        if not (self.T_star > 0.0 and self.T in (2.0 * self.T_star, 4.0 * self.T_star)):
+            raise ValueError(f"need T* > 0, T = 2T* or 4T*; got {self.T!r}, {self.T_star!r}")
 
 
 def _check_modulus(k: float) -> float:
@@ -98,15 +97,12 @@ def ellipk_agm(k: float) -> float:
     return math.pi / (2.0 * _agm(1.0, math.sqrt((1.0 - k) * (1.0 + k))))
 
 
-def _series_args(k: float, order: int = 0) -> tuple[float, int]:
-    """k as a float with k^2 < 1 and order as a whole int >= 0, else `ValueError`."""
-    k = float(k)
+def _series_args(k: float, order: int) -> tuple[float, int]:
+    """(k, order) checked, the order first: a whole int >= 0, then 0 <= k < 1."""
     order = _whole(order, "order")
-    if not k * k < 1.0:  # also catches NaN and infinities
-        raise ValueError(f"series requires finite k with k^2 < 1, got k={k!r}")
     if order < 0:
         raise ValueError("order must be >= 0")
-    return k, order
+    return _check_modulus(k), order
 
 
 def _beta_k2n(k: float, order: int) -> np.ndarray:
@@ -153,7 +149,7 @@ def resummed_order_for(k: float) -> int:
     Uses bracket_n <= 1/(4 n^2), so the tail after N is at most
     k^(2(N+1)) / (4 N^2 (1 - k^2)).
     """
-    k, _ = _series_args(k)
+    k = _check_modulus(k)
     if k == 0.0:
         return 0
     k2 = k * k
@@ -175,20 +171,18 @@ def ellipk_prime(k: float) -> float:
 
 
 def evaluate_k(k: float, method: str = "quadrature", order: int | None = None) -> EllipticEval:
-    """Evaluate K(k) by the requested route, recording the route used."""
+    """Evaluate K(k) by the requested route, recording the route and whole order used."""
     if method == "quadrature":
         if order is not None:
             raise ValueError("quadrature route takes no truncation order")
         return EllipticEval(ellipk_agm(k), "quadrature")
-    if method == "series":
-        if order is None:
-            raise ValueError("series route requires a truncation order")
-        return EllipticEval(ellipk_series(k, order), f"series(order={order})")
-    if method == "resummed":
-        if order is None:
-            order = resummed_order_for(k)
-        return EllipticEval(ellipk_resummed(k, order), f"resummed(order={order})")
-    raise ValueError(f"unknown method {method!r}")
+    route = {"series": ellipk_series, "resummed": ellipk_resummed}.get(method)
+    if route is None:
+        raise ValueError(f"unknown method {method!r}")
+    if order is None and method == "series":
+        raise ValueError("series route requires a truncation order")
+    order = resummed_order_for(k) if order is None else _whole(order, "order")
+    return EllipticEval(route(k, order), f"{method}(order={order})")
 
 
 def _modulus(state: EnergyState) -> tuple[float, float]:
@@ -215,4 +209,4 @@ def period(state: EnergyState, method: str = "quadrature",
     k, scale = _modulus(state)
     t_star = scale * evaluate_k(k, method, order).value
     branches = 4.0 if state.regime is Regime.LIBRATION else 2.0
-    return PeriodInfo(branches * t_star, t_star, state.regime)
+    return PeriodInfo(branches * t_star, t_star)

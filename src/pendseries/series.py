@@ -58,9 +58,6 @@ class SeriesCoefficients:
     def truncation_order(self) -> int:
         return self.coeffs.size - 1
 
-    def __len__(self) -> int:
-        return self.coeffs.size
-
 
 def _whole(value, name: str) -> int:
     """int(value), raising `ValueError` where int() would truncate."""

@@ -107,7 +107,7 @@ def build_trajectory(state: EnergyState, order: int | None = None,
                 f"instead of method {method!r}",
                 stacklevel=2,
             )
-        pinfo = PeriodInfo(math.inf, math.inf, Regime.SEPARATRIX)
+        pinfo = PeriodInfo(math.inf, math.inf)
         return TrajectorySolution(state, pinfo, "separatrix", 0, None)
     if method == "separatrix":
         raise SeparatrixError(f"closed form requires E = 2, got E = {state.energy}")
@@ -258,20 +258,19 @@ def align_to_ics(sol: TrajectorySolution, theta0: float, omega0: float) -> float
             f"initial conditions have energy {user.energy!r}, "
             f"solution has {state.energy!r}"
         )
-    sense = _sense(state)
-    if state.regime is Regime.SEPARATRIX:
-        if omega0 * sense <= 0.0:
-            raise ValueError("velocity sign does not match the solution's branch")
-        reduced = math.remainder(sense * theta0, 2.0 * math.pi)
-        if reduced == 0.0:
-            return 0.0  # log(tan(pi/4)) would leave a rounding ulp
-        return math.log(math.tan(0.25 * (reduced + math.pi)))
     # reflect into the canonical frame, where libration falls from
-    # +theta_max and rotation turns clockwise, then invert the fold of
-    # `_theta_at_scalar`: branch j from the signs of angle and velocity,
-    # branches 1 and 2 negated, odd branches run backwards
+    # +theta_max, rotation turns clockwise and the separatrix rises
+    sense = _sense(state)
     theta_c = math.remainder(sense * theta0, 2.0 * math.pi)
     omega_c = sense * omega0
+    if state.regime is Regime.SEPARATRIX:
+        if omega_c <= 0.0:
+            raise ValueError("velocity sign does not match the solution's branch")
+        if theta_c == 0.0:
+            return 0.0  # log(tan(pi/4)) would leave a rounding ulp
+        return math.log(math.tan(0.25 * (theta_c + math.pi)))
+    # invert the fold of `_theta_at_scalar`: branch j from the signs of
+    # angle and velocity, branches 1 and 2 negated, odd branches run backwards
     if state.regime is Regime.ROTATION:
         if omega_c >= 0.0:
             raise ValueError("velocity sign does not match the sense of rotation")

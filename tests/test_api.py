@@ -12,6 +12,8 @@ import pkgutil
 import types
 from pathlib import Path
 
+import numpy as np
+
 import pendseries
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,16 +47,63 @@ def test_readme_library_block_runs(capsys):
     assert math.isfinite(float(capsys.readouterr().out))
 
 
-def test_every_traced_name_resolves():
-    # the benchmark tracer wraps functions by "<module>.<name>"; a name
-    # that moves or disappears would otherwise drop out of --trace silently
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_name_resolves():
+    # the benchmark tracer wraps functions by "<module>.<name>"; a name
+    # that moves or disappears would otherwise drop out of --trace silently
+    tracer = _load_tracer()
     assert tracer.FUNCTIONS
     for qual in tracer.FUNCTIONS:
         layer, name = qual.split(".")
         assert callable(getattr(importlib.import_module(f"pendseries.{layer}"), name, None)), qual
+
+
+def test_tracer_counters_read_what_the_package_passes():
+    # beyond the names, the tracer's counters read evaluate_k(...).method,
+    # pendulum_series' positional order, eval_poly's (a, t, upto),
+    # theta_at's t and rk4_sample's times and dt; a change to any of them
+    # would pass the name check and crash a traced benchmark run
+    tracer_mod = _load_tracer()
+    modules = {layer: importlib.import_module(f"pendseries.{layer}")
+               for layer in tracer_mod.LAYERS}
+
+    def binding(qual):
+        layer, name = qual.split(".")
+        return getattr(modules[layer], name)
+
+    before = {qual: binding(qual) for qual in tracer_mod.FUNCTIONS}
+    bound = {name: getattr(pendseries, name) for name in pendseries.__all__}
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        trajectory = modules["trajectory"]
+        assert trajectory.build_trajectory is not before["trajectory.build_trajectory"]
+        state = pendseries.energy_state(1.71)
+        for method in trajectory.METHODS:
+            start = pendseries.energy_state(2.0) if method == "separatrix" else state
+            sol = pendseries.build_trajectory(start, 20, method)
+            assert pendseries.theta_at(sol, np.linspace(0.0, 10.0, 5)).shape == (5,)
+        pendseries.align_to_ics(sol, 0.0, 2.0)
+        omega0 = -math.sqrt(2.0 * (1.71 - 2.0 * math.sin(0.25) ** 2))
+        pendseries.align_to_ics(pendseries.build_trajectory(state, 20), 0.5, omega0)
+        pendseries.period(state, "resummed")
+        modules["validation"].rk4_sample(1.0, 0.0, [0.5, 1.0], 0.01)
+    finally:
+        tracer.remove()
+    for qual, original in before.items():
+        assert binding(qual) is original, qual
+    assert all(getattr(pendseries, name) is value for name, value in bound.items())
+    metrics = tracer.metrics(1)
+    for name in ("series.coeffs", "series.horner_steps", "elliptic.k_terms",
+                 "trajectory.points", "trajectory.align_evals_per_call",
+                 "validation.rk4_steps"):
+        assert metrics[name] > 0, name
 
 
 def test_every_module_all_resolves():

@@ -334,13 +334,30 @@ class TestRocCommand:
         assert code == 0
         err = capsys.readouterr().err
         for ics in ("top", "bottom"):
-            assert f"ics={ics} is pre-asymptotic: order 400 < 3|omega0|R = 2079" in err
+            assert (f"ics={ics} is pre-asymptotic: order 400 < "
+                    f"max(3|omega0|, 5)R = 2079") in err
         _, header, rows = parse_csv(out)
         assert all(float(r[header.index("root_test_estimate")]) > 0.0 for r in rows)
-        # the libration top starts at rest, and the README energies are well
-        # past their thresholds (12 at most)
+        # the README energies are well past their thresholds (12 at most)
         run_csv(tmp_path, ["roc", "--energy", "1.71,2.02,5"])
         assert "pre-asymptotic" not in capsys.readouterr().err
+
+    def test_small_energy_rows_are_noted_below_five_radii(self, tmp_path, capsys):
+        # at E = 1e-300 the orbit is theta_max cos t, of frequency 1, so in
+        # units of R = 347 the coefficients grow like R^n / n! from either
+        # start, the top at rest included: at order 400 the estimate is
+        # 0.86 of the exact radius, and it settles by about 4.6 R
+        run_csv(tmp_path, ["roc", "--energy", "1e-300"])
+        err = capsys.readouterr().err
+        for ics in ("top", "bottom"):
+            assert f"ics={ics} is pre-asymptotic: order 400 < max(3|omega0|, 5)R = " in err
+        _, out = run_csv(tmp_path, ["roc", "--energy", "1e-300", "--order", "2000"])
+        assert "pre-asymptotic" not in capsys.readouterr().err
+        _, header, rows = parse_csv(out)
+        for row in rows:
+            exact = float(row[header.index("exact_roc")])
+            estimate = float(row[header.index("root_test_estimate")])
+            assert estimate == pytest.approx(exact, rel=0.02), row[1]
 
 
 class TestUsageErrors:

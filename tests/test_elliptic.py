@@ -21,7 +21,6 @@ from pendseries.elliptic import (
     evaluate_k,
     resummed_order_for,
 )
-from pendseries.energy import Regime
 
 
 def ellipk_gauss_legendre(k, tol=1e-13):
@@ -143,11 +142,12 @@ class TestResummedRoute:
     lambda k: ellipk_resummed(k, 10),
     resummed_order_for,
 ], ids=["series", "resummed", "order_for"])
-@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 1.0, -1.0])
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 1.0, -1.0, -0.5])
 def test_series_routes_reject_a_modulus_off_the_unit_disc(route, k):
     # NaN used to pass the k^2 >= 1 test: the sums returned NaN and the
-    # order search climbed to its cap to report "too close to 1"
-    with pytest.raises(ValueError, match=r"finite k with k\^2 < 1"):
+    # order search climbed to its cap to report "too close to 1"; a
+    # negative k used to pass it too, where the AGM route raised
+    with pytest.raises(ValueError, match=r"modulus must satisfy 0 <= k < 1"):
         route(k)
 
 
@@ -201,14 +201,19 @@ class TestEvaluateK:
         assert evaluate_k(0.5).method == "quadrature"
         assert evaluate_k(0.5, "series", 10).method == "series(order=10)"
         assert evaluate_k(0.5, "resummed", 10).method == "resummed(order=10)"
+        # the tag names the whole order the sum used, not the order as passed
+        assert evaluate_k(0.5, "series", 10.0).method == "series(order=10)"
+        assert evaluate_k(0.5, "resummed", 10.0).method == "resummed(order=10)"
 
     def test_bad_combinations(self):
         with pytest.raises(ValueError):
             evaluate_k(0.5, "quadrature", 10)
         with pytest.raises(ValueError):
             evaluate_k(0.5, "series")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown method"):
             evaluate_k(0.5, "trapezoid")
+        with pytest.raises(ValueError, match="order must be an integer"):
+            evaluate_k(-0.5, "series", 10.7)  # the order is checked first
 
     def test_value_floor(self):
         for k in (0.0, 0.2, 0.8):
@@ -224,14 +229,12 @@ class TestPeriod:
         info = period(energy_state(1.71))
         assert_allclose(info.T, 4.0 * ellipk_agm(math.sqrt(0.855)), rtol=1e-15)
         assert info.T_star == 0.25 * info.T
-        assert info.regime is Regime.LIBRATION
 
     def test_rotation_formula(self):
         info = period(energy_state(5.0))
         k = math.sqrt(2.0 / 5.0)
         assert_allclose(info.T, 2.0 * k * ellipk_agm(k), rtol=1e-15)
         assert info.T_star == 0.5 * info.T
-        assert info.regime is Regime.ROTATION
 
     def test_uniform_rotation_limit(self):
         info = period(energy_state(1e4))
@@ -258,7 +261,9 @@ class TestPeriod:
             assert math.isfinite(period(energy_state(energy)).T)
 
     def test_period_info_validates(self):
-        with pytest.raises(ValueError):
-            PeriodInfo(-1.0, -0.25, Regime.LIBRATION)
-        info = PeriodInfo(math.inf, math.inf, Regime.SEPARATRIX)
+        for t, t_star in ((-1.0, -0.25), (math.nan, math.nan), (3.0, 1.0), (math.inf, 1.0)):
+            with pytest.raises(ValueError):
+                PeriodInfo(t, t_star)
+        assert PeriodInfo(2.0, 1.0).T == 2.0 and PeriodInfo(4.0, 1.0).T == 4.0
+        info = PeriodInfo(math.inf, math.inf)
         assert math.isinf(info.T_star)

@@ -81,7 +81,7 @@ class TestEfficientBranch:
         state = energy_state(energy, direction)
         raw = build_trajectory(state, 20, "raw").branch
         sol = build_trajectory(state, 20, "efficient")
-        assert len(sol.branch) == 20 + 3
+        assert sol.branch.truncation_order == 20 + 2
         assert sol.branch.time_unit == sol.period_info.T_star
         assert sol.branch.coeffs[:21].tobytes() == raw.coeffs.tobytes()
 
