@@ -43,7 +43,7 @@ __all__ = [
     "roc_estimate",
 ]
 
-# Singularities of the separatrix orbit exp(t)-form in complex time.
+# Singularities of the separatrix orbit 2 gd(t) = 4 arctan(tanh(t/2)) in complex time.
 SEPARATRIX_BRANCH_POINTS = (0.5j * math.pi, -0.5j * math.pi)
 
 _MIN_FIT_COEFFS = 50

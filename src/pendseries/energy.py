@@ -116,18 +116,13 @@ def canonical_top_ics(state: EnergyState) -> tuple[float, float]:
 def separatrix_theta(t):
     """Closed-form separatrix angle theta(t) through theta(0) = 0.
 
-    This is the rising (counterclockwise) branch,
-
-        theta(t) = -pi + 4 arctan(exp(t) tan(pi/4)),
-
-    valid for any real t; the angle approaches -pi and +pi as t goes to
-    minus and plus infinity.  The clockwise branch is the reflection
-    -separatrix_theta(t).
+    This is the rising (counterclockwise) branch, twice the Gudermannian
+    (DLMF 4.23(viii)): 2 gd(t) = 4 arctan(tanh(t/2)), finite for any real
+    t, tending to -pi and +pi as t goes to minus and plus infinity.  It is
+    exactly odd in floating point: the clockwise branch, the reflection
+    -separatrix_theta(t), is separatrix_theta(-t) bit for bit.
     """
-    tt = np.asarray(t, dtype=float)
-    # tan(pi/4) rounds to 1 - 2^-53, not 1.0; it is kept as computed
-    with np.errstate(over="ignore"):  # exp saturates to inf, arctan caps it
-        out = -math.pi + 4.0 * np.arctan(np.exp(tt) * math.tan(0.25 * math.pi))
+    out = 4.0 * np.arctan(np.tanh(0.5 * np.asarray(t, dtype=float)))
     if out.ndim == 0:
         return float(out)
     return out

@@ -150,9 +150,8 @@ def resum(a: SeriesCoefficients, state: EnergyState, t_star: float) -> ResummedS
     b = a.coeffs.copy()
     b[0] += w_s
     b[1] -= w_s
-    _count(3)
     a_hat = np.convolve(np.arange(1.0, n_max + 2), b)[: n_max + 1]
-    _count((n_max + 1) ** 2)  # sum over n of 2n+1 multiply-adds
+    _count((n_max + 1) ** 2 + 3)  # 2n+1 multiply-adds per ahat_n, 3 to form b
     return ResummedSeries(w, SeriesCoefficients(a_hat, t_star))
 
 
@@ -194,11 +193,10 @@ def efficient_truncation(a: SeriesCoefficients, state: EnergyState,
     for n in range(n_max - 1, -1, -1):
         dsig += sig
         sig += coeffs[n]
-    _count(2 * n_max)
     gap = w * t_star - dsig
     alpha = -(n_max + 2) * sig - gap
     beta = (n_max + 1) * sig + gap
-    _count(6)
+    _count(2 * n_max + 6)  # the fused Horner, then gap, alpha and beta
     return SeriesCoefficients(np.append(a.coeffs, (alpha, beta)), t_star)
 
 

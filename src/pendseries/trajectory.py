@@ -231,7 +231,7 @@ def _invert_tilde(sol: TrajectorySolution, target: float) -> float:
     top = _tilde(sol, 0.0)
     target = min(max(target, 0.0), top)
     lo, hi = 0.0, t_star
-    while hi - lo > _ALIGN_TIME_TOL:
+    while hi - lo > _ALIGN_TIME_TOL * min(t_star, 1.0):
         mid = 0.5 * (lo + hi)
         if _tilde(sol, mid) >= target:
             lo = mid
@@ -244,16 +244,17 @@ def align_to_ics(sol: TrajectorySolution, theta0: float, omega0: float) -> float
     """Time offset t0 with theta_at(sol, t + t0) passing through the ICs.
 
     The phase point (theta0, omega0) must lie on the solution's orbit:
-    its energy must match to 1e-10 and, where the orbit fixes a velocity
-    sign, the sign must agree.  Periodic regimes return t0 in [0, T); the
-    separatrix returns the closed-form offset, which is negative for
-    starts on the far side of the canonical one (`theta_at` accepts it).
+    its energy must match to 1e-10 (relative above E = 1) and, where the
+    orbit fixes a velocity sign, the sign must agree.  Periodic regimes
+    return t0 in [0, T), resolved to 1e-12 min(T*, 1); the separatrix
+    returns 2 atanh(tan(theta/4)), negative behind its start at theta = 0.
     """
     state = sol.energy_state
     if omega0 == 0.0 and math.remainder(theta0, math.pi) == 0.0:
         raise ValueError(f"({theta0!r}, {omega0!r}) is a fixed point, not an orbit")
     user = energy_of(theta0, omega0)
-    if abs(user.energy - state.energy) > _ENERGY_MATCH_TOL:
+    if not math.isclose(user.energy, state.energy,
+                        rel_tol=_ENERGY_MATCH_TOL, abs_tol=_ENERGY_MATCH_TOL):
         raise ValueError(
             f"initial conditions have energy {user.energy!r}, "
             f"solution has {state.energy!r}"
@@ -266,9 +267,7 @@ def align_to_ics(sol: TrajectorySolution, theta0: float, omega0: float) -> float
     if state.regime is Regime.SEPARATRIX:
         if omega_c <= 0.0:
             raise ValueError("velocity sign does not match the solution's branch")
-        if theta_c == 0.0:
-            return 0.0  # log(tan(pi/4)) would leave a rounding ulp
-        return math.log(math.tan(0.25 * (theta_c + math.pi)))
+        return 2.0 * math.atanh(math.tan(0.25 * theta_c)) + 0.0  # -0.0 -> +0.0
     # invert the fold of `_theta_at_scalar`: branch j from the signs of
     # angle and velocity, branches 1 and 2 negated, odd branches run backwards
     if state.regime is Regime.ROTATION:

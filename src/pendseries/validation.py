@@ -27,10 +27,10 @@ __all__ = [
 ]
 
 
-def _rk4_advance(theta: float, omega: float, h: float, steps: int,
-                 sin=math.sin) -> tuple[float, float]:
+def _rk4_advance(theta: float, omega: float, h: float, steps: int) -> tuple[float, float]:
     # The textbook step with k_w = -sin carried unnegated: negation is exact
     # and 0.5 * h * k parses as (0.5 * h) * k, so the bits are the same.
+    sin = math.sin  # looked up once per call, not once per step
     hh = 0.5 * h
     for _ in range(steps):
         s1 = sin(theta)

@@ -359,6 +359,19 @@ class TestRocCommand:
             estimate = float(row[header.index("root_test_estimate")])
             assert estimate == pytest.approx(exact, rel=0.02), row[1]
 
+    def test_too_few_coefficients_leave_the_estimate_empty(self, tmp_path, capsys):
+        # at order 60 a libration series is nonzero only in its even (top)
+        # or odd (bottom) orders, too few for the root test: the rows stay,
+        # with a note and a blank estimate
+        code, out = run_csv(tmp_path, ["roc", "--energy", "1.71", "--order", "60"])
+        assert code == 0
+        err = capsys.readouterr().err
+        for ics, got in (("top", 31), ("bottom", 30)):
+            assert (f"no root-test estimate for energy=1.71 ics={ics}: "
+                    f"need at least 50 nonzero coefficients, got {got}") in err
+        _, header, rows = parse_csv(out)
+        assert [r[header.index("root_test_estimate")] for r in rows] == ["", ""]
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
@@ -382,6 +395,16 @@ class TestUsageErrors:
             cli.main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text,message", [
+        ("abc", "invalid float value in 'abc'"),
+        (",", "empty list"),
+    ])
+    def test_list_flag_names_what_it_rejects(self, text, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["surface", "--energy", text])
+        assert exc.value.code == 2
+        assert f"argument --energy: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["trajectory", "error-sweep"])
     def test_library_rejection_exits_2(self, command, capsys):

@@ -131,6 +131,10 @@ class TestResummedRoute:
         for k in (0.0, 1e-6, 9.9e-5, 1.01e-4, 1e-3):
             assert abs(ellipk_resummed(k, 8) - ellipk_agm(k)) < 1e-14
 
+    def test_auto_order_at_zero_modulus(self):
+        # K(0) = pi/2 is the leading term alone
+        assert resummed_order_for(0.0) == 0
+
     def test_auto_order_meets_tolerance(self):
         for k in (0.3, 0.9, 0.999):
             order = resummed_order_for(k)
@@ -249,6 +253,12 @@ class TestPeriod:
     def test_separatrix_rejected(self):
         with pytest.raises(SeparatrixError):
             period(energy_state(2.0))
+
+    def test_resummed_route_at_rest(self):
+        # E = 0 is k = 0: the order-0 resummed route is the AGM period, T = 2 pi
+        info = period(energy_state(0.0), "resummed")
+        assert info == period(energy_state(0.0))
+        assert info.T_star == 0.5 * math.pi and info.T == 2.0 * math.pi
 
     def test_resummed_route_band_next_to_the_separatrix(self):
         # the arctanh-series order cap is reached within ~1.1e-5 of E = 2;

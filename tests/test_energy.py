@@ -153,6 +153,15 @@ class TestSeparatrixTheta:
         thetas, _ = rk4_sample(0.0, 2.0, [1.0], 1e-5)
         assert abs(separatrix_theta(1.0) - thetas[-1]) < 1e-8
 
+    def test_exactly_odd(self):
+        # 4 arctan(tanh(t/2)) is odd in floating point too, so the clockwise
+        # branch -theta(t) is theta(-t) bit for bit, out to saturation
+        ts = np.array([1e-12, 1e-6, 0.3, 1.0, 2.5, 10.0, 30.0, 36.5, 1000.0])
+        ts = np.concatenate([ts, -ts])
+        assert np.array_equal(separatrix_theta(-ts), -separatrix_theta(ts))
+        for t in ts:
+            assert separatrix_theta(-t) == -separatrix_theta(t)
+
     def test_saturates_without_overflow_warning(self):
-        # exp(t) overflows to inf around t = 710; arctan must absorb it
+        # tanh(t/2) saturates to 1 and the angle to 4 arctan(1) = pi, warning-free
         assert_allclose(separatrix_theta(1000.0), math.pi, rtol=1e-15)

@@ -98,6 +98,11 @@ class TestSeriesCoefficients:
         with pytest.raises(ValueError):
             SeriesCoefficients([math.inf])
 
+    @pytest.mark.parametrize("coeffs", [[], [[1.0, 2.0]]])
+    def test_rejects_empty_or_not_a_vector(self, coeffs):
+        with pytest.raises(ValueError, match="non-empty 1-D vector"):
+            SeriesCoefficients(coeffs)
+
     def test_immutable(self):
         a = SeriesCoefficients([1.0, 2.0])
         with pytest.raises(ValueError):

@@ -391,6 +391,9 @@ class TestAlign:
         rot = build_trajectory(energy_state(2.5, 1), 20, "resummed")
         with pytest.raises(ValueError):
             align_to_ics(rot, math.pi, -1.0)  # opposite sense of rotation
+        sep = build_trajectory(energy_state(2.0), method="separatrix")
+        with pytest.raises(ValueError, match="does not match the solution's branch"):
+            align_to_ics(sep, 1.0, -math.sqrt(2.0 * (1.0 + math.cos(1.0))))
 
     @pytest.mark.parametrize("direction", [1, -1])
     @pytest.mark.parametrize("energy", [0.5, 1.71, 2.5, 5.0])
@@ -417,6 +420,19 @@ class TestAlign:
             t0 = align_to_ics(sol, theta0, omega0)
             assert 0.0 <= t0 < t_full
             assert abs(math.remainder(theta_at(sol, t0) - theta0, 2.0 * math.pi)) < 1e-9
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("energy", [1e6, 1e16, 1e100, 1e300])
+    def test_round_trip_where_t_star_is_short(self, energy, direction):
+        # T* ~ pi / sqrt(2E) << 1: the energy must match relative to E and
+        # the offset must resolve a fraction of T*, not of one time unit
+        sol = build_trajectory(energy_state(energy, direction), 40, "resummed")
+        t_star, t_full = sol.period_info.T_star, sol.period_info.T
+        for t in np.linspace(0.0, t_full, 21)[:-1]:
+            theta0 = theta_at(sol, t)
+            omega0 = direction * math.sqrt(2.0 * energy - 4.0 * math.sin(0.5 * theta0) ** 2)
+            t0 = align_to_ics(sol, theta0, omega0)
+            assert abs(math.remainder(t0 - t, t_full)) <= 1e-12 * t_star
 
     def test_every_libration_quadrant(self):
         # one start per (angle sign, velocity sign) quadrant of the orbit
