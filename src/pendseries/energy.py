@@ -123,6 +123,4 @@ def separatrix_theta(t):
     -separatrix_theta(t), is separatrix_theta(-t) bit for bit.
     """
     out = 4.0 * np.arctan(np.tanh(0.5 * np.asarray(t, dtype=float)))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out

@@ -12,13 +12,13 @@ with w* = -sqrt(2E) the exact endpoint velocity, pins the endpoint value
 are plain linear images of the original coefficients, so nothing
 approximate has been introduced.
 
-Both transforms take the branch as `build_trajectory` carries it, in
-units of T*: with s = t/T* the endpoint sits at s = 1 and the form reads
+Both transforms take the series and its orbit, and read T* from the orbit,
+`period(state).T_star`.  With s = t/T* the endpoint is s = 1 and the form reads
 
     w* T* (s - 1) + (s - 1)^2 sum_n ahat_n s^n,
 
-so no power of T* is ever formed.  A series in any other time unit is
-rejected with a `ValueError`.
+so no power of T* is ever formed.  The series must be carried in units of
+that T*, as `build_trajectory` carries it; any other unit raises `ValueError`.
 
 ``efficient_truncation`` produces the identical polynomial a second way:
 keep the raw partial sum sigma_N and append only the two monomials
@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elliptic import period
 from .energy import EnergyState, Regime, SeparatrixError
 from .series import SeriesCoefficients, eval_poly
 
@@ -117,26 +118,27 @@ def omega_star(state: EnergyState) -> float:
     return -math.sqrt(2.0 * state.energy)
 
 
-def _endpoint(a: SeriesCoefficients, state: EnergyState, t_star: float):
-    """Shared prologue of both resummations: returns (N, w*).
+def _endpoint(a: SeriesCoefficients, state: EnergyState):
+    """Shared prologue of both resummations: (N, T*, w*), T* = `period(state).T_star`.
 
-    Raises, in this order, a `ValueError` for N < 2 or for a series not
-    carried in units of T*, and a `SeparatrixError` at E = 2.
+    Raises, in this order, a `ValueError` for N < 2, a `SeparatrixError` at
+    E = 2, and a `ValueError` for a series not carried in units of that T*.
     """
     n_max = a.truncation_order
     if n_max < 2:
         raise ValueError("order must be at least 2")
+    t_star = period(state).T_star
     if a.time_unit != t_star:
         raise ValueError(f"the series must be carried in units of T* = {t_star!r}, "
                          f"got time_unit {a.time_unit!r}")
-    return n_max, omega_star(state)
+    return n_max, t_star, omega_star(state)
 
 
-def resum(a: SeriesCoefficients, state: EnergyState, t_star: float) -> ResummedSeries:
-    """Transform raw coefficients into the endpoint-pinned form.
+def resum(a: SeriesCoefficients, state: EnergyState) -> ResummedSeries:
+    """Transform the orbit's raw coefficients into the endpoint-pinned form.
 
-    With b the raw coefficients of the series in s = t/T* after absorbing
-    the linear endpoint term (b_0 = a_0 + w* T*, b_1 = a_1 - w* T*,
+    `a` is in s = t/T*, T* = `period(state).T_star`.  With b its coefficients
+    after absorbing the linear endpoint term (b_0 = a_0 + w* T*, b_1 = a_1 - w* T*,
     b_n = a_n otherwise), dividing by (s - 1)^2 is the convolution
 
         ahat_n = sum_{k=0}^{n} b_{n-k} (k+1),
@@ -145,7 +147,7 @@ def resum(a: SeriesCoefficients, state: EnergyState, t_star: float) -> ResummedS
     and tallied as (N+1)^2 operations.  It is exact: re-expanding the
     resummed form about s = 0 reproduces a_0..a_N identically.
     """
-    n_max, w = _endpoint(a, state, t_star)
+    n_max, t_star, w = _endpoint(a, state)
     w_s = w * t_star
     b = a.coeffs.copy()
     b[0] += w_s
@@ -165,17 +167,15 @@ def eval_resummed(r: ResummedSeries, t, upto: int | None = None):
     t_star = r.a_hat.time_unit
     ds = (np.asarray(t, dtype=float) - t_star) / t_star
     out = (r.omega_star * t_star) * ds + ds * ds * eval_poly(r.a_hat, t, upto)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
-def efficient_truncation(a: SeriesCoefficients, state: EnergyState,
-                         t_star: float) -> SeriesCoefficients:
-    """Append two monomials to the raw partial sum to pin the endpoint.
+def efficient_truncation(a: SeriesCoefficients, state: EnergyState) -> SeriesCoefficients:
+    """Append two monomials to the orbit's raw partial sum to pin the endpoint.
 
-    In s = t/T*, requiring sigma_N(s) + alpha s^(N+1) + beta s^(N+2) to
-    take the value 0 and slope w* T* at s = 1 gives
+    In s = t/T*, the unit of `a`, with T* = `period(state).T_star`, requiring
+    sigma_N(s) + alpha s^(N+1) + beta s^(N+2) to take the value 0 and slope
+    w* T* at s = 1 gives
 
         alpha = -(N+2) sigma_N(1) - (w* T* - sigma_N'(1))
         beta  =  (N+1) sigma_N(1) + (w* T* - sigma_N'(1))
@@ -185,7 +185,7 @@ def efficient_truncation(a: SeriesCoefficients, state: EnergyState,
     result is that polynomial: the coefficients a_0..a_N, alpha, beta
     of degree N+2, in units of T*.
     """
-    n_max, w = _endpoint(a, state, t_star)
+    n_max, t_star, w = _endpoint(a, state)
     coeffs = a.coeffs.tolist()  # Python floats: same IEEE arithmetic, less overhead
     # fused Horner at s = 1: value and derivative of the partial sum
     sig = coeffs[n_max]

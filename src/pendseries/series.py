@@ -81,9 +81,7 @@ def eval_poly(a: SeriesCoefficients, t, upto: int | None = None):
     acc = np.full_like(t, c[n])
     for k in range(n - 1, -1, -1):
         acc = acc * t + c[k]
-    if acc.ndim == 0:
-        return float(acc)
-    return acc
+    return float(acc) if acc.ndim == 0 else acc
 
 
 def pendulum_series(theta0: float, omega0: float, order: int,

@@ -117,9 +117,9 @@ def build_trajectory(state: EnergyState, order: int | None = None,
     theta0, omega0 = canonical_top_ics(state)
     branch = pendulum_series(theta0, omega0, order, time_unit=pinfo.T_star)
     if method == "resummed":
-        branch = resum(branch, state, pinfo.T_star)
+        branch = resum(branch, state)
     elif method == "efficient":
-        branch = efficient_truncation(branch, state, pinfo.T_star)
+        branch = efficient_truncation(branch, state)
     return TrajectorySolution(state, pinfo, method, int(order), branch)
 
 
@@ -152,11 +152,11 @@ def _orient(state: EnergyState, v):
 
 
 def theta_tilde(sol: TrajectorySolution, t):
-    """Canonical branch angle on 0 <= t <= T* (scalar or array); NaN raises."""
+    """Canonical branch angle on 0 <= t <= T* (scalar or array); a non-finite t raises."""
     t_star = sol.period_info.T_star
     tt = np.asarray(t, dtype=float)
     slack = _SEAM_SNAP_FRACTION * t_star if math.isfinite(t_star) else 0.0
-    if not np.all((-slack <= tt) & (tt <= t_star + slack)):
+    if not np.all(np.isfinite(tt) & (-slack <= tt) & (tt <= t_star + slack)):
         raise ValueError(f"branch parameter outside [0, T*], T* = {t_star}")
     return _tilde(sol, tt)
 

@@ -169,10 +169,10 @@ def test_criterion_07_two_monomial_form_matches_at_half_the_work():
             series = pendulum_series(*canonical_initial_state(
                 build_trajectory(state, order, "raw")), order, time_unit=t_star)
             with tally_coefficient_ops() as tally:
-                direct = resum(series, state, t_star)
+                direct = resum(series, state)
             resummed_ops += tally.total
             with tally_coefficient_ops() as tally:
-                corrected = efficient_truncation(series, state, t_star)
+                corrected = efficient_truncation(series, state)
             efficient_ops += tally.total
             diff = np.max(np.abs(eval_resummed(direct, grid)
                                  - eval_efficient(corrected, grid)))

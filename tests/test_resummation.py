@@ -76,7 +76,7 @@ class TestOmegaStar:
 class TestResum:
     def test_first_two_coefficients(self):
         state, raw, t_star = make_inputs(1.71, 12)
-        r = resum(raw, state, t_star)
+        r = resum(raw, state)
         s, w = 1.0, omega_star(state) * t_star  # the endpoint in s = t/T*
         a = raw.coeffs
         b0, b1 = a[0] + s * w, a[1] - w
@@ -87,7 +87,7 @@ class TestResum:
 
     def test_reconstruction_identity(self):
         state, raw, t_star = make_inputs(1.71, 20)
-        r = resum(raw, state, t_star)
+        r = resum(raw, state)
         back = reexpand(r.omega_star * t_star, 1.0, r.a_hat.coeffs)
         assert_allclose(back[:21], raw.coeffs, rtol=0, atol=1e-10)
 
@@ -125,7 +125,7 @@ class TestResum:
         scale = np.array([math.fsum(abs(b[n - k]) * (k + 1) * q ** (k + 2)
                                     for k in range(n + 1))
                           for n in range(order + 1)])
-        r = resum(raw, state, t_star)
+        r = resum(raw, state)
         assert np.all(np.abs(r.a_hat.coeffs - ref) <= 1e-14 * scale)
         exact = ResummedSeries(r.omega_star, SeriesCoefficients(ref, t_star))
         grid = np.linspace(0.0, t_star, 101)
@@ -134,18 +134,15 @@ class TestResum:
         assert gap <= 1e-14 * np.max(np.abs(branch))
 
     def test_input_validation(self):
-        state, raw, _ = make_inputs(1.71, 12)
         with pytest.raises(ValueError):
-            resum(raw, state, math.inf)
-        with pytest.raises(ValueError):
-            resum(SeriesCoefficients([1.0, 2.0]), state, 1.0)  # order < 2
+            resum(SeriesCoefficients([1.0, 2.0]), energy_state(1.71))  # order < 2
 
 
 class TestEvalResummed:
     def test_structural_zero_at_endpoint(self):
         for energy in (0.5, 1.71, 1.9998, 2.02, 5.0):
             state, raw, t_star = make_inputs(energy, 14, -1 if energy > 2 else 1)
-            r = resum(raw, state, t_star)
+            r = resum(raw, state)
             assert eval_resummed(r, t_star) == 0.0
 
     @pytest.mark.parametrize("direction", [1, -1])
@@ -157,17 +154,17 @@ class TestEvalResummed:
         t_star = period(state).T_star
         raw = pendulum_series(*canonical_top_ics(state), 200, time_unit=t_star)
         grid = np.linspace(0.0, t_star, 201)
-        gap = eval_resummed(resum(raw, state, t_star), grid) - eval_poly(raw, grid)
+        gap = eval_resummed(resum(raw, state), grid) - eval_poly(raw, grid)
         assert np.max(np.abs(gap)) < 1e-8
 
     def test_value_at_origin(self):
-        state, raw, t_star = make_inputs(1.71, 14)
-        r = resum(raw, state, t_star)
+        state, raw, _ = make_inputs(1.71, 14)
+        r = resum(raw, state)
         assert eval_resummed(r, 0.0) == pytest.approx(raw.coeffs[0], rel=1e-13)
 
     def test_endpoint_slope_is_omega_star(self):
         state, raw, t_star = make_inputs(1.71, 14)
-        r = resum(raw, state, t_star)
+        r = resum(raw, state)
         h = 1e-6
         slope = (eval_resummed(r, t_star + h) - eval_resummed(r, t_star - h)) / (2 * h)
         assert slope == pytest.approx(omega_star(state), abs=1e-8)
@@ -179,8 +176,7 @@ class TestEvalResummed:
         h = 1e-4
         curvatures = []
         for order in (10, 20, 40, 80):
-            r = resum(SeriesCoefficients(raw.coeffs[:order + 1], raw.time_unit),
-                      state, t_star)
+            r = resum(SeriesCoefficients(raw.coeffs[:order + 1], raw.time_unit), state)
             c = (eval_resummed(r, t_star + h) - 2.0 * eval_resummed(r, t_star)
                  + eval_resummed(r, t_star - h)) / (h * h)
             curvatures.append(abs(c))
@@ -211,12 +207,12 @@ class TestEfficientTruncation:
         state = energy_state(0.0)
         t_star = period(state).T_star
         raw = SeriesCoefficients(np.zeros(9), t_star)
-        e = efficient_truncation(raw, state, t_star)
+        e = efficient_truncation(raw, state)
         assert e.coeffs[-2] == 0.0 and e.coeffs[-1] == 0.0
 
     def test_endpoint_matching(self):
         state, raw, t_star = make_inputs(1.71, 20)
-        e = efficient_truncation(raw, state, t_star)
+        e = efficient_truncation(raw, state)
         assert abs(eval_efficient(e, t_star)) < 1e-12
         h = 1e-6
         slope = (eval_efficient(e, t_star + h) - eval_efficient(e, t_star - h)) / (2 * h)
@@ -224,7 +220,7 @@ class TestEfficientTruncation:
 
     def test_alpha_beta_formulas(self):
         state, raw, t_star = make_inputs(2.02, 8, -1)
-        e = efficient_truncation(raw, state, t_star)
+        e = efficient_truncation(raw, state)
         n = 8
         a = raw.coeffs
         s = 1.0  # the endpoint in s = t/T*
@@ -242,7 +238,7 @@ class TestEfficientTruncation:
         # alpha and beta from sigma_N(T*) and sigma_N'(T*) summed with
         # math.fsum; an error of 1e-14 of the sums' absolute scale in
         # sigma_N and sigma_N' moves alpha and beta by at most `tol`
-        state, raw, t_star, s, w_s = unit_inputs(energy, order, direction)
+        state, raw, _, s, w_s = unit_inputs(energy, order, direction)
         c = raw.coeffs.tolist()
         sigma = math.fsum(c[n] * s**n for n in range(order + 1))
         dsigma = math.fsum(n * c[n] * s ** (n - 1) for n in range(1, order + 1))
@@ -251,7 +247,7 @@ class TestEfficientTruncation:
                                       for n in range(1, order + 1))
         p0, p1, p2 = s**-order, s ** -(order + 1), s ** -(order + 2)
         gap = w_s - dsigma
-        e = efficient_truncation(raw, state, t_star)
+        e = efficient_truncation(raw, state)
         tol = 1e-14
         assert abs(e.coeffs[-2] - (-(order + 2) * sigma * p1 - gap * p0)) <= tol * (
             (order + 2) * scale0 * p1 + scale1 * p0)
@@ -266,8 +262,8 @@ class TestEfficientTruncation:
         # relatively (the second derivative shrinks toward 0 with N);
         # derivatives in s = t/T*, at the endpoint s = 1
         state, raw, t_star = make_inputs(energy, order, direction)
-        r = resum(raw, state, t_star)
-        e = efficient_truncation(raw, state, t_star)
+        r = resum(raw, state)
+        e = efficient_truncation(raw, state)
         s = 1.0
         c = e.coeffs[:-2]
         powers = s ** np.arange(c.size)
@@ -286,30 +282,31 @@ class TestEfficientTruncation:
     @pytest.mark.parametrize("order", [6, 20, 36])
     def test_equals_direct_resummation(self, energy, direction, order):
         state, raw, t_star = make_inputs(energy, order, direction)
-        r = resum(raw, state, t_star)
-        e = efficient_truncation(raw, state, t_star)
+        r = resum(raw, state)
+        e = efficient_truncation(raw, state)
         grid = np.linspace(0.0, t_star, 100)
         direct = eval_resummed(r, grid)
         fast = eval_efficient(e, grid)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(fast - direct)) < 1e-11 * scale
 
-    @pytest.mark.parametrize("energy,order,direction,unit", [
-        (30.0, 1000, -1, None),  # plain unit 1, where (1/T*)^N would overflow
-        (1.71, 20, 1, 0.9),      # 0.9 T*, a unit that stays in range
+    @pytest.mark.parametrize("energy,order,direction,unit,per_t_star", [
+        (30.0, 1000, -1, 1.0, False),  # plain unit 1, where (1/T*)^N would overflow
+        (1.71, 20, 1, 0.9, True),      # 0.9 T*, a unit that stays in range
+        (1.71, 20, 1, 3.0, False),     # 3.0, although this orbit's T* is 2.4047
     ])
-    def test_series_in_another_unit_raises_value_error(self, energy, order,
-                                                       direction, unit):
-        # both constructions need the branch in units of T*, and say so
-        # with a ValueError, never an OverflowError
+    def test_series_in_another_unit_raises_value_error(self, energy, order, direction,
+                                                       unit, per_t_star):
+        # both constructions need the branch in units of the orbit's own
+        # T*, and say so with a ValueError, never an OverflowError
         state = energy_state(energy, direction)
         t_star = period(state).T_star
         raw = pendulum_series(*canonical_top_ics(state), order,
-                              time_unit=1.0 if unit is None else unit * t_star)
+                              time_unit=unit * t_star if per_t_star else unit)
         with pytest.raises(ValueError, match=r"units of T\*"):
-            resum(raw, state, t_star)
+            resum(raw, state)
         with pytest.raises(ValueError, match=r"units of T\*"):
-            efficient_truncation(raw, state, t_star)
+            efficient_truncation(raw, state)
 
 
 class TestOpTally:
@@ -317,27 +314,27 @@ class TestOpTally:
         # exact at high order too: the benchmark's resummation.coeff_ops
         # reads these totals
         for n in (6, 1000):
-            state, raw, t_star = make_inputs(1.71, n)
+            state, raw, _ = make_inputs(1.71, n)
             with tally_coefficient_ops() as direct:
-                resum(raw, state, t_star)
+                resum(raw, state)
             with tally_coefficient_ops() as fast:
-                efficient_truncation(raw, state, t_star)
+                efficient_truncation(raw, state)
             assert direct.total == (n + 1) ** 2 + 3
             assert fast.total == 2 * n + 6
 
     def test_nested_tallies_both_collect(self):
-        state, raw, t_star = make_inputs(1.71, 6)
+        state, raw, _ = make_inputs(1.71, 6)
         with tally_coefficient_ops() as outer:
             with tally_coefficient_ops() as inner:
-                efficient_truncation(raw, state, t_star)
-            efficient_truncation(raw, state, t_star)
+                efficient_truncation(raw, state)
+            efficient_truncation(raw, state)
         assert inner.total == 2 * 6 + 6
         assert outer.total == 2 * inner.total
 
     def test_quadratic_vs_linear_scaling(self):
-        state, raw, t_star = make_inputs(1.71, 200)
+        state, raw, _ = make_inputs(1.71, 200)
         with tally_coefficient_ops() as direct:
-            resum(raw, state, t_star)
+            resum(raw, state)
         with tally_coefficient_ops() as fast:
-            efficient_truncation(raw, state, t_star)
+            efficient_truncation(raw, state)
         assert fast.total < direct.total / 40

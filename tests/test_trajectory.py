@@ -138,6 +138,10 @@ class TestThetaTilde:
         for t in (math.nan, [0.1, math.nan]):
             with pytest.raises(ValueError):
                 theta_tilde(sol, t)
+        sep = build_trajectory(energy_state(2.0), method="separatrix")
+        for t in (math.inf, -math.inf):  # the separatrix has no finite T* to bound t
+            with pytest.raises(ValueError):
+                theta_tilde(sep, t)
 
     def test_midbranch_against_oracle(self):
         sol = build_trajectory(energy_state(1.9998), 40, "resummed")
