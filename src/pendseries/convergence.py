@@ -16,7 +16,8 @@ effective period T*, which is what makes the single-branch construction
 in ``trajectory`` possible.  ``roc_exact`` is the one place that forms
 the lattice constants; ``pole_lattice`` mirrors its top-start corner.
 On the separatrix the lattice degenerates into branch points at
-+- i pi/2 (``SEPARATRIX_BRANCH_POINTS``).
++- i pi/2 (``SEPARATRIX_BRANCH_POINTS``); the rest orbit E = 0 has no
+poles, and there ``roc_exact`` and ``pole_lattice`` raise ``ValueError``.
 
 The root test of ``roc_estimate`` sees R only past the coefficients'
 pre-asymptotic growth: in units of R, a_n ~ (w R)^n / n! until n passes
@@ -70,7 +71,7 @@ def pole_lattice(state: EnergyState) -> np.ndarray:
     the canonical top start, sorted by real and then imaginary part: the
     top start's nearest pole from `roc_exact` mirrored through both axes.
     They contain every pole that can limit convergence about the top or
-    the bottom start.  At E = 2 `roc_exact` raises `SeparatrixError`.
+    the bottom start.  It raises where `roc_exact` does, at E = 2 and 0.
     """
     corner = roc_exact(state, "top").nearest_pole
     poles = np.array([complex(n * corner.real, m * corner.imag)
@@ -89,7 +90,8 @@ def roc_exact(state: EnergyState, ics: str = "top") -> RocReport:
     and below it, at K' (libration) or Kt' (rotation).  Of each
     equidistant set the report names the pole (-T*, -K') for the top and
     (T*, -K') for the bottom start, with T* from `period` and K' or Kt'
-    from `ellipk_prime`.  At E = 2 it raises `SeparatrixError`.
+    from `ellipk_prime`.  It raises `SeparatrixError` at E = 2, and at
+    E = 0, the rest orbit, which has no poles, `ellipk_prime`'s `ValueError`.
     """
     if state.regime is Regime.SEPARATRIX:
         raise SeparatrixError(

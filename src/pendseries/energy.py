@@ -90,6 +90,8 @@ def energy_state(energy: float, direction: int = 1) -> EnergyState:
 
 def energy_of(theta0: float, omega0: float) -> EnergyState:
     """Classify the orbit through (theta0, omega0); 1 - cos is 2 sin^2(theta0/2)."""
+    if not (math.isfinite(theta0) and math.isfinite(omega0)):
+        raise ValueError(f"phase point ({theta0!r}, {omega0!r}) is not finite")
     energy = 0.5 * omega0 * omega0 + 2.0 * math.sin(0.5 * theta0) ** 2
     direction = -1 if omega0 < 0.0 else 1
     return EnergyState(energy, direction)

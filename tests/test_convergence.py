@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pendseries import SeparatrixError, energy_state, period
+from pendseries import SeparatrixError, build_trajectory, energy_state, period, theta_at
 from pendseries.convergence import (
     SEPARATRIX_BRANCH_POINTS,
     pole_lattice,
@@ -126,6 +126,16 @@ class TestRocExact:
         assert report.nearest_pole in poles
         assert abs(report.nearest_pole - x0) == report.exact_roc
         assert all(abs(p - x0) >= report.exact_roc for p in poles)
+
+    def test_rest_orbit_has_no_poles(self):
+        # E = 0 builds and evaluates (theta = 0), but there is no lattice
+        state = energy_state(0.0)
+        sol = build_trajectory(state, 20, "resummed")
+        assert np.all(theta_at(sol, np.linspace(0.0, 10.0, 11)) == 0.0)
+        for call in (lambda: roc_exact(state, "top"), lambda: roc_exact(state, "bottom"),
+                     lambda: pole_lattice(state)):
+            with pytest.raises(ValueError, match="K' requires 0 < k"):
+                call()
 
     def test_guards(self):
         with pytest.raises(SeparatrixError):

@@ -78,6 +78,11 @@ class TestEnergyOf:
             assert energy_of(theta0, 0.0).energy == pytest.approx(
                 energy, rel=1e-15, abs=0.0)
 
+    def test_non_finite_phase_point_rejected(self):
+        for theta0, omega0 in ((math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="phase point"):
+                energy_of(theta0, omega0)
+
     def test_direction_sign(self):
         assert energy_of(1.0, -0.5).direction == -1
         assert energy_of(1.0, 0.5).direction == 1

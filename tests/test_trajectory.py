@@ -20,6 +20,7 @@ from pendseries import (
 )
 from pendseries.energy import Regime, energy_of, separatrix_theta
 from pendseries.series import eval_poly, pendulum_series
+from pendseries.trajectory import _SEAM_SNAP_FRACTION, _orient, _tilde
 from pendseries.validation import rk4_sample
 
 
@@ -187,6 +188,23 @@ class TestThetaAt:
                 with pytest.raises(ValueError, match="finite t"):
                     theta_at(sol, t)
 
+    def test_time_without_a_phase_rejected(self):
+        # neighbouring doubles T* or more apart leave no phase to fold
+        lib = build_trajectory(energy_state(1.71), 20, "resummed")
+        for t in (1e200, -1e200, 1.7e308, np.array([1.0, 1e200])):
+            with pytest.raises(ValueError, match="finite t"):
+                theta_at(lib, t)
+        fast = build_trajectory(energy_state(1e300), 20, "resummed")
+        with pytest.raises(ValueError, match="finite t"):
+            theta_at(fast, 1e200)
+
+    def test_time_just_inside_the_limit(self):
+        lib = build_trajectory(energy_state(1.71), 20, "resummed")
+        assert math.isfinite(theta_at(lib, 2.0 ** 50 * lib.period_info.T_star))
+        # on the separatrix T* is infinite: every finite t has a phase
+        sep = build_trajectory(energy_state(2.0), method="separatrix")
+        assert theta_at(sep, 1.7e308) == math.pi
+
     def test_array_keeps_its_shape(self):
         for sol in (build_trajectory(energy_state(1.71), 20, "resummed"),
                     build_trajectory(energy_state(2.0), method="separatrix")):
@@ -248,6 +266,57 @@ class TestThetaAt:
             ts = rng.uniform(0.0, 2.0 * t_full, 25)
             assert_allclose(theta_at(sol, ts + t_full), theta_at(sol, ts) + shift,
                             rtol=0, atol=1e-9)
+
+
+def two_level_fold(sol, t):
+    """The branch fold as first written: t mod T, then the branch within the period."""
+    state = sol.energy_state
+    if state.regime is Regime.SEPARATRIX:
+        return _orient(state, _tilde(sol, t))
+    t_full = sol.period_info.T
+    t_star = sol.period_info.T_star
+    snap = _SEAM_SNAP_FRACTION * t_full
+    winding = math.floor(t / t_full)
+    that = max(t - t_full * winding, 0.0)
+    branches = 4 if state.regime is Regime.LIBRATION else 2
+    j = min(int(that // t_star), branches - 1)
+    u = that - j * t_star
+    if u < snap:
+        u = 0.0
+    elif t_star - u < snap:
+        u = 0.0
+        j += 1
+        if j == branches:
+            j = 0
+            winding += 1
+    v = _tilde(sol, t_star - u if j % 2 else u)
+    if j in (1, 2):
+        v = -v
+    if state.regime is Regime.ROTATION:
+        v -= 2.0 * math.pi * winding
+    return _orient(state, v)
+
+
+class TestFoldReference:
+    """`theta_at` folds by one branch index floor(t/T*); the two-level fold
+    above reduces t mod T first and clamps.  Both give the same bits."""
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("energy", [1e-10, 1e-4, 0.5, 1.71, 1.9998, 2.0, 2.02, 5.0, 1e3])
+    def test_bit_identical_to_the_two_level_fold(self, energy, direction, rng):
+        state = energy_state(energy, direction)
+        methods = ["separatrix"] if energy == 2.0 else ["raw", "resummed", "efficient"]
+        for method in methods:
+            sol = build_trajectory(state, 40, method)
+            t_full, t_star = sol.period_info.T, sol.period_info.T_star
+            if method == "separatrix":
+                t_full = t_star = 2.0 * math.pi
+            ts = [k * t_star + off for k in range(-12, 13)
+                  for off in (0.0, 1e-13, -1e-13, 1e-13 * t_full, -1e-13 * t_full)]
+            ts += list(rng.uniform(-1e6 * t_full, 1e6 * t_full, 50))
+            got = theta_at(sol, np.array(ts))
+            for t, value in zip(ts, got):
+                assert value.hex() == two_level_fold(sol, t).hex(), (method, t)
 
 
 class TestSeams:
@@ -398,6 +467,13 @@ class TestAlign:
         sep = build_trajectory(energy_state(2.0), method="separatrix")
         with pytest.raises(ValueError, match="does not match the solution's branch"):
             align_to_ics(sep, 1.0, -math.sqrt(2.0 * (1.0 + math.cos(1.0))))
+
+    def test_non_finite_phase_point_named(self):
+        sol = build_trajectory(energy_state(1.71), 20, "resummed")
+        for theta0, omega0 in ((math.inf, 1.0), (-math.inf, 0.0), (1.0, math.inf),
+                               (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="phase point .* is not finite"):
+                align_to_ics(sol, theta0, omega0)
 
     @pytest.mark.parametrize("direction", [1, -1])
     @pytest.mark.parametrize("energy", [0.5, 1.71, 2.5, 5.0])
