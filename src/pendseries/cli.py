@@ -30,8 +30,7 @@ import numpy as np
 from . import __version__
 from .convergence import roc_estimate, roc_exact
 from .elliptic import period
-from .energy import Regime, canonical_top_ics, classify_energy, energy_state
-from .resummation import omega_star
+from .energy import Regime, _orbit_constants, classify_energy, energy_state
 from .series import pendulum_series
 from .trajectory import build_trajectory, canonical_initial_state, theta_at
 from .validation import rk4_sample, sup_error
@@ -198,15 +197,16 @@ def cmd_roc(args):
     reason = "branch points at +-i*pi/2, no pole lattice"
     for e in _off_separatrix(args.energy, skipped, reason):
         state = energy_state(e)
-        starts = {"top": canonical_top_ics(state), "bottom": (0.0, omega_star(state))}
-        for ics, (theta0, omega0) in starts.items():
+        c = _orbit_constants(state)
+        starts = {"top": (c.theta0, c.omega0, c.sin_cos), "bottom": (0.0, c.omega_star, None)}
+        for ics, (theta0, omega0, sin_cos) in starts.items():
             rep = roc_exact(state, ics)
             estimate, note = "", None
             try:
                 # the radius as unit keeps a_n R^n in range at any order;
                 # the fitted radius does not depend on the unit
                 series = pendulum_series(theta0, omega0, args.order,
-                                         time_unit=rep.exact_roc)
+                                         time_unit=rep.exact_roc, sin_cos=sin_cos)
                 estimate = _fmt(roc_estimate(series))
             except ValueError as exc:
                 note = f"no root-test estimate for energy={_fmt(e)} ics={ics}: {exc}"

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyState, Regime, SeparatrixError
-from .elliptic import _modulus, ellipk_prime, period
+from .energy import EnergyState, _orbit_constants
+from .elliptic import ellipk_prime, period
 from .series import SeriesCoefficients
 
 __all__ = [
@@ -93,15 +93,10 @@ def roc_exact(state: EnergyState, ics: str = "top") -> RocReport:
     from `ellipk_prime`.  It raises `SeparatrixError` at E = 2, and at
     E = 0, the rest orbit, which has no poles, `ellipk_prime`'s `ValueError`.
     """
-    if state.regime is Regime.SEPARATRIX:
-        raise SeparatrixError(
-            "no finite convergence radius to report at E = 2; the orbit's "
-            "singularities are branch points at +- i pi/2"
-        )
+    c = _orbit_constants(state)
     if ics not in ("top", "bottom"):
         raise ValueError(f"ics must be 'top' or 'bottom', got {ics!r}")
-    k, scale = _modulus(state)
-    t_star, im_unit = period(state).T_star, scale * ellipk_prime(k)
+    t_star, im_unit = period(state).T_star, c.scale * ellipk_prime(c.k)
     x0 = 0.0 if ics == "top" else t_star
     pole = complex(-t_star if ics == "top" else t_star, -im_unit)
     radius = abs(pole - x0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyState, Regime, SeparatrixError
+from .energy import EnergyState, Regime, _orbit_constants
 from .series import _whole
 
 __all__ = [
@@ -92,9 +92,9 @@ def _agm(a: float, b: float) -> float:
 
 
 def ellipk_agm(k: float) -> float:
-    """K(k) = pi / (2 AGM(1, k')) with k' = sqrt(1 - k^2), accurate to rounding."""
+    """K(k) = K'(k') by `ellipk_prime`, k' = sqrt((1 - k)(1 + k)); accurate to rounding."""
     k = _check_modulus(k)
-    return math.pi / (2.0 * _agm(1.0, math.sqrt((1.0 - k) * (1.0 + k))))
+    return ellipk_prime(math.sqrt((1.0 - k) * (1.0 + k)))
 
 
 def _series_args(k: float, order: int) -> tuple[float, int]:
@@ -185,32 +185,22 @@ def evaluate_k(k: float, method: str = "quadrature", order: int | None = None) -
     return EllipticEval(route(k, order), f"{method}(order={order})")
 
 
-def _modulus(state: EnergyState) -> tuple[float, float]:
-    """(k, s) with T* = s K(k): (sqrt(E/2), 1) libration, (sqrt(2/E), k) rotation."""
-    if state.regime is Regime.LIBRATION:
-        return math.sqrt(0.5 * state.energy), 1.0
-    k = math.sqrt(2.0 / state.energy)
-    return k, k
-
-
 def period(state: EnergyState, method: str = "quadrature",
            order: int | None = None) -> PeriodInfo:
     """Period of the orbit with the given energy.
 
     Libration: T = 4 K(sqrt(E/2)), effective period T* = T/4.
     Rotation:  T = 2 sqrt(2/E) K(sqrt(2/E)), effective period T* = T/2.
-    The separatrix has no period; requesting it raises.  The default AGM
-    route serves every other energy.  It forms k' = sqrt((1-k)(1+k)) from a
-    rounded k, so near E = 2 its T* is off K of the given E by up to 1.5e-11
-    relative (9.9e-15 at 1.9998, 1.3e-12 at 1.99999, 1.5e-11 at 2 + 1e-6,
-    1.4e-12 at 2 + 1e-10), against at most 7.3e-16 at 0.5, 1.71, 2.02 and 5.
+    The separatrix has no period; requesting it raises.  The default route
+    is K(k) = K'(k') by the AGM, with k'^2 = (2 - E)/2 or (E - 2)/E taken from
+    E: its T* is within 1.6e-16 relative of K of the given E at every energy
+    measured from 0.5 to 1e4, 2 -+ 2e-12 included (mpmath, 40 digits).
     `method="resummed"` without an `order` raises `ValueError` ("too close
     to 1") for 0 < |E - 2| below about 1.1e-5, where `resummed_order_for`
     exceeds its order cap.
     """
-    if state.regime is Regime.SEPARATRIX:
-        raise SeparatrixError("the separatrix orbit has infinite period")
-    k, scale = _modulus(state)
-    t_star = scale * evaluate_k(k, method, order).value
+    c = _orbit_constants(state)
+    t_star = c.scale * (ellipk_prime(c.k_prime) if method == "quadrature" and order is None
+                        else evaluate_k(c.k, method, order).value)
     branches = 4.0 if state.regime is Regime.LIBRATION else 2.0
     return PeriodInfo(branches * t_star, t_star)

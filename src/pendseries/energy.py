@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,22 +98,49 @@ def energy_of(theta0: float, omega0: float) -> EnergyState:
     return EnergyState(energy, direction)
 
 
+class _OrbitConstants(NamedTuple):
+    """T* = scale K'(k'), the top start with its series seeds, and w* at the bottom."""
+
+    k: float
+    k_prime: float
+    scale: float
+    theta0: float
+    omega0: float
+    sin_cos: tuple[float, float]
+    omega_star: float
+
+
+def _orbit_constants(state: EnergyState) -> _OrbitConstants:
+    """The orbit's constants, all formed from E; E = 2 raises `SeparatrixError`.
+
+    k'^2 is (2 - E)/2 or (E - 2)/E, exact near E = 2, and the seeds are
+    sin, cos theta_max = (sqrt(E (2 - E)), 1 - E) or exactly (0, -1) at pi:
+    near the separatrix the orbit amplifies any mismatch with E by e^T*.
+    """
+    e = state.energy
+    if state.regime is Regime.SEPARATRIX:
+        raise SeparatrixError("the separatrix has no finite period, top start or endpoint")
+    if state.regime is Regime.LIBRATION:
+        k, k_prime = math.sqrt(0.5 * e), math.sqrt(0.5 * (2.0 - e))
+        return _OrbitConstants(k, k_prime, 1.0, 2.0 * math.atan2(k, k_prime), 0.0,
+                               (math.sqrt(e * (2.0 - e)), 1.0 - e), -math.sqrt(2.0 * e))
+    k, h = math.sqrt(2.0 / e), 0.5 * e
+    return _OrbitConstants(k, math.sqrt((e - 2.0) / e), k, math.pi, -2.0 * math.sqrt(h - 1.0),
+                           (0.0, -1.0), -2.0 * math.sqrt(h))
+
+
 def canonical_top_ics(state: EnergyState) -> tuple[float, float]:
     """Start of the canonical branch, at the highest point of the orbit.
 
-    Libration starts at the turning point theta = 2 arcsin(sqrt(E/2))
-    (= arccos(1 - E), without its cancellation at small E) with zero
-    velocity; rotation starts at the inverted position theta = pi moving
-    clockwise with velocity -2 sqrt(E/2 - 1) = -sqrt(2E - 4), a form
-    finite at every finite E.  The start does not depend on the
-    direction: like `omega_star` it describes the canonical branch, and
-    the orbit's own sense comes from reflecting it.
+    Libration starts at rest at the turning point theta = 2 atan2(k, k'),
+    k = sqrt(E/2), k' = sqrt((2 - E)/2): arccos(1 - E) without its
+    cancellation at small E or near E = 2.  Rotation starts at theta = pi
+    moving clockwise with velocity -2 sqrt(E/2 - 1), finite at every E.
+    Like `omega_star` the start describes the canonical branch, whatever
+    the direction; the orbit's own sense comes from reflecting it.
     """
-    if state.regime is Regime.SEPARATRIX:
-        raise SeparatrixError("the separatrix only reaches theta = pi asymptotically")
-    if state.regime is Regime.LIBRATION:
-        return 2.0 * math.asin(math.sqrt(0.5 * state.energy)), 0.0
-    return math.pi, -2.0 * math.sqrt(0.5 * state.energy - 1.0)
+    c = _orbit_constants(state)
+    return c.theta0, c.omega0
 
 
 def separatrix_theta(t):

@@ -38,14 +38,13 @@ routines themselves are pure.)
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import period
-from .energy import EnergyState, Regime, SeparatrixError
+from .energy import EnergyState, _orbit_constants
 from .series import SeriesCoefficients, eval_poly
 
 __all__ = [
@@ -108,14 +107,9 @@ def omega_star(state: EnergyState) -> float:
     canonical branch integrated here falls clockwise through the bottom,
     so the signed endpoint velocity is -sqrt(2E); counterclockwise
     solutions are obtained from it by reflection in ``trajectory``.
-    Rotation forms it as -2 sqrt(E/2), finite at every finite E.
+    Rotation forms it as -2 sqrt(E/2), finite at every E; E = 2 raises `SeparatrixError`.
     """
-    if state.regime is Regime.SEPARATRIX:
-        raise SeparatrixError("the separatrix never reaches its endpoint; "
-                              "no finite-time endpoint velocity exists")
-    if state.regime is Regime.ROTATION:
-        return -2.0 * math.sqrt(0.5 * state.energy)
-    return -math.sqrt(2.0 * state.energy)
+    return _orbit_constants(state).omega_star
 
 
 def _endpoint(a: SeriesCoefficients, state: EnergyState):

@@ -84,8 +84,8 @@ def eval_poly(a: SeriesCoefficients, t, upto: int | None = None):
     return float(acc) if acc.ndim == 0 else acc
 
 
-def pendulum_series(theta0: float, omega0: float, order: int,
-                    *, time_unit: float = 1.0) -> SeriesCoefficients:
+def pendulum_series(theta0: float, omega0: float, order: int, *, time_unit: float = 1.0,
+                    sin_cos: tuple[float, float] | None = None) -> SeriesCoefficients:
     """Taylor coefficients of the pendulum angle theta(t) about t = 0.
 
     Solves theta'' = -sin(theta), theta(0) = theta0, theta'(0) = omega0,
@@ -97,7 +97,8 @@ def pendulum_series(theta0: float, omega0: float, order: int,
         s_{n+1} =  (1/(n+1)) sum_{k=0}^{n} (k+1) a_{k+1} c_{n-k}
         c_{n+1} = -(1/(n+1)) sum_{k=0}^{n} (k+1) a_{k+1} s_{n-k},
 
-    with s_0 = sin theta0 and c_0 = cos theta0, so
+    with (s_0, c_0) = `sin_cos`, by default (sin theta0, cos theta0) (pass
+    exact seeds near theta0 = pi, where the sine of a rounded theta0 is off), so
 
         a_{n+2} = -h^2 s_n / ((n+1)(n+2)),   a_1 = h omega0,
 
@@ -128,8 +129,8 @@ def pendulum_series(theta0: float, omega0: float, order: int,
     # s_j at s_rev[top - j]: order m reads s_{m-1}..s_0 as the tail [top-m+1:]
     s_rev = np.zeros(top + 1)
     c_rev = np.zeros(top + 1)
-    s_n = s_rev[top] = math.sin(theta0)
-    c_rev[top] = math.cos(theta0)
+    s_n, c_rev[top] = (math.sin(theta0), math.cos(theta0)) if sin_cos is None else sin_cos
+    s_rev[top] = s_n
     d = np.zeros(order)  # d_k = (k+1) a_{k+1}
     # at rest the orbit is even in t: a, s and c vanish at every odd order
     step = 2 if omega0 == 0.0 else 1

@@ -32,6 +32,7 @@ from .energy import (
     EnergyState,
     Regime,
     SeparatrixError,
+    _orbit_constants,
     canonical_top_ics,
     energy_of,
     separatrix_theta,
@@ -113,9 +114,9 @@ def build_trajectory(state: EnergyState, order: int | None = None,
         raise SeparatrixError(f"closed form requires E = 2, got E = {state.energy}")
     if order is None:
         raise ValueError("series methods require a truncation order")
-    pinfo = period(state)
-    theta0, omega0 = canonical_top_ics(state)
-    branch = pendulum_series(theta0, omega0, order, time_unit=pinfo.T_star)
+    pinfo, c = period(state), _orbit_constants(state)
+    branch = pendulum_series(c.theta0, c.omega0, order, time_unit=pinfo.T_star,
+                             sin_cos=c.sin_cos)
     if method == "resummed":
         branch = resum(branch, state)
     elif method == "efficient":

@@ -254,6 +254,20 @@ class TestPeriod:
         with pytest.raises(SeparatrixError):
             period(energy_state(2.0))
 
+    @pytest.mark.parametrize("energy", [1.9998, 1.99999, 2.0 - 1e-6, 2.0 + 1e-6,
+                                        2.0 - 1e-10, 2.0 + 1e-10, 2.0 - 2e-12, 2.0 + 2e-12])
+    def test_period_next_to_the_separatrix_is_exact_to_rounding(self, energy):
+        # k'^2 from E: k' = sqrt((1 - k)(1 + k)) of a rounded k left T* off
+        # by 1.5e-11 relative at 2 + 1e-6 and 3.7e-6 at 2 - 2e-12
+        import mpmath as mp
+
+        with mp.workdps(40):
+            e = mp.mpf(energy)
+            m = e / 2 if energy < 2.0 else 2 / e
+            want = mp.ellipk(m) * (1 if energy < 2.0 else mp.sqrt(m))
+            got = period(energy_state(energy)).T_star
+            assert float(abs(got - want) / want) < 4e-16
+
     def test_resummed_route_at_rest(self):
         # E = 0 is k = 0: the order-0 resummed route is the AGM period, T = 2 pi
         info = period(energy_state(0.0), "resummed")

@@ -229,6 +229,15 @@ class TestPendulumSeries:
         assert not np.any(np.signbit(a[1::2]))
         assert np.all(a[2::2] != 0.0)
 
+    def test_sin_cos_replaces_the_default_seeds(self):
+        for theta0, omega0 in ((2.3, 0.0), (0.3, 0.7)):
+            seeds = (math.sin(theta0), math.cos(theta0))
+            assert np.array_equal(pendulum_series(theta0, omega0, 40, sin_cos=seeds).coeffs,
+                                  pendulum_series(theta0, omega0, 40).coeffs)
+        # seeded exactly, the inverted rest point stays at rest
+        coeffs = pendulum_series(math.pi, 0.0, 10, sin_cos=(0.0, -1.0)).coeffs
+        assert coeffs[0] == math.pi and np.all(coeffs[1:] == 0.0)
+
     def test_small_time_against_rk4(self):
         a = pendulum_series(1.2, -0.3, 30)
         thetas, _ = rk4_sample(1.2, -0.3, [0.5], 1e-5)

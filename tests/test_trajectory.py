@@ -1,7 +1,9 @@
 """Solution assembly, periodic extension, and initial-condition alignment."""
 
+import importlib.util
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from pendseries.energy import Regime, energy_of, separatrix_theta
 from pendseries.series import eval_poly, pendulum_series
 from pendseries.trajectory import _SEAM_SNAP_FRACTION, _orient, _tilde
 from pendseries.validation import rk4_sample
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestBuild:
@@ -127,6 +131,44 @@ class TestCoefficientRange:
             t_star = sol.period_info.T_star
             assert np.all(np.isfinite(theta_at(sol, np.linspace(0.0, 4.0 * t_star, 9))))
             assert sup_error(sol, oracle_dt=t_star / 1000) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def jacobi():
+    """The benchmark's mpmath reference (bench/truth.py, 30 digits): Jacobi
+    elliptic functions, sharing no code with the package."""
+    spec = importlib.util.spec_from_file_location("bench_truth", ROOT / "bench" / "truth.py")
+    truth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(truth)
+    return truth
+
+
+class TestSeparatrixGradeBranch:
+    """Near E = 2 every branch input is formed from E itself.
+
+    The orbit amplifies a mismatch between its inputs and E by about
+    e^T*, so k' = sqrt(1 - k^2) of a rounded k, theta_max = 2 asin(k) and
+    the sine and cosine of a rounded theta0 left the resummed branch off
+    by 1.4e-13 at 1.9998, 2.6e-10 at 2 + 1e-6 and 1.1e-4 at 2 - 2e-12.
+    """
+
+    # the orders that rho = T*/R sizes for 1e-13: N = ln(1e-13 (1 - rho)) / ln rho
+    @pytest.mark.parametrize("energy,order", [
+        (1.9998, 1004), (2.0 - 1e-6, 2096), (2.0 + 1e-6, 2096), (2.0 - 1e-10, 4999),
+        (2.0 + 1e-10, 4999), (2.0 - 2e-12, 6624), (2.0 + 2e-12, 6624)])
+    def test_resummed_branch_matches_jacobi_solution(self, jacobi, energy, order):
+        sol = build_trajectory(energy_state(energy), order, "resummed")
+        ts = np.linspace(0.0, sol.period_info.T_star, 41)
+        # the canonical branch falls from +theta_max, or turns clockwise from pi
+        want = jacobi.theta_ref(energy, 1 if energy < 2.0 else -1, ts)
+        assert np.max(np.abs(theta_tilde(sol, ts) - want)) < 1e-13
+
+    def test_rotation_branch_keeps_exact_parity(self):
+        # theta - pi is odd in t; seeded with sin(float pi) = 1.2e-16 the
+        # even orders held residues up to 9.4e-14, seeded with (0, -1) none
+        a = build_trajectory(energy_state(2.0 + 1e-6), 1000, "raw").branch.coeffs
+        assert a[0] == math.pi
+        assert np.all(a[2::2] == 0.0)
 
 
 class TestThetaTilde:
