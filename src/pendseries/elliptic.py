@@ -15,6 +15,9 @@ provided with one contract: each accepts exactly 0 <= k < 1 and raises
                           bracketed coefficients decay like 1/(8 n^2), so
                           the truncation error stays O(1/N) even at the
                           logarithmic singularity k -> 1.
+
+``period`` forms an orbit's T* by the AGM as K'(k'), with k' from E, or by
+the series routes, which ``evaluate_k`` dispatches.
 """
 
 from __future__ import annotations
@@ -170,12 +173,8 @@ def ellipk_prime(k: float) -> float:
     return math.pi / (2.0 * _agm(1.0, k))
 
 
-def evaluate_k(k: float, method: str = "quadrature", order: int | None = None) -> EllipticEval:
-    """Evaluate K(k) by the requested route, recording the route and whole order used."""
-    if method == "quadrature":
-        if order is not None:
-            raise ValueError("quadrature route takes no truncation order")
-        return EllipticEval(ellipk_agm(k), "quadrature")
+def evaluate_k(k: float, method: str, order: int | None = None) -> EllipticEval:
+    """K(k) by the "series" or "resummed" route, tagged with the route and whole order used."""
     route = {"series": ellipk_series, "resummed": ellipk_resummed}.get(method)
     if route is None:
         raise ValueError(f"unknown method {method!r}")
@@ -191,16 +190,18 @@ def period(state: EnergyState, method: str = "quadrature",
 
     Libration: T = 4 K(sqrt(E/2)), effective period T* = T/4.
     Rotation:  T = 2 sqrt(2/E) K(sqrt(2/E)), effective period T* = T/2.
-    The separatrix has no period; requesting it raises.  The default route
-    is K(k) = K'(k') by the AGM, with k'^2 = (2 - E)/2 or (E - 2)/E taken from
-    E: its T* is within 1.6e-16 relative of K of the given E at every energy
-    measured from 0.5 to 1e4, 2 -+ 2e-12 included (mpmath, 40 digits).
-    `method="resummed"` without an `order` raises `ValueError` ("too close
-    to 1") for 0 < |E - 2| below about 1.1e-5, where `resummed_order_for`
-    exceeds its order cap.
+    The separatrix has no period; requesting it raises.  "quadrature", the
+    default and the one AGM route, is K'(k') with k'^2 = (2 - E)/2 or (E - 2)/E
+    from E, and takes no `order`: its T* is within 1.6e-16 relative of K of the
+    given E from E = 0.5 to 1e4, 2 -+ 2e-12 included (mpmath, 40 digits).
+    "series" and "resummed" go through `evaluate_k`; "resummed" without an
+    `order` raises `ValueError` ("too close to 1") for 0 < |E - 2| below about
+    1.1e-5, where `resummed_order_for` exceeds its order cap.
     """
     c = _orbit_constants(state)
-    t_star = c.scale * (ellipk_prime(c.k_prime) if method == "quadrature" and order is None
+    if method == "quadrature" and order is not None:
+        raise ValueError("quadrature route takes no truncation order")
+    t_star = c.scale * (ellipk_prime(c.k_prime) if method == "quadrature"
                         else evaluate_k(c.k, method, order).value)
     branches = 4.0 if state.regime is Regime.LIBRATION else 2.0
     return PeriodInfo(branches * t_star, t_star)

@@ -99,7 +99,13 @@ def energy_of(theta0: float, omega0: float) -> EnergyState:
 
 
 class _OrbitConstants(NamedTuple):
-    """T* = scale K'(k'), the top start with its series seeds, and w* at the bottom."""
+    """T* = scale K'(k'), the top start with its series seeds, and w* at the bottom.
+
+    The one place these constants are formed.  They describe the canonical
+    branch, whatever the direction: it falls clockwise, through the bottom at
+    w* = -sqrt(2E) (rotation: -2 sqrt(E/2), finite at every E).  Libration
+    takes k = w/2 and w* = -w from one w = sqrt(2E): 2E is exact where E/2 rounds.
+    """
 
     k: float
     k_prime: float
@@ -121,9 +127,10 @@ def _orbit_constants(state: EnergyState) -> _OrbitConstants:
     if state.regime is Regime.SEPARATRIX:
         raise SeparatrixError("the separatrix has no finite period, top start or endpoint")
     if state.regime is Regime.LIBRATION:
-        k, k_prime = math.sqrt(0.5 * e), math.sqrt(0.5 * (2.0 - e))
+        w = math.sqrt(2.0 * e)
+        k, k_prime = 0.5 * w, math.sqrt(0.5 * (2.0 - e))
         return _OrbitConstants(k, k_prime, 1.0, 2.0 * math.atan2(k, k_prime), 0.0,
-                               (math.sqrt(e * (2.0 - e)), 1.0 - e), -math.sqrt(2.0 * e))
+                               (math.sqrt(e * (2.0 - e)), 1.0 - e), -w)
     k, h = math.sqrt(2.0 / e), 0.5 * e
     return _OrbitConstants(k, math.sqrt((e - 2.0) / e), k, math.pi, -2.0 * math.sqrt(h - 1.0),
                            (0.0, -1.0), -2.0 * math.sqrt(h))
@@ -133,11 +140,11 @@ def canonical_top_ics(state: EnergyState) -> tuple[float, float]:
     """Start of the canonical branch, at the highest point of the orbit.
 
     Libration starts at rest at the turning point theta = 2 atan2(k, k'),
-    k = sqrt(E/2), k' = sqrt((2 - E)/2): arccos(1 - E) without its
+    k = sqrt(2E)/2, k' = sqrt((2 - E)/2): arccos(1 - E) without its
     cancellation at small E or near E = 2.  Rotation starts at theta = pi
     moving clockwise with velocity -2 sqrt(E/2 - 1), finite at every E.
-    Like `omega_star` the start describes the canonical branch, whatever
-    the direction; the orbit's own sense comes from reflecting it.
+    The start describes the canonical branch, whatever the direction;
+    the orbit's own sense comes from reflecting it.
     """
     c = _orbit_constants(state)
     return c.theta0, c.omega0

@@ -51,7 +51,6 @@ __all__ = [
     "ResummedSeries",
     "OpTally",
     "tally_coefficient_ops",
-    "omega_star",
     "resum",
     "eval_resummed",
     "efficient_truncation",
@@ -100,18 +99,6 @@ class ResummedSeries:
     a_hat: SeriesCoefficients
 
 
-def omega_star(state: EnergyState) -> float:
-    """Angular velocity at the branch endpoint, canonical orientation.
-
-    Every orbit passes its lowest point with speed sqrt(2E).  The
-    canonical branch integrated here falls clockwise through the bottom,
-    so the signed endpoint velocity is -sqrt(2E); counterclockwise
-    solutions are obtained from it by reflection in ``trajectory``.
-    Rotation forms it as -2 sqrt(E/2), finite at every E; E = 2 raises `SeparatrixError`.
-    """
-    return _orbit_constants(state).omega_star
-
-
 def _endpoint(a: SeriesCoefficients, state: EnergyState):
     """Shared prologue of both resummations: (N, T*, w*), T* = `period(state).T_star`.
 
@@ -125,7 +112,7 @@ def _endpoint(a: SeriesCoefficients, state: EnergyState):
     if a.time_unit != t_star:
         raise ValueError(f"the series must be carried in units of T* = {t_star!r}, "
                          f"got time_unit {a.time_unit!r}")
-    return n_max, t_star, omega_star(state)
+    return n_max, t_star, _orbit_constants(state).omega_star
 
 
 def resum(a: SeriesCoefficients, state: EnergyState) -> ResummedSeries:

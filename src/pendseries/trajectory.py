@@ -23,6 +23,7 @@ all of this through its closed form.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -53,8 +54,8 @@ __all__ = [
 
 METHODS = ("raw", "resummed", "efficient", "separatrix")
 
-# Fraction of T within which a time is snapped onto the nearest branch
-# seam; it absorbs every rounding of the fold, in floor(t/T*) and in u.
+# Seam snap: the fold snaps a time within this fraction of T onto the nearest
+# branch seam, absorbing its rounding; `theta_tilde` and `sup_error` scale it by T*.
 _SEAM_SNAP_FRACTION = 1e-12
 
 _ENERGY_MATCH_TOL = 1e-10
@@ -242,8 +243,9 @@ def align_to_ics(sol: TrajectorySolution, theta0: float, omega0: float) -> float
     """Time offset t0 with theta_at(sol, t + t0) passing through the ICs.
 
     The phase point (theta0, omega0) must be finite and on the solution's
-    orbit: its energy must match to 1e-10 (relative above E = 1) and,
-    where the orbit fixes a velocity sign, the sign must agree.  Periodic
+    orbit: its energy must match to 1e-10 relative to E (or within the least
+    normal double, below which `energy_of` resolves no finer) and, where the
+    orbit fixes a velocity sign, the sign must agree.  Periodic
     regimes return t0 in [0, T), resolved to 1e-12 min(T*, 1); the
     separatrix returns 2 atanh(tan(theta/4)), negative behind theta = 0.
     """
@@ -252,7 +254,7 @@ def align_to_ics(sol: TrajectorySolution, theta0: float, omega0: float) -> float
     if omega0 == 0.0 and math.remainder(theta0, math.pi) == 0.0:
         raise ValueError(f"({theta0!r}, {omega0!r}) is a fixed point, not an orbit")
     if not math.isclose(user.energy, state.energy,
-                        rel_tol=_ENERGY_MATCH_TOL, abs_tol=_ENERGY_MATCH_TOL):
+                        rel_tol=_ENERGY_MATCH_TOL, abs_tol=sys.float_info.min):
         raise ValueError(
             f"initial conditions have energy {user.energy!r}, "
             f"solution has {state.energy!r}"

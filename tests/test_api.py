@@ -1,7 +1,8 @@
 """The package's top-level names are exactly the ones README documents.
 
 The last two checks stand in for a linter: every module's `__all__`
-resolves, and no module imports a name it never uses.
+resolves, and no module, in the package or among these tests, imports a
+name it never uses.
 """
 
 import ast
@@ -19,6 +20,7 @@ import pendseries
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 SOURCES = sorted((ROOT / "src" / "pendseries").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def test_every_export_has_a_readme_api_entry():
@@ -133,8 +135,8 @@ def _unused_imports(source: str) -> list[str]:
 
 
 def test_no_module_imports_an_unused_name():
-    assert SOURCES
-    unused = {path.name: names for path in SOURCES
+    assert SOURCES and TESTS
+    unused = {path.name: names for path in SOURCES + TESTS
               if (names := _unused_imports(path.read_text(encoding="utf-8")))}
     assert not unused
 

@@ -286,6 +286,17 @@ class TestSurfaceCommand:
         assert len(rows) == 66
         assert np.all(np.isfinite(column(rows, header, "theta")))
 
+    def test_smallest_energy_swings_to_theta_max(self, tmp_path):
+        # at E = 5e-324 the start used to round to theta = 0, a curve of zeros
+        code, out = run_csv(tmp_path, ["surface", "--energy", "5e-324", "--grid", "9"])
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        theta = column(rows, header, "theta")
+        theta_max = math.sqrt(2.0 * 5e-324)  # 2 asin(sqrt(E/2)), 3.14e-162
+        assert theta[::2] == pytest.approx(theta_max * np.array([1, -1, 1, -1, 1]),
+                                           rel=1e-15, abs=0.0)
+        assert np.all(np.abs(theta[1::2]) < 1e-12 * theta_max)
+
 
 class TestRocCommand:
     def test_report_rows(self, tmp_path):
@@ -358,6 +369,16 @@ class TestRocCommand:
             exact = float(row[header.index("exact_roc")])
             estimate = float(row[header.index("root_test_estimate")])
             assert estimate == pytest.approx(exact, rel=0.02), row[1]
+
+    def test_smallest_energy_reports(self, tmp_path, capsys):
+        # at E = 5e-324, k = sqrt(E/2) used to round to 0 and K'(0) raised
+        code, out = run_csv(tmp_path, ["roc", "--energy", "5e-324"])
+        assert code == 0
+        capsys.readouterr()
+        _, header, rows = parse_csv(out)
+        assert [r[1] for r in rows] == ["top", "bottom"]
+        for name in ("exact_roc", "t_star", "margin"):
+            assert np.all(np.isfinite(column(rows, header, name))), name
 
     def test_too_few_coefficients_leave_the_estimate_empty(self, tmp_path, capsys):
         # at order 60 a libration series is nonzero only in its even (top)

@@ -127,6 +127,16 @@ class TestRocExact:
         assert abs(report.nearest_pole - x0) == report.exact_roc
         assert all(abs(p - x0) >= report.exact_roc for p in poles)
 
+    @pytest.mark.parametrize("energy", [5e-324, 1e-315])
+    def test_subnormal_energies_have_a_lattice(self, energy):
+        # K'(k) = ln(4/k) + O(k^2 ln k), k = sqrt(E/2); at 5e-324, k used to
+        # round to 0, where K' diverges
+        k_prime_k = math.log(4.0) - 0.5 * (math.log(energy) - math.log(2.0))
+        state = energy_state(energy)
+        assert roc_exact(state, "bottom").exact_roc == pytest.approx(k_prime_k, rel=1e-14)
+        assert roc_exact(state, "top").exact_roc == pytest.approx(
+            math.hypot(0.5 * math.pi, k_prime_k), rel=1e-14)
+
     def test_rest_orbit_has_no_poles(self):
         # E = 0 builds and evaluates (theta = 0), but there is no lattice
         state = energy_state(0.0)

@@ -202,7 +202,6 @@ class TestKPrime:
 
 class TestEvaluateK:
     def test_method_tags(self):
-        assert evaluate_k(0.5).method == "quadrature"
         assert evaluate_k(0.5, "series", 10).method == "series(order=10)"
         assert evaluate_k(0.5, "resummed", 10).method == "resummed(order=10)"
         # the tag names the whole order the sum used, not the order as passed
@@ -210,18 +209,19 @@ class TestEvaluateK:
         assert evaluate_k(0.5, "resummed", 10.0).method == "resummed(order=10)"
 
     def test_bad_combinations(self):
-        with pytest.raises(ValueError):
-            evaluate_k(0.5, "quadrature", 10)
+        with pytest.raises(ValueError, match="quadrature route takes no truncation order"):
+            period(energy_state(1.0), "quadrature", 5)
         with pytest.raises(ValueError):
             evaluate_k(0.5, "series")
-        with pytest.raises(ValueError, match="unknown method"):
-            evaluate_k(0.5, "trapezoid")
+        for method in ("trapezoid", "quadrature"):  # the AGM route is period's alone
+            with pytest.raises(ValueError, match="unknown method"):
+                evaluate_k(0.5, method)
         with pytest.raises(ValueError, match="order must be an integer"):
             evaluate_k(-0.5, "series", 10.7)  # the order is checked first
 
     def test_value_floor(self):
         for k in (0.0, 0.2, 0.8):
-            assert evaluate_k(k).value >= 0.5 * math.pi
+            assert ellipk_agm(k) >= 0.5 * math.pi
 
 
 class TestPeriod:

@@ -14,13 +14,12 @@ from pendseries import (
     sup_error,
     tally_coefficient_ops,
 )
-from pendseries.energy import canonical_top_ics
+from pendseries.energy import _orbit_constants, canonical_top_ics
 from pendseries.resummation import (
     ResummedSeries,
     efficient_truncation,
     eval_efficient,
     eval_resummed,
-    omega_star,
     resum,
 )
 from pendseries.series import SeriesCoefficients, eval_poly, pendulum_series
@@ -50,7 +49,7 @@ def reexpand(w, t_star, a_hat):
 def unit_inputs(energy, order, direction):
     """`make_inputs` plus the endpoint in s = t/T*: s* = 1 and w_s = w* T*."""
     state, raw, t_star = make_inputs(energy, order, direction)
-    return state, raw, t_star, 1.0, omega_star(state) * t_star
+    return state, raw, t_star, 1.0, _orbit_constants(state).omega_star * t_star
 
 
 FSUM_CASES = [(0.5, 1), (1.71, -1), (1.9998, 1), (5.0, -1)]
@@ -59,25 +58,25 @@ FSUM_ORDERS = [2, 3, 6, 10, 20, 200, 1000]
 
 class TestOmegaStar:
     def test_rotation_clockwise_value(self):
-        assert omega_star(energy_state(2.02, -1)) == -math.sqrt(4.04)
+        assert _orbit_constants(energy_state(2.02, -1)).omega_star == -math.sqrt(4.04)
 
     def test_libration_magnitude(self):
-        assert abs(omega_star(energy_state(1.71))) == pytest.approx(
+        assert abs(_orbit_constants(energy_state(1.71)).omega_star) == pytest.approx(
             math.sqrt(3.42), rel=1e-15)
 
     def test_vanishes_with_energy(self):
-        assert abs(omega_star(energy_state(1e-12))) < 1e-5
+        assert abs(_orbit_constants(energy_state(1e-12)).omega_star) < 1e-5
 
     def test_separatrix_rejected(self):
         with pytest.raises(SeparatrixError):
-            omega_star(energy_state(2.0))
+            _orbit_constants(energy_state(2.0)).omega_star
 
 
 class TestResum:
     def test_first_two_coefficients(self):
         state, raw, t_star = make_inputs(1.71, 12)
         r = resum(raw, state)
-        s, w = 1.0, omega_star(state) * t_star  # the endpoint in s = t/T*
+        s, w = 1.0, _orbit_constants(state).omega_star * t_star  # the endpoint in s = t/T*
         a = raw.coeffs
         b0, b1 = a[0] + s * w, a[1] - w
         assert r.a_hat.coeffs[0] == pytest.approx(b0 / s**2, rel=1e-13)
@@ -167,7 +166,7 @@ class TestEvalResummed:
         r = resum(raw, state)
         h = 1e-6
         slope = (eval_resummed(r, t_star + h) - eval_resummed(r, t_star - h)) / (2 * h)
-        assert slope == pytest.approx(omega_star(state), abs=1e-8)
+        assert slope == pytest.approx(_orbit_constants(state).omega_star, abs=1e-8)
 
     def test_endpoint_curvature_vanishes_with_order(self):
         # the exact solution has theta'' = 0 at the bottom; truncations
@@ -216,7 +215,7 @@ class TestEfficientTruncation:
         assert abs(eval_efficient(e, t_star)) < 1e-12
         h = 1e-6
         slope = (eval_efficient(e, t_star + h) - eval_efficient(e, t_star - h)) / (2 * h)
-        assert slope == pytest.approx(omega_star(state), abs=1e-8)
+        assert slope == pytest.approx(_orbit_constants(state).omega_star, abs=1e-8)
 
     def test_alpha_beta_formulas(self):
         state, raw, t_star = make_inputs(2.02, 8, -1)
@@ -226,7 +225,7 @@ class TestEfficientTruncation:
         s = 1.0  # the endpoint in s = t/T*
         sigma = sum(a[i] * s**i for i in range(n + 1))
         dsigma = sum(i * a[i] * s ** (i - 1) for i in range(1, n + 1))
-        gap = omega_star(state) * t_star - dsigma
+        gap = _orbit_constants(state).omega_star * t_star - dsigma
         alpha = -(n + 2) * sigma * s ** (-n - 1) - gap * s**-n
         beta = (n + 1) * sigma * s ** (-n - 2) + gap * s ** (-n - 1)
         assert e.coeffs[-2] == pytest.approx(alpha, rel=1e-12)

@@ -339,6 +339,30 @@ def two_level_fold(sol, t):
     return _orient(state, v)
 
 
+class TestSubnormalEnergies:
+    # k and w* share one sqrt(2E); sqrt(E/2) rounded E/2 first, to 0 at
+    # 5e-324 (a start at theta = 0) and by 2.5e-9 relative at 1e-315
+    ENERGIES = [5e-324, 1e-315]
+
+    @pytest.mark.parametrize("energy", ENERGIES)
+    def test_branch_starts_at_theta_max(self, energy):
+        import mpmath as mp
+        with mp.workdps(30):
+            theta_max = float(2 * mp.asin(mp.sqrt(mp.mpf(energy) / 2)))
+        sol = build_trajectory(energy_state(energy), 40, "resummed")
+        assert theta_at(sol, 0.0) == theta_max
+
+    @pytest.mark.parametrize("method", ["raw", "resummed", "efficient"])
+    @pytest.mark.parametrize("energy", ENERGIES)
+    def test_orbit_is_harmonic_over_a_period(self, energy, method):
+        # theta_max cos t, to O(theta_max^3)
+        sol = build_trajectory(energy_state(energy), 40, method)
+        theta_max = math.sqrt(2.0 * energy)
+        ts = np.linspace(0.0, sol.period_info.T, 65)
+        assert_allclose(theta_at(sol, ts), theta_max * np.cos(ts),
+                        rtol=0, atol=1e-12 * theta_max)
+
+
 class TestFoldReference:
     """`theta_at` folds by one branch index floor(t/T*); the two-level fold
     above reduces t mod T first and clamps.  Both give the same bits."""
@@ -555,6 +579,24 @@ class TestAlign:
             omega0 = direction * math.sqrt(2.0 * energy - 4.0 * math.sin(0.5 * theta0) ** 2)
             t0 = align_to_ics(sol, theta0, omega0)
             assert abs(math.remainder(t0 - t, t_full)) <= 1e-12 * t_star
+
+    def test_energy_matched_relative_to_a_small_orbit(self):
+        # (1e-5, 0) has 50 times the energy of E = 1e-12 (theta_max 1.41e-6),
+        # yet lies within 1e-10 of it absolutely
+        sol = build_trajectory(energy_state(1e-12), 40, "resummed")
+        with pytest.raises(ValueError, match="initial conditions have energy"):
+            align_to_ics(sol, 1e-5, 0.0)
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("energy", [1e-12, 1e-300, 5e-324])
+    def test_round_trip_at_small_energies(self, energy, direction):
+        # phase points from theta(0) cos t, exact to O(theta_max^3): at
+        # subnormal E, sqrt(2E - 4 sin^2(theta/2)) has no digits left
+        sol = build_trajectory(energy_state(energy, direction), 40, "resummed")
+        top, t_full = theta_at(sol, 0.0), sol.period_info.T
+        for t in (np.arange(40) + 0.5) * (t_full / 40):
+            t0 = align_to_ics(sol, top * math.cos(t), -top * math.sin(t))
+            assert abs(math.remainder(t0 - t, t_full)) <= 1e-9
 
     def test_every_libration_quadrant(self):
         # one start per (angle sign, velocity sign) quadrant of the orbit
