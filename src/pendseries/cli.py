@@ -106,12 +106,18 @@ def _angle_scale(args) -> float:
 def _orbit(e: float, args, method: str):
     """One orbit on `args.grid` points over `args.periods` periods (2 pi each at E = 2).
 
-    `auto` is the closed form at E = 2 and resummed elsewhere.  Returns
+    `auto` is resummed.  E = 2 takes the closed form for every method,
+    with a note on stderr naming any method other than `auto`.  Returns
     (solution, grid, theta on the grid, meta line).
     """
     state = _state(e, args.direction)
-    if method == "auto":
-        method = "separatrix" if state.regime is Regime.SEPARATRIX else "resummed"
+    if state.regime is Regime.SEPARATRIX:
+        if method != "auto":
+            print(f"note: energy={_fmt(e)} is the separatrix: using the closed form "
+                  f"instead of method {method!r}", file=sys.stderr)
+        method = "separatrix"
+    elif method == "auto":
+        method = "resummed"
     sol = build_trajectory(state, args.order, method)  # E = 2 ignores the order
     t_full = sol.period_info.T
     span = args.periods * (t_full if math.isfinite(t_full) else 2.0 * math.pi)

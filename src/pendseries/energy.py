@@ -56,11 +56,11 @@ class SeparatrixError(ValueError):
 class EnergyState:
     """Energy and sense of motion of one pendulum orbit.
 
-    direction is +1 (counterclockwise) or -1 (clockwise), stored as an
-    int; any other value raises.  For libration it only fixes which
-    turning point the motion starts from; for rotation it is the sign of
-    the angular velocity.  `regime` is derived from `energy` by
-    `classify_energy`, not passed in.
+    direction is +1 or -1, stored as an int; any other value raises.  For
+    libration +1 starts at the turning point +theta_max (first swinging
+    clockwise) and -1 at -theta_max; for rotation and the separatrix it is
+    the sign of the angular velocity.  `regime` is derived from `energy`
+    by `classify_energy`, not passed in.
     """
 
     energy: float

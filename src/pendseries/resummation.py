@@ -27,13 +27,13 @@ That replaces the O(N^2) coefficient transformation with O(N) work, and
 the result is an ordinary polynomial of degree N+2: the raw coefficients
 with alpha and beta appended, evaluated by ``eval_poly`` like any other.
 
-Both construction routes tally their floating-point coefficient-stage
-operation counts into any active ``tally_coefficient_ops`` context, so
-the costs can be compared directly.  The O(N^2) versus O(N) contrast is
-one of counted operations: ``resum`` runs its convolution as a single
-``np.convolve`` call, so its wall time grows far slower than its count.
-(Tallies are plain counters and are not thread-safe; the numerical
-routines themselves are pure.)
+Both construction routes add their coefficient-stage floating-point
+operation counts to one running total.  On exit a ``tally_coefficient_ops``
+block sets its ``.total`` to how far that total moved, so the costs can be
+compared directly.  The O(N^2) versus O(N) contrast is one of counted
+operations: ``resum`` runs its convolution as a single ``np.convolve``
+call, so its wall time grows far slower than its count.  (The total is a
+plain counter and is not thread-safe; the numerical routines are pure.)
 """
 
 from __future__ import annotations
@@ -58,34 +58,29 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
+@dataclass
 class OpTally:
-    """Running count of coefficient-stage floating-point operations.
-
-    Identity comparison only: nested tallies with equal totals must not
-    alias each other when the registry drops them.
-    """
+    """Coefficient-stage floating-point operations counted in one block."""
 
     total: int = 0
 
 
-_tallies: list[OpTally] = []
+_ops = 0  # every operation counted in this process
 
 
 @contextmanager
 def tally_coefficient_ops():
-    """Collect the op counts of resum/efficient_truncation calls inside."""
-    tally = OpTally()
-    _tallies.append(tally)
+    """Count the ops of resum/efficient_truncation calls inside; `.total` is set on exit."""
+    tally, start = OpTally(), _ops
     try:
         yield tally
     finally:
-        _tallies.remove(tally)
+        tally.total = _ops - start
 
 
 def _count(n: int) -> None:
-    for tally in _tallies:
-        tally.total += n
+    global _ops
+    _ops += n
 
 
 @dataclass(frozen=True)

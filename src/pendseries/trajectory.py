@@ -55,7 +55,7 @@ __all__ = [
 METHODS = ("raw", "resummed", "efficient", "separatrix")
 
 # Seam snap: the fold snaps a time within this fraction of T onto the nearest
-# branch seam, absorbing its rounding; `theta_tilde` and `sup_error` scale it by T*.
+# branch seam, absorbing its rounding; `theta_tilde` scales it by T*.
 _SEAM_SNAP_FRACTION = 1e-12
 
 _ENERGY_MATCH_TOL = 1e-10

@@ -1,8 +1,9 @@
 """The package's top-level names are exactly the ones README documents.
 
-The last two checks stand in for a linter: every module's `__all__`
-resolves, and no module, in the package or among these tests, imports a
-name it never uses.
+The last checks stand in for a linter: every module's `__all__`
+resolves, no module, in the package or among these tests, imports a
+name it never uses, and the private names one package module imports
+from another are exactly the ones listed here.
 """
 
 import ast
@@ -144,3 +145,35 @@ def test_no_module_imports_an_unused_name():
 def test_unused_import_check_sees_a_stale_name():
     assert _unused_imports("import math\nfrom .a import b, c\n__all__ = ['c']\n") == [
         "b (line 2)", "math (line 1)"]
+
+
+# Private (single-underscore) names a package module imports from a sibling.
+# A new one is a new coupling between modules: add it here deliberately.
+PRIVATE_IMPORTS = {
+    "cli": {"_orbit_constants"},
+    "convergence": {"_orbit_constants"},
+    "elliptic": {"_orbit_constants", "_whole"},
+    "resummation": {"_orbit_constants"},
+    "trajectory": {"_orbit_constants"},
+    "validation": {"_whole", "_orient", "_tilde"},
+}
+
+
+def _private_imports(source: str) -> set[str]:
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "pendseries")
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")}
+
+
+def test_private_imports_across_modules_are_the_listed_ones():
+    found = {path.stem: names for path in SOURCES
+             if (names := _private_imports(path.read_text(encoding="utf-8")))}
+    assert found == PRIVATE_IMPORTS
+
+
+def test_private_import_check_sees_a_new_name():
+    source = ("from . import __version__\nfrom .a import _b, c\n"
+              "from pendseries.d import _e\nfrom math import _f\n")
+    assert _private_imports(source) == {"_b", "_e"}

@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,24 @@ class TestTrajectoryCommand:
         assert np.max(column(rows, header, "abs_error")) < 1e-9
         # span falls back to 2*pi per "period" on the infinite-period orbit
         assert float(rows[-1][0]) == pytest.approx(2.0 * math.pi, rel=1e-15)
+
+    @pytest.mark.parametrize("method", ["raw", "resummed", "efficient"])
+    def test_series_method_at_separatrix_is_noted(self, tmp_path, capsys, method):
+        # the CLI takes the closed form itself: one note, no library warning
+        argv = ["trajectory", "--energy", "2", "--grid", "21", "--oracle-dt", "1e-2"]
+        run_csv(tmp_path, argv, "auto.csv")
+        assert capsys.readouterr().err == ""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_csv(tmp_path, argv + ["--method", method])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            f"note: energy=2 is the separatrix: using the closed form "
+            f"instead of method '{method}'\n")
+        meta, header, rows = parse_csv(out)
+        auto_meta, _, auto_rows = parse_csv(tmp_path / "auto.csv")
+        assert meta[2:] == auto_meta[2:] and "method=separatrix" in meta[2]
+        assert rows == auto_rows
 
     def test_energy_next_to_the_separatrix(self, tmp_path):
         code, out = run_csv(tmp_path, [

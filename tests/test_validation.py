@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pendseries import (
+    SeparatrixError,
     build_trajectory,
     canonical_initial_state,
     energy_state,
@@ -202,12 +203,13 @@ class TestSupError:
         assert type(err) is float
         assert err == np.max(np.abs(theta_at(sol, grid) - oracle))
 
-    def test_separatrix_needs_span_then_sits_at_floor(self):
-        sol = build_trajectory(energy_state(2.0), method="separatrix")
-        with pytest.raises(ValueError):
-            sup_error(sol)
-        err = sup_error(sol, span=5.0, grid_points=101, oracle_dt=1e-5)
-        assert err < 1e-10
+    def test_separatrix_has_no_branch_to_measure(self):
+        kwargs = ({}, {"upto": 5}, {"grid_points": 11, "oracle": np.zeros(11)})
+        for direction in (1, -1):
+            sol = build_trajectory(energy_state(2.0, direction), method="separatrix")
+            for kw in kwargs:
+                with pytest.raises(SeparatrixError, match=r"no branch on \[0, T\*\]"):
+                    sup_error(sol, **kw)
 
     def test_resummed_beats_raw_at_same_order(self):
         state = energy_state(1.71)
@@ -265,21 +267,9 @@ class TestSupError:
         with pytest.raises(ValueError):
             sup_error(sol, grid_points=1)
         with pytest.raises(ValueError):
-            sup_error(sol, upto=5, span=2.0 * sol.period_info.T_star)
-        with pytest.raises(ValueError):
-            sup_error(sol, span=2.0 * sol.period_info.T_star)
-        with pytest.raises(ValueError):
-            sup_error(sol, span=-1.0, grid_points=11, oracle=np.zeros(11))
-        with pytest.raises(ValueError):
             sup_error(sol, grid_points=11, oracle=np.zeros(10))
         with pytest.raises(ValueError, match="upto must be an integer"):
             sup_error(sol, upto=3.9, grid_points=11, oracle=np.zeros(11))
         eff = build_trajectory(energy_state(1.71), 10, "efficient")
         with pytest.raises(ValueError):
             sup_error(eff, upto=5)
-        sep = build_trajectory(energy_state(2.0), method="separatrix")
-        with pytest.raises(ValueError):
-            sup_error(sep, upto=5, span=1.0)
-        for span in (math.inf, math.nan):
-            with pytest.raises(ValueError):
-                sup_error(sep, span=span)
