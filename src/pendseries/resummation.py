@@ -162,17 +162,18 @@ def efficient_truncation(a: SeriesCoefficients, state: EnergyState) -> SeriesCoe
     of degree N+2, in units of T*.
     """
     n_max, t_star, w = _endpoint(a, state)
-    coeffs = a.coeffs.tolist()  # Python floats: same IEEE arithmetic, less overhead
-    # fused Horner at s = 1: value and derivative of the partial sum
-    sig = coeffs[n_max]
-    dsig = 0.0
-    for n in range(n_max - 1, -1, -1):
-        dsig += sig
-        sig += coeffs[n]
+    # Horner at s = 1 is a running sum from a_N down: its partials
+    # a_N + ... + a_n are sigma_N(1) at n = 0, and summing the partials
+    # for n = N..1 is the derivative's Horner, sigma_N'(1).  Both sums must
+    # run in that order, one add at a time, to round as Horner does; ufunc
+    # accumulate is sequential (a pairwise sum such as np.sum is not).
+    partial = np.add.accumulate(a.coeffs[::-1])
+    sig = float(partial[-1])
+    dsig = float(np.add.accumulate(partial[:-1])[-1])
     gap = w * t_star - dsig
     alpha = -(n_max + 2) * sig - gap
     beta = (n_max + 1) * sig + gap
-    _count(2 * n_max + 6)  # the fused Horner, then gap, alpha and beta
+    _count(2 * n_max + 6)  # the two running sums, then gap, alpha and beta
     return SeriesCoefficients(np.append(a.coeffs, (alpha, beta)), t_star)
 
 

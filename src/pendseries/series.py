@@ -4,11 +4,13 @@ A series is stored as the coefficient vector (a_0, ..., a_N) of
 sum_n a_n (t/h)^n, where h is the series' time unit (1 unless a caller
 chooses one).  All arithmetic is double precision.  The pendulum
 recurrence below generates the angle series together with its sine and
-cosine at O(N^2) total cost via running Cauchy-product sums: two dot
-products per computed order, against the sine and cosine histories kept
-reversed in contiguous buffers.  A start at rest gives an orbit even in
-t, whose odd orders are exactly zero, so only the even orders are
-computed.
+cosine at O(N^2) total cost via running Cauchy-product sums against the
+sine and cosine histories, kept reversed in contiguous buffers.  A
+general start costs two dot products per order.  A start with a parity
+costs half that: at rest (omega0 = 0) the orbit is even in t, and only
+its even orders are computed, two dot products each; with sin(theta0)
+exactly 0 it is odd about theta0, and each order needs only its one
+non-zero sine or cosine term, one dot product.
 """
 
 from __future__ import annotations
@@ -107,15 +109,26 @@ def pendulum_series(theta0: float, omega0: float, order: int, *, time_unit: floa
     they are the plain Taylor coefficients.  A unit near the span of use
     keeps high orders in double range (see `SeriesCoefficients`).
 
-    Each computed order costs two dot products of length n.  When
-    omega0 == 0 the orbit is even in t: a_1 = 0, and every odd-order a,
-    s and c is a sum of products with an exact zero, so it is exactly
-    zero even in floating point.  The loop then steps n by 2, computes
-    only the even orders and leaves the odd ones at +0.0, which halves
-    the work; any other start steps by 1.  The products use
-    `ndarray.dot` on one shared view of the d history: it calls the same
-    BLAS routine as `np.dot`, so the bits are the same, with less
-    per-call overhead.  A non-integral `order` raises `ValueError`.
+    Three paths share these recurrences, and each leaves the orders it
+    knows to be exactly zero unwritten at +0.0:
+
+    - omega0 == 0 (a start at rest, such as a libration top): the orbit
+      is even in t, so a_1 = 0 and every odd-order a, s and c is a sum of
+      products with an exact zero, exactly zero even in floating point.
+      The loop computes only the even orders, two dot products each,
+      which halves the work.
+    - s_0 == 0.0 (a rotation top seeded (0, -1), or a start at the
+      bottom): theta - theta0 is odd in t, so a and s vanish at every
+      even order past 0 and c at every odd order.  Order m needs one dot
+      product, for s_m at odd m and for c_m at even m, and one pass steps
+      two orders, which also halves the work.
+    - any other start: two dot products at every order.
+
+    A computed value is the same on every path: each order's products
+    use `ndarray.dot` on the same d[:m] view and history tail, zeros
+    included.  `ndarray.dot` calls the same BLAS routine as `np.dot`, so
+    the bits are the same, with less per-call overhead.  A non-integral
+    `order` raises `ValueError`.
     """
     order = _whole(order, "order")
     if order < 2:
@@ -124,23 +137,41 @@ def pendulum_series(theta0: float, omega0: float, order: int, *, time_unit: floa
     h2 = h * h
     a = np.zeros(order + 1)
     a[0] = theta0
-    a[1] = omega0 * h
+    a[1] = a_m = omega0 * h
     top = order - 2  # s_j, c_j are needed for j <= top
-    # s_j at s_rev[top - j]: order m reads s_{m-1}..s_0 as the tail [top-m+1:]
+    # s_j at s_rev[top - j]: order m reads s_{m-1}..s_0 as the tail [j+1:], j = top - m
     s_rev = np.zeros(top + 1)
     c_rev = np.zeros(top + 1)
     s_n, c_rev[top] = (math.sin(theta0), math.cos(theta0)) if sin_cos is None else sin_cos
     s_rev[top] = s_n
     d = np.zeros(order)  # d_k = (k+1) a_{k+1}
-    # at rest the orbit is even in t: a, s and c vanish at every odd order
-    step = 2 if omega0 == 0.0 else 1
-    for n in range(0, order - 1, step):
-        a[n + 2] = -(h2 * s_n) / ((n + 1) * (n + 2))
-        m = n + step
-        if m <= top:
-            d[m - 1] = m * a[m]
-            dm = d[:m]
-            s_n = float(dm.dot(c_rev[top - m + 1 :])) / m
-            c_rev[top - m] = -float(dm.dot(s_rev[top - m + 1 :])) / m
-            s_rev[top - m] = s_n
+    if omega0 == 0.0:
+        for m in range(2, order + 1, 2):  # even orders only
+            a[m] = a_m = -(h2 * s_n) / ((m - 1) * m)
+            j = top - m
+            if j >= 0:
+                d[m - 1] = m * a_m
+                dm = d[:m]
+                s_n = float(dm.dot(c_rev[j + 1 :])) / m
+                c_rev[j] = -float(dm.dot(s_rev[j + 1 :])) / m
+                s_rev[j] = s_n
+    elif s_n == 0.0:
+        for m in range(1, top + 1, 2):  # odd m: s_m, a_{m+2}, then c_{m+1}
+            j = top - m
+            d[m - 1] = m * a_m
+            s_n = float(d[:m].dot(c_rev[j + 1 :])) / m
+            s_rev[j] = s_n
+            a[m + 2] = a_m = -(h2 * s_n) / ((m + 1) * (m + 2))
+            if j > 0:
+                c_rev[j - 1] = -float(d[: m + 1].dot(s_rev[j:])) / (m + 1)
+    else:
+        for n in range(order - 1):
+            a[n + 2] = -(h2 * s_n) / ((n + 1) * (n + 2))
+            m = n + 1
+            if m <= top:
+                d[m - 1] = m * a[m]
+                dm = d[:m]
+                s_n = float(dm.dot(c_rev[top - m + 1 :])) / m
+                c_rev[top - m] = -float(dm.dot(s_rev[top - m + 1 :])) / m
+                s_rev[top - m] = s_n
     return SeriesCoefficients(a, h)

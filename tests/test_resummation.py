@@ -52,6 +52,20 @@ def unit_inputs(energy, order, direction):
     return state, raw, t_star, 1.0, _orbit_constants(state).omega_star * t_star
 
 
+def fused_horner_alpha_beta(a, state):
+    """Reference: alpha and beta from the Python loop `efficient_truncation`
+    ran before its two running sums moved into `np.add.accumulate`."""
+    n_max = a.truncation_order
+    coeffs = a.coeffs.tolist()
+    sig = coeffs[n_max]
+    dsig = 0.0
+    for n in range(n_max - 1, -1, -1):
+        dsig += sig
+        sig += coeffs[n]
+    gap = _orbit_constants(state).omega_star * period(state).T_star - dsig
+    return -(n_max + 2) * sig - gap, (n_max + 1) * sig + gap
+
+
 FSUM_CASES = [(0.5, 1), (1.71, -1), (1.9998, 1), (5.0, -1)]
 FSUM_ORDERS = [2, 3, 6, 10, 20, 200, 1000]
 
@@ -252,6 +266,22 @@ class TestEfficientTruncation:
             (order + 2) * scale0 * p1 + scale1 * p0)
         assert abs(e.coeffs[-1] - ((order + 1) * sigma * p2 + gap * p1)) <= tol * (
             (order + 1) * scale0 * p2 + scale1 * p1)
+
+    @pytest.mark.parametrize("energy", [1e-10, 0.5, 1.71, 2.0 - 1e-6, 2.0 + 1e-6, 5.0, 1e3])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_bit_identical_to_the_fused_horner_loop(self, energy, direction):
+        # on the branch build_trajectory expands, exact seeds included
+        state = energy_state(energy, direction)
+        c = _orbit_constants(state)
+        t_star = period(state).T_star
+        for order in (2, 3, 40, 200, 1000, 4999):
+            raw = pendulum_series(c.theta0, c.omega0, order, time_unit=t_star,
+                                  sin_cos=c.sin_cos)
+            with tally_coefficient_ops() as ops:
+                e = efficient_truncation(raw, state)
+            assert ops.total == 2 * order + 6
+            want = fused_horner_alpha_beta(raw, state)
+            assert [x.hex() for x in e.coeffs[-2:].tolist()] == [x.hex() for x in want], order
 
     @pytest.mark.parametrize("energy,direction", [(1.71, 1), (2.02, -1)])
     @pytest.mark.parametrize("order", [6, 20])

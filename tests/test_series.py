@@ -8,7 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pendseries import energy_state, period
-from pendseries.energy import canonical_top_ics
+from pendseries.convergence import roc_exact
+from pendseries.energy import _orbit_constants, canonical_top_ics
 from pendseries.series import SeriesCoefficients, eval_poly, pendulum_series
 from pendseries.validation import rk4_sample
 
@@ -47,10 +48,10 @@ def pendulum_series_by_fsum(theta0, omega0, order, h):
     return np.array(a), np.array(scale)
 
 
-def _two_dot_series(theta0, omega0, order, h):
+def _two_dot_series(theta0, omega0, order, h, sin_cos=None):
     """Reference kernel: every order 1..N on stride 1, two `np.dot` calls
-    each, as the recurrence ran before it skipped the odd orders of a
-    start at rest."""
+    each, as the recurrence ran before it skipped the exactly zero orders
+    of a start at rest or with sin(theta0) seeded 0."""
     h2 = h * h
     a = np.zeros(order + 1)
     a[0] = theta0
@@ -58,8 +59,8 @@ def _two_dot_series(theta0, omega0, order, h):
     top = order - 2
     s_rev = np.zeros(top + 1)
     c_rev = np.zeros(top + 1)
-    s_n = s_rev[top] = math.sin(theta0)
-    c_rev[top] = math.cos(theta0)
+    s_n, c_rev[top] = (math.sin(theta0), math.cos(theta0)) if sin_cos is None else sin_cos
+    s_rev[top] = s_n
     d = np.zeros(order)
     for n in range(order - 1):
         a[n + 2] = -(h2 * s_n) / ((n + 1) * (n + 2))
@@ -72,22 +73,35 @@ def _two_dot_series(theta0, omega0, order, h):
     return a
 
 
-def _top_start(energy):
+def _top_start(energy, seeded=False):
+    """(theta0, omega0, seeds, T*) of the top start; `seeded` passes the
+    exact (sin, cos) seeds that `build_trajectory` passes."""
     state = energy_state(energy)
-    return (*canonical_top_ics(state), period(state).T_star)
+    c = _orbit_constants(state)
+    return c.theta0, c.omega0, c.sin_cos if seeded else None, period(state).T_star
 
 
-# (theta0, omega0, T*, orders at which unit 1 overflows): libration and
-# rotation tops, the inverted rest point, the bottom start and a general one
+def _roc_bottom_start(energy):
+    """The bottom start (0, w*) as `roc` expands it, in units of its radius."""
+    state = energy_state(energy)
+    return 0.0, _orbit_constants(state).omega_star, None, roc_exact(state, "bottom").exact_roc
+
+
+# (theta0, omega0, seeds, unit, orders at which unit 1 overflows): libration
+# and rotation tops, the inverted rest point, the bottom start and a general
+# one; unseeded, and seeded as the package builds them, each checked in its
+# unit and in unit 1
 PINNED_STARTS = {
     **{f"libration {e:g}": (*_top_start(e), ())
        for e in (1e-12, 1e-6, 0.5, 1.71, 1.9998, 2.0 - 1e-6)},
-    **{f"rotation {e:g}": (*_top_start(e), ())
-       for e in (2.0 + 1e-6, 5.0)},
+    **{f"rotation {e:g}": (*_top_start(e), ()) for e in (2.0 + 1e-6, 5.0)},
     "rotation 10000": (*_top_start(1e4), (1000, 4999)),
-    "inverted at rest": (math.pi, 0.0, 1.0, ()),
-    "bottom 0.5": (0.0, 1.0, 1.0, ()),
-    "general": (0.3, 0.7, 1.0, ()),
+    "inverted at rest": (math.pi, 0.0, None, 1.0, ()),
+    "bottom 0.5": (0.0, 1.0, None, 1.0, ()),
+    "general": (0.3, 0.7, None, 1.0, ()),
+    **{f"seeded rotation {e:g}": (*_top_start(e, seeded=True), ()) for e in (2.0 + 1e-6, 5.0)},
+    "seeded rotation 10000": (*_top_start(1e4, seeded=True), (1000, 4999)),
+    **{f"roc bottom {e:g}": (*_roc_bottom_start(e), ()) for e in (0.5, 1.71, 5.0)},
 }
 
 
@@ -204,30 +218,40 @@ class TestPendulumSeries:
 
     @pytest.mark.parametrize("name", sorted(PINNED_STARTS))
     def test_matches_two_dot_kernel(self, name):
-        # equal by value: the reference leaves -0.0 where a start at rest
-        # skips an odd order and keeps +0.0
-        theta0, omega0, t_star, overflows = PINNED_STARTS[name]
+        # equal by value: the reference leaves -0.0 where a start with a
+        # parity skips an exactly zero order and keeps +0.0
+        theta0, omega0, seeds, own_unit, overflows = PINNED_STARTS[name]
         raised = []
         for order in (2, 3, 4, 5, 6, 7, 41, 200, 1000, 4999):
-            for unit in (1.0, t_star):
+            for unit in (1.0, own_unit):
                 try:
-                    want = _two_dot_series(theta0, omega0, order, unit)
+                    want = _two_dot_series(theta0, omega0, order, unit, seeds)
                 except RuntimeWarning as exc:
                     raised.append(order)
                     with pytest.raises(RuntimeWarning, match=re.escape(str(exc))):
-                        pendulum_series(theta0, omega0, order, time_unit=unit)
+                        pendulum_series(theta0, omega0, order, time_unit=unit, sin_cos=seeds)
                     continue
-                got = pendulum_series(theta0, omega0, order, time_unit=unit).coeffs
+                got = pendulum_series(theta0, omega0, order, time_unit=unit,
+                                      sin_cos=seeds).coeffs
                 assert np.array_equal(got, want), (order, unit)
         assert tuple(raised) == overflows
 
     @pytest.mark.parametrize("energy", [0.5, 1.71, 1.9998])
     def test_start_at_rest_never_writes_odd_orders(self, energy):
-        theta0, omega0, t_star = _top_start(energy)
+        theta0, omega0, _, t_star = _top_start(energy)
         a = pendulum_series(theta0, omega0, 1000, time_unit=t_star).coeffs
         assert np.all(a[1::2] == 0.0)
         assert not np.any(np.signbit(a[1::2]))
         assert np.all(a[2::2] != 0.0)
+
+    # at E = 1e4 the odd orders underflow to 0 from order 563 on
+    @pytest.mark.parametrize("energy,order", [(2.0 + 1e-6, 1000), (5.0, 1000), (1e4, 500)])
+    def test_seeded_rotation_top_never_writes_even_orders(self, energy, order):
+        theta0, omega0, seeds, t_star = _top_start(energy, seeded=True)
+        a = pendulum_series(theta0, omega0, order, time_unit=t_star, sin_cos=seeds).coeffs
+        assert np.all(a[2::2] == 0.0)
+        assert not np.any(np.signbit(a[2::2]))
+        assert np.all(a[1::2] != 0.0)
 
     def test_sin_cos_replaces_the_default_seeds(self):
         for theta0, omega0 in ((2.3, 0.0), (0.3, 0.7)):
