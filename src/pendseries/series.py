@@ -109,20 +109,21 @@ def pendulum_series(theta0: float, omega0: float, order: int, *, time_unit: floa
     they are the plain Taylor coefficients.  A unit near the span of use
     keeps high orders in double range (see `SeriesCoefficients`).
 
-    Three paths share these recurrences, and each leaves the orders it
-    knows to be exactly zero unwritten at +0.0:
+    Three kinds of start share these recurrences, and each leaves the
+    orders it knows to be exactly zero unwritten at +0.0:
 
     - omega0 == 0 (a start at rest, such as a libration top): the orbit
       is even in t, so a_1 = 0 and every odd-order a, s and c is a sum of
       products with an exact zero, exactly zero even in floating point.
-      The loop computes only the even orders, two dot products each,
-      which halves the work.
+      The loop steps n by 2 and computes only the even orders, two dot
+      products each, which halves the work.
     - s_0 == 0.0 (a rotation top seeded (0, -1), or a start at the
       bottom): theta - theta0 is odd in t, so a and s vanish at every
       even order past 0 and c at every odd order.  Order m needs one dot
       product, for s_m at odd m and for c_m at even m, and one pass steps
       two orders, which also halves the work.
-    - any other start: two dot products at every order.
+    - any other start: the same loop steps n by 1, two dot products at
+      every order.
 
     A computed value is the same on every path: each order's products
     use `ndarray.dot` on the same d[:m] view and history tail, zeros
@@ -137,25 +138,17 @@ def pendulum_series(theta0: float, omega0: float, order: int, *, time_unit: floa
     h2 = h * h
     a = np.zeros(order + 1)
     a[0] = theta0
-    a[1] = a_m = omega0 * h
+    a[1] = omega0 * h
     top = order - 2  # s_j, c_j are needed for j <= top
-    # s_j at s_rev[top - j]: order m reads s_{m-1}..s_0 as the tail [j+1:], j = top - m
+    # s_j at s_rev[top - j]: order m reads s_{m-1}..s_0 as the tail [top-m+1:]
     s_rev = np.zeros(top + 1)
     c_rev = np.zeros(top + 1)
     s_n, c_rev[top] = (math.sin(theta0), math.cos(theta0)) if sin_cos is None else sin_cos
     s_rev[top] = s_n
     d = np.zeros(order)  # d_k = (k+1) a_{k+1}
-    if omega0 == 0.0:
-        for m in range(2, order + 1, 2):  # even orders only
-            a[m] = a_m = -(h2 * s_n) / ((m - 1) * m)
-            j = top - m
-            if j >= 0:
-                d[m - 1] = m * a_m
-                dm = d[:m]
-                s_n = float(dm.dot(c_rev[j + 1 :])) / m
-                c_rev[j] = -float(dm.dot(s_rev[j + 1 :])) / m
-                s_rev[j] = s_n
-    elif s_n == 0.0:
+    if s_n == 0.0 and omega0 != 0.0:
+        # odd about theta0: a and s vanish at even orders past 0, c at odd ones
+        a_m = omega0 * h
         for m in range(1, top + 1, 2):  # odd m: s_m, a_{m+2}, then c_{m+1}
             j = top - m
             d[m - 1] = m * a_m
@@ -164,14 +157,16 @@ def pendulum_series(theta0: float, omega0: float, order: int, *, time_unit: floa
             a[m + 2] = a_m = -(h2 * s_n) / ((m + 1) * (m + 2))
             if j > 0:
                 c_rev[j - 1] = -float(d[: m + 1].dot(s_rev[j:])) / (m + 1)
-    else:
-        for n in range(order - 1):
-            a[n + 2] = -(h2 * s_n) / ((n + 1) * (n + 2))
-            m = n + 1
-            if m <= top:
-                d[m - 1] = m * a[m]
-                dm = d[:m]
-                s_n = float(dm.dot(c_rev[top - m + 1 :])) / m
-                c_rev[top - m] = -float(dm.dot(s_rev[top - m + 1 :])) / m
-                s_rev[top - m] = s_n
+        return SeriesCoefficients(a, h)
+    # at rest the orbit is even in t: a, s and c vanish at every odd order
+    step = 2 if omega0 == 0.0 else 1
+    for n in range(0, order - 1, step):
+        a[n + 2] = -(h2 * s_n) / ((n + 1) * (n + 2))
+        m = n + step
+        if m <= top:
+            d[m - 1] = m * a[m]
+            dm = d[:m]
+            s_n = float(dm.dot(c_rev[top - m + 1 :])) / m
+            c_rev[top - m] = -float(dm.dot(s_rev[top - m + 1 :])) / m
+            s_rev[top - m] = s_n
     return SeriesCoefficients(a, h)
