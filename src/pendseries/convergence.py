@@ -1,8 +1,10 @@
 """Convergence domain of the pendulum Taylor series.
 
-The analytic continuation of theta(t) has simple poles on a rectangular
-lattice in complex time, built from K and K' of the regime modulus.
-Measured from the canonical top start, both regimes put them at
+The analytic continuation of theta(t) has logarithmic branch points on
+a rectangular lattice in complex time, at the poles of sn (libration) or
+dn (rotation), built from K and K' of the regime modulus; the names
+below call them poles.  Measured from the canonical top start, both
+regimes put them at
 
   libration:  n K + i n' K'          with n, n' both odd,
   rotation:   n Kt + i n' Kt'        with n, n' both odd,

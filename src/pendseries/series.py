@@ -5,12 +5,12 @@ sum_n a_n (t/h)^n, where h is the series' time unit (1 unless a caller
 chooses one).  All arithmetic is double precision.  The pendulum
 recurrence below generates the angle series together with its sine and
 cosine at O(N^2) total cost via running Cauchy-product sums against the
-sine and cosine histories, kept reversed in contiguous buffers.  A
-general start costs two dot products per order.  A start with a parity
-costs half that: at rest (omega0 = 0) the orbit is even in t, and only
-its even orders are computed, two dot products each; with sin(theta0)
-exactly 0 it is odd about theta0, and each order needs only its one
-non-zero sine or cosine term, one dot product.
+sine and cosine histories, kept reversed in contiguous buffers.  One
+loop serves every start.  A general start costs two dot products per
+order; a start with a parity costs half that, because the loop skips
+the orders that parity makes exactly zero: the odd ones at rest (omega0
+= 0, even in t), and with sin(theta0) exactly 0 (odd about theta0) the
+even orders of the angle and sine and the odd ones of the cosine.
 """
 
 from __future__ import annotations
@@ -109,27 +109,24 @@ def pendulum_series(theta0: float, omega0: float, order: int, *, time_unit: floa
     they are the plain Taylor coefficients.  A unit near the span of use
     keeps high orders in double range (see `SeriesCoefficients`).
 
-    Three kinds of start share these recurrences, and each leaves the
-    orders it knows to be exactly zero unwritten at +0.0:
+    One loop computes the orders m = first, first + stride, ... through
+    N - 2.  Pass m forms s_m, then a_{m+2}, then c_{m+lag}, one dot
+    product each for s and c on the d[:m] or d[:m+lag] view and the
+    reversed history tail.  The start's parity sets (first, stride, lag),
+    and every order the loop skips is exactly zero and left at +0.0:
 
     - omega0 == 0 (a start at rest, such as a libration top): the orbit
-      is even in t, so a_1 = 0 and every odd-order a, s and c is a sum of
-      products with an exact zero, exactly zero even in floating point.
-      The loop steps n by 2 and computes only the even orders, two dot
-      products each, which halves the work.
+      is even in t, so a, s and c vanish at every odd order; (2, 2, 0).
     - s_0 == 0.0 (a rotation top seeded (0, -1), or a start at the
       bottom): theta - theta0 is odd in t, so a and s vanish at every
-      even order past 0 and c at every odd order.  Order m needs one dot
-      product, for s_m at odd m and for c_m at even m, and one pass steps
-      two orders, which also halves the work.
-    - any other start: the same loop steps n by 1, two dot products at
-      every order.
+      even order past 0 and c at every odd order.  s_m at odd m and
+      c_{m+1} share a pass; (1, 2, 1).
+    - any other start: every order, two dot products each; (1, 1, 0).
 
-    A computed value is the same on every path: each order's products
-    use `ndarray.dot` on the same d[:m] view and history tail, zeros
-    included.  `ndarray.dot` calls the same BLAS routine as `np.dot`, so
-    the bits are the same, with less per-call overhead.  A non-integral
-    `order` raises `ValueError`.
+    A stride of 2 halves the work.  `ndarray.dot` calls the same BLAS
+    routine as `np.dot`, so each computed value has the bits a stride-1
+    loop with `np.dot` gives it, with less per-call overhead.  A
+    non-integral `order` raises `ValueError`.
     """
     order = _whole(order, "order")
     if order < 2:
@@ -146,27 +143,23 @@ def pendulum_series(theta0: float, omega0: float, order: int, *, time_unit: floa
     s_n, c_rev[top] = (math.sin(theta0), math.cos(theta0)) if sin_cos is None else sin_cos
     s_rev[top] = s_n
     d = np.zeros(order)  # d_k = (k+1) a_{k+1}
-    if s_n == 0.0 and omega0 != 0.0:
-        # odd about theta0: a and s vanish at even orders past 0, c at odd ones
-        a_m = omega0 * h
-        for m in range(1, top + 1, 2):  # odd m: s_m, a_{m+2}, then c_{m+1}
-            j = top - m
-            d[m - 1] = m * a_m
-            s_n = float(d[:m].dot(c_rev[j + 1 :])) / m
-            s_rev[j] = s_n
-            a[m + 2] = a_m = -(h2 * s_n) / ((m + 1) * (m + 2))
-            if j > 0:
-                c_rev[j - 1] = -float(d[: m + 1].dot(s_rev[j:])) / (m + 1)
-        return SeriesCoefficients(a, h)
-    # at rest the orbit is even in t: a, s and c vanish at every odd order
-    step = 2 if omega0 == 0.0 else 1
-    for n in range(0, order - 1, step):
-        a[n + 2] = -(h2 * s_n) / ((n + 1) * (n + 2))
-        m = n + step
-        if m <= top:
-            d[m - 1] = m * a[m]
-            dm = d[:m]
-            s_n = float(dm.dot(c_rev[top - m + 1 :])) / m
-            c_rev[top - m] = -float(dm.dot(s_rev[top - m + 1 :])) / m
-            s_rev[top - m] = s_n
+    if omega0 == 0.0:
+        first, stride, lag = 2, 2, 0
+    else:
+        first, stride, lag = (1, 2, 1) if s_n == 0.0 else (1, 1, 0)
+        d[0] = a[1]  # at rest d_0 stays +0.0, even for omega0 = -0.0
+    if not lag:  # an odd start keeps a_2 = +0.0
+        a[2] = a_m = -(h2 * s_n) / 2
+        d[1] = 2 * a_m
+    for m in range(first, top + 1, stride):
+        j = top - m
+        dm = d[:m]
+        s_n = float(dm.dot(c_rev[j + 1 :])) / m
+        s_rev[j] = s_n
+        a[m + 2] = a_m = -(h2 * s_n) / ((m + 1) * (m + 2))
+        d[m + 1] = (m + 2) * a_m
+        k = m + lag  # c trails s by the lag
+        if k > top:
+            break
+        c_rev[top - k] = -float((d[:k] if lag else dm).dot(s_rev[top - k + 1 :])) / k
     return SeriesCoefficients(a, h)

@@ -483,11 +483,13 @@ def readme_commands():
             if line.startswith("    pendseries ")]
 
 
-def test_readme_commands_run(tmp_path, monkeypatch):
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     commands = readme_commands()
     assert len(commands) == 5
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert cli.main(argv) == 0, argv
+        # README: the documented commands print no note
+        assert capsys.readouterr().err == "", argv
         out = tmp_path / argv[argv.index("--out") + 1]
         assert out.read_text(encoding="utf-8").startswith("# pendseries"), argv

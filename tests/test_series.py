@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from pendseries import energy_state, period
 from pendseries.convergence import roc_exact
-from pendseries.energy import _orbit_constants, canonical_top_ics
+from pendseries.energy import _orbit_constants, canonical_top_ics, energy_of
 from pendseries.series import SeriesCoefficients, eval_poly, pendulum_series
 from pendseries.validation import rk4_sample
 
@@ -88,15 +88,16 @@ def _roc_bottom_start(energy):
 
 
 # (theta0, omega0, seeds, unit, orders at which unit 1 overflows): libration
-# and rotation tops, the inverted rest point, the bottom start and a general
-# one; unseeded, and seeded as the package builds them, each checked in its
-# unit and in unit 1
+# and rotation tops, the inverted rest point, a start at rest with omega0 =
+# -0.0, the bottom start and a general one; unseeded, and seeded as the
+# package builds them, each checked in its unit and in unit 1
 PINNED_STARTS = {
     **{f"libration {e:g}": (*_top_start(e), ())
        for e in (1e-12, 1e-6, 0.5, 1.71, 1.9998, 2.0 - 1e-6)},
     **{f"rotation {e:g}": (*_top_start(e), ()) for e in (2.0 + 1e-6, 5.0)},
     "rotation 10000": (*_top_start(1e4), (1000, 4999)),
     "inverted at rest": (math.pi, 0.0, None, 1.0, ()),
+    "at rest -0.0": (1.0, -0.0, None, period(energy_of(1.0, -0.0)).T_star, ()),
     "bottom 0.5": (0.0, 1.0, None, 1.0, ()),
     "general": (0.3, 0.7, None, 1.0, ()),
     **{f"seeded rotation {e:g}": (*_top_start(e, seeded=True), ()) for e in (2.0 + 1e-6, 5.0)},
@@ -236,19 +237,30 @@ class TestPendulumSeries:
                 assert np.array_equal(got, want), (order, unit)
         assert tuple(raised) == overflows
 
-    @pytest.mark.parametrize("energy", [0.5, 1.71, 1.9998])
-    def test_start_at_rest_never_writes_odd_orders(self, energy):
-        theta0, omega0, _, t_star = _top_start(energy)
-        a = pendulum_series(theta0, omega0, 1000, time_unit=t_star).coeffs
-        assert np.all(a[1::2] == 0.0)
-        assert not np.any(np.signbit(a[1::2]))
+    # a libration top by its energy, or a `PINNED_STARTS` name
+    @pytest.mark.parametrize("start", [0.5, 1.71, 1.9998, "at rest -0.0", "inverted at rest"])
+    def test_start_at_rest_never_writes_odd_orders(self, start):
+        theta0, omega0, seeds, unit = (
+            PINNED_STARTS[start][:4] if isinstance(start, str) else _top_start(start))
+        # the inverted rest point's even orders underflow to 0 from order 204 on
+        order = 41 if start == "inverted at rest" else 1000
+        a = pendulum_series(theta0, omega0, order, time_unit=unit, sin_cos=seeds).coeffs
+        # a_1 = h omega0 keeps the sign of omega0's zero
+        assert a[1] == 0.0 and np.signbit(a[1]) == np.signbit(omega0)
+        assert np.all(a[3::2] == 0.0)
+        assert not np.any(np.signbit(a[3::2]))
         assert np.all(a[2::2] != 0.0)
 
-    # at E = 1e4 the odd orders underflow to 0 from order 563 on
-    @pytest.mark.parametrize("energy,order", [(2.0 + 1e-6, 1000), (5.0, 1000), (1e4, 500)])
-    def test_seeded_rotation_top_never_writes_even_orders(self, energy, order):
-        theta0, omega0, seeds, t_star = _top_start(energy, seeded=True)
-        a = pendulum_series(theta0, omega0, order, time_unit=t_star, sin_cos=seeds).coeffs
+    # a rotation top, seeded, by its energy, or a `PINNED_STARTS` name with
+    # sin(theta0) exactly 0; at E = 1e4 the odd orders underflow to 0 from
+    # order 563 on, and at the bottom in unit 1 from order 963 on
+    @pytest.mark.parametrize("start,order", [
+        (2.0 + 1e-6, 1000), (5.0, 1000), (1e4, 500), ("bottom 0.5", 500),
+        ("roc bottom 0.5", 1000), ("roc bottom 1.71", 1000), ("roc bottom 5", 1000)])
+    def test_seeded_rotation_top_never_writes_even_orders(self, start, order):
+        theta0, omega0, seeds, unit = (
+            PINNED_STARTS[start][:4] if isinstance(start, str) else _top_start(start, seeded=True))
+        a = pendulum_series(theta0, omega0, order, time_unit=unit, sin_cos=seeds).coeffs
         assert np.all(a[2::2] == 0.0)
         assert not np.any(np.signbit(a[2::2]))
         assert np.all(a[1::2] != 0.0)
