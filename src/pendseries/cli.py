@@ -164,26 +164,19 @@ def _period_sweep(args):
 def _trajectory_sweep(args):
     meta, rows, skipped = [], [], []
     methods = ["raw", "resummed"] if args.method == "auto" else [args.method]
-    n_max = max(args.order)
     scale = _angle_scale(args)
     for e in _off_separatrix(args.energy, skipped, "no finite T*"):
         state = _state(e, args.direction)
-        runs = []  # (method, order, solution, partial-sum order)
-        for method in methods:
-            if method == "efficient":
-                # the two-monomial correction is tied to its order: rebuild
-                runs += [(method, n, build_trajectory(state, n, method), None)
-                         for n in args.order]
-            else:
-                sol = build_trajectory(state, n_max, method)
-                runs += [(method, n, sol, n) for n in args.order]
-        t_star = runs[0][2].period_info.T_star  # shared by every run
+        # one build per method; each order is its partial sum
+        sols = [build_trajectory(state, max(args.order), method) for method in methods]
+        t_star = sols[0].period_info.T_star  # shared by every method
         meta.append(f"energy={_fmt(e)} T_star={_fmt(t_star)}")
         grid = np.linspace(0.0, t_star, args.grid)
-        oracle, _ = rk4_sample(*canonical_initial_state(runs[0][2]), grid, args.oracle_dt)
-        for method, n, sol, upto in runs:
-            err = sup_error(sol, upto=upto, grid_points=args.grid, oracle=oracle)
-            rows.append([_fmt(e), str(n), method, _fmt(scale * err)])
+        oracle, _ = rk4_sample(*canonical_initial_state(sols[0]), grid, args.oracle_dt)
+        for sol in sols:
+            for n in args.order:
+                err = sup_error(sol, upto=n, grid_points=args.grid, oracle=oracle)
+                rows.append([_fmt(e), str(n), sol.method, _fmt(scale * err)])
     return meta, ["energy", "order", "method", "sup_error"], rows, skipped
 
 

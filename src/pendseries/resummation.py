@@ -20,12 +20,12 @@ Both transforms take the series and its orbit, and read T* from the orbit,
 so no power of T* is ever formed.  The series must be carried in units of
 that T*, as `build_trajectory` carries it; any other unit raises `ValueError`.
 
-``efficient_truncation`` produces the identical polynomial a second way:
-keep the raw partial sum sigma_N and append only the two monomials
-alpha s^(N+1) + beta s^(N+2) that restore the endpoint value and slope.
-That replaces the O(N^2) coefficient transformation with O(N) work, and
-the result is an ordinary polynomial of degree N+2: the raw coefficients
-with alpha and beta appended, evaluated by ``eval_poly`` like any other.
+The form is the unique polynomial of degree N+2 that matches a_0..a_N with
+the pinned value and slope, so ``efficient_truncation`` builds it a second
+way, in O(N): keep the raw partial sum sigma_N and append the two monomials
+alpha s^(N+1) + beta s^(N+2) that restore the endpoint value and slope, an
+ordinary polynomial for ``eval_poly``.  Both pinned methods of
+`build_trajectory` take this route; ``resum`` is kept as the paper's transform.
 
 Both construction routes add their coefficient-stage floating-point
 operation counts to one running total.  On exit a ``tally_coefficient_ops``

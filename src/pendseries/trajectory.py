@@ -39,7 +39,7 @@ from .energy import (
     separatrix_theta,
 )
 from .elliptic import PeriodInfo, period
-from .resummation import ResummedSeries, efficient_truncation, eval_resummed, resum
+from .resummation import efficient_truncation
 from .series import SeriesCoefficients, eval_poly, pendulum_series
 
 __all__ = [
@@ -67,11 +67,10 @@ class TrajectorySolution:
     """One orbit, ready for evaluation at any finite t.
 
     `branch` is the one representation of the canonical branch that
-    `method` evaluates: a polynomial for "raw" (the Taylor coefficients
-    a_0..a_N) and "efficient" (the same coefficients with the two
-    endpoint monomials alpha and beta appended, degree N+2), the
-    endpoint-pinned form for "resummed", and None for the separatrix
-    closed form.  Series branches are carried in the branch-normalised
+    `method` evaluates, None for the separatrix closed form.  For "raw" it
+    is the Taylor polynomial a_0..a_N; "resummed" and "efficient" share the
+    one endpoint-pinned polynomial of degree N+2 (a_0..a_N, alpha, beta)
+    that `efficient_truncation` builds.  Series branches are carried in the branch-normalised
     time s = t/T* (time unit T*), so that their coefficients fall like
     (T*/R)^n and stay in double range at every order and energy.  Time 0
     is the canonical start; `align_to_ics` gives the offset of any other
@@ -82,16 +81,16 @@ class TrajectorySolution:
     period_info: PeriodInfo
     method: str
     order: int
-    branch: SeriesCoefficients | ResummedSeries | None
+    branch: SeriesCoefficients | None
 
 
 def build_trajectory(state: EnergyState, order: int | None = None,
                      method: str = "resummed") -> TrajectorySolution:
     """Construct the canonical-branch solution for one energy.
 
-    `method` picks the branch representation: "raw" (Taylor partial sum),
-    "resummed" (endpoint-pinned form), "efficient" (two-monomial
-    correction), or "separatrix" (closed form, E = 2 only).  At the
+    `method` picks the branch: "raw" (Taylor partial sum), "resummed" or
+    "efficient" (the same endpoint-pinned polynomial, built in O(N) by
+    `efficient_truncation`), or "separatrix" (closed form, E = 2 only).  At the
     separatrix energy any series method falls back to the closed form
     with a warning, since no Taylor branch spans the infinite T*.
 
@@ -118,23 +117,27 @@ def build_trajectory(state: EnergyState, order: int | None = None,
     pinfo, c = period(state), _orbit_constants(state)
     branch = pendulum_series(c.theta0, c.omega0, order, time_unit=pinfo.T_star,
                              sin_cos=c.sin_cos)
-    if method == "resummed":
-        branch = resum(branch, state)
-    elif method == "efficient":
+    if method != "raw":
         branch = efficient_truncation(branch, state)
     return TrajectorySolution(state, pinfo, method, int(order), branch)
 
 
 def _tilde(sol: TrajectorySolution, t, upto: int | None = None):
     """Canonical branch at t, unchecked; `upto` selects a partial sum."""
-    if sol.method == "resummed":
-        return eval_resummed(sol.branch, t, upto)
-    if upto is not None and sol.method != "raw":
-        raise ValueError(f"partial sums unavailable for method {sol.method!r}; "
-                         "only raw and resummed branches truncate")
     if sol.method == "separatrix":
         return separatrix_theta(t)
-    return eval_poly(sol.branch, t, upto)
+    if sol.method == "raw":
+        return eval_poly(sol.branch, t, upto)
+    branch, t_star = sol.branch, sol.branch.time_unit
+    if upto is not None:  # re-pin a_0..a_upto, as an order-`upto` build does
+        head = SeriesCoefficients(branch.coeffs[: upto + 1], t_star)
+        branch = efficient_truncation(head, sol.energy_state)
+    theta = eval_poly(branch, t)
+    # rounding can leave a few ulps at s = 1: return +0.0, so the seams are exact
+    if isinstance(theta, float):
+        return 0.0 if t == t_star else theta
+    theta[t == t_star] = 0.0
+    return theta
 
 
 def _sense(state: EnergyState) -> int:

@@ -97,14 +97,18 @@ def sup_error(sol: TrajectorySolution, upto: int | None = None,
 
     The grid covers the canonical branch in the orbit's own sense; the
     separatrix has no finite T* and raises `SeparatrixError`.  `upto`
-    evaluates a lower-order partial sum of a stored raw or resummed
-    solution, letting one high-order build serve a whole truncation
+    evaluates a partial sum of order 0..N (2..N when pinned) of a stored
+    series solution, letting one high-order build serve a whole truncation
     sweep.  A precomputed `oracle` (thetas on the same grid) skips the
     RK4 run.  A non-integral `upto` or `grid_points` raises.
     """
     t_star = sol.period_info.T_star
     if not math.isfinite(t_star):
         raise SeparatrixError("the separatrix has no branch on [0, T*] to measure")
+    if upto is not None:
+        upto = _whole(upto, "upto")
+        if not 0 <= upto <= sol.order:
+            raise ValueError(f"upto={upto} outside the solution's orders 0..{sol.order}")
     grid_points = _whole(grid_points, "grid_points")
     if grid_points < 2:
         raise ValueError("grid needs at least 2 points")

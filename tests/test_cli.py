@@ -246,9 +246,23 @@ class TestErrorSweepCommand:
                 assert err[(e, n, "resummed")] <= err[(e, n, "raw")]
             assert err[(e, "10", "raw")] < err[(e, "5", "raw")]
 
+    def test_trajectory_sweep_pinned_methods_agree(self, tmp_path):
+        # both pinned methods are one polynomial, so every partial sum agrees
+        columns = {}
+        for method in ("resummed", "efficient"):
+            code, out = run_csv(tmp_path, [
+                "error-sweep", "--energy", "0.5,1.9998,2.5", "--order", "2,5,10,20",
+                "--method", method, "--grid", "51", "--oracle-dt", "1e-2"], f"{method}.csv")
+            assert code == 0
+            _, header, rows = parse_csv(out)
+            assert {r[2] for r in rows} == {method}
+            columns[method] = [(r[0], r[1], r[3]) for r in rows]
+        assert len(columns["resummed"]) == 12
+        assert columns["resummed"] == columns["efficient"]
+
     @pytest.mark.parametrize("method,builds", [
         ("raw", [(10, "raw")]),
-        ("efficient", [(5, "efficient"), (10, "efficient")]),
+        ("efficient", [(10, "efficient")]),
         ("auto", [(10, "raw"), (10, "resummed")]),
     ])
     def test_trajectory_sweep_builds_only_the_requested_methods(

@@ -27,6 +27,12 @@ from pendseries.validation import rk4_sample
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# the orders that reach 1e-13 at each energy (ROADMAP's table)
+CONVERGENCE_ORDERS = [
+    (0.5, 64), (1.71, 168), (1.9998, 1004), (2.0 - 1e-6, 2096),
+    (2.0 + 1e-6, 2096), (2.02, 391), (5.0, 79), (1e4, 23), (1.99, 463),
+    (2.0 - 1e-10, 4999), (2.0 + 1e-10, 4999), (2.0 - 2e-12, 6624), (2.0 + 2e-12, 6624)]
+
 
 class TestBuild:
     def test_libration_endpoints(self):
@@ -90,17 +96,25 @@ class TestEfficientBranch:
         assert sol.branch.time_unit == sol.period_info.T_star
         assert sol.branch.coeffs[:21].tobytes() == raw.coeffs.tobytes()
 
-    # the orders that reach 1e-13 at each energy (ROADMAP's table)
-    @pytest.mark.parametrize("energy,order", [
-        (0.5, 64), (1.71, 168), (1.9998, 1004), (2.0 - 1e-6, 2096),
-        (2.0 + 1e-6, 2096), (2.02, 391), (5.0, 79), (1e4, 23)])
+    @pytest.mark.parametrize("energy,order", CONVERGENCE_ORDERS)
     def test_agrees_with_resummed_at_convergence_orders(self, energy, order):
-        state = energy_state(energy)
-        efficient = build_trajectory(state, order, "efficient")
-        resummed = build_trajectory(state, order, "resummed")
-        grid = np.linspace(0.0, efficient.period_info.T_star, 401)
-        gap = np.abs(theta_tilde(efficient, grid) - theta_tilde(resummed, grid))
-        assert np.max(gap) <= 1e-14
+        # both pinned methods build the one polynomial of degree N+2
+        for direction in (1, -1):
+            state = energy_state(energy, direction)
+            efficient = build_trajectory(state, order, "efficient")
+            resummed = build_trajectory(state, order, "resummed")
+            assert efficient.branch.coeffs.tobytes() == resummed.branch.coeffs.tobytes()
+
+    @pytest.mark.parametrize("energy,order", CONVERGENCE_ORDERS)
+    @pytest.mark.parametrize("method", ["resummed", "efficient"])
+    def test_exactly_zero_at_t_star(self, energy, order, method):
+        # the rounded polynomial can leave a few ulps at s = 1; the seams need 0
+        for direction in (1, -1):
+            sol = build_trajectory(energy_state(energy, direction), order, method)
+            t_star = sol.period_info.T_star
+            ends = (theta_tilde(sol, t_star), theta_tilde(sol, np.array([0.0, t_star]))[1])
+            for end in ends:
+                assert end == 0.0 and math.copysign(1.0, end) == 1.0, (direction, end)
 
 
 class TestCoefficientRange:

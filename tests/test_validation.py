@@ -225,11 +225,12 @@ class TestSupError:
         high = sup_error(sol, grid_points=201, oracle=oracle)
         assert high < low
 
-    def test_partial_sums_match_direct_builds(self):
+    @pytest.mark.parametrize("method", ["resummed", "efficient"])
+    def test_partial_sums_match_direct_builds(self, method):
         # one high-order build must reproduce the low-order build exactly
         state = energy_state(1.71)
-        big = build_trajectory(state, 40, "resummed")
-        small = build_trajectory(state, 12, "resummed")
+        big = build_trajectory(state, 40, method)
+        small = build_trajectory(state, 12, method)
         grid = np.linspace(0.0, big.period_info.T_star, 201)
         oracle, _ = rk4_sample(*canonical_initial_state(big), grid, 1e-4)
         a = sup_error(big, upto=12, grid_points=201, oracle=oracle)
@@ -272,4 +273,21 @@ class TestSupError:
             sup_error(sol, upto=3.9, grid_points=11, oracle=np.zeros(11))
         eff = build_trajectory(energy_state(1.71), 10, "efficient")
         with pytest.raises(ValueError):
-            sup_error(eff, upto=5)
+            sup_error(eff, upto=11)
+
+    @pytest.mark.parametrize("method", ["resummed", "efficient"])
+    def test_pinned_partial_sums_stay_within_the_taylor_orders(self, method):
+        # a pinned branch stores a_0..a_N, alpha and beta: a partial sum
+        # re-pins a_0..a_upto and never sums alpha or beta in as Taylor terms
+        sol = build_trajectory(energy_state(1.71), 10, method)
+        oracle = np.zeros(11)
+        for upto in (11, 12, -1):
+            with pytest.raises(ValueError, match=r"outside the solution's orders 0\.\.10"):
+                sup_error(sol, upto=upto, grid_points=11, oracle=oracle)
+        for upto in (0, 1):
+            with pytest.raises(ValueError, match="order must be at least 2"):
+                sup_error(sol, upto=upto, grid_points=11, oracle=oracle)
+        with pytest.raises(ValueError, match="upto must be an integer"):
+            sup_error(sol, upto=2.5, grid_points=11, oracle=oracle)
+        assert (sup_error(sol, upto=2.0, grid_points=11, oracle=oracle)
+                == sup_error(sol, upto=2, grid_points=11, oracle=oracle))
