@@ -70,11 +70,11 @@ class TrajectorySolution:
     `method` evaluates, None for the separatrix closed form.  For "raw" it
     is the Taylor polynomial a_0..a_N; "resummed" and "efficient" share the
     one endpoint-pinned polynomial of degree N+2 (a_0..a_N, alpha, beta)
-    that `efficient_truncation` builds.  Series branches are carried in the branch-normalised
-    time s = t/T* (time unit T*), so that their coefficients fall like
-    (T*/R)^n and stay in double range at every order and energy.  Time 0
-    is the canonical start; `align_to_ics` gives the offset of any other
-    start on the orbit.
+    that `efficient_truncation` builds.  Series branches are carried in
+    the branch-normalised time s = t/T* (time unit T*), so that their
+    coefficients fall like (T*/R)^n and stay in double range at every
+    order and energy.  Time 0 is the canonical start; `align_to_ics`
+    gives the offset of any other start on the orbit.
     """
 
     energy_state: EnergyState
@@ -90,9 +90,9 @@ def build_trajectory(state: EnergyState, order: int | None = None,
 
     `method` picks the branch: "raw" (Taylor partial sum), "resummed" or
     "efficient" (the same endpoint-pinned polynomial, built in O(N) by
-    `efficient_truncation`), or "separatrix" (closed form, E = 2 only).  At the
-    separatrix energy any series method falls back to the closed form
-    with a warning, since no Taylor branch spans the infinite T*.
+    `efficient_truncation`), or "separatrix" (closed form, E = 2 only).
+    At the separatrix energy any series method falls back to the closed
+    form with a warning, since no Taylor branch spans the infinite T*.
 
     The branch is carried in units of T* (see `TrajectorySolution`):
     plain Taylor coefficients fall like R^-n, which underflows near the
