@@ -23,7 +23,6 @@ import argparse
 import csv
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -254,76 +253,6 @@ def _emit(stream, args, meta, header, rows) -> None:
     writer.writerows(rows)
 
 
-_PLOT_HEAD = '''#!/usr/bin/env python3
-"""Plot __CSV__ (pendseries __COMMAND__ output)."""
-import csv
-from pathlib import Path
-
-import matplotlib.pyplot as plt
-
-with open(Path(__file__).with_name(__CSV__)) as f:
-    header, *rows = csv.reader(line for line in f if not line.startswith("#"))
-
-'''
-
-_PLOT_BODIES = {
-    "trajectory": '''ts, ana, rk4, err = ([float(r[i]) for r in rows] for i in range(4))
-
-fig, (top, bottom) = plt.subplots(2, 1, sharex=True)
-top.plot(ts, ana, label="series")
-top.plot(ts, rk4, "--", label="rk4")
-top.set_ylabel("theta")
-top.legend()
-bottom.semilogy(ts, [max(e, 1e-18) for e in err])
-bottom.set_xlabel("t")
-bottom.set_ylabel("|error|")
-fig.tight_layout()
-plt.show()
-''',
-    "error-sweep": '''curves = {}
-for row in rows:
-    curves.setdefault((row[0], row[2]), []).append((int(row[1]), float(row[3])))
-
-for (energy, method), points in sorted(curves.items()):
-    points.sort()
-    plt.semilogy([n for n, _ in points], [max(v, 1e-18) for _, v in points],
-                 marker="o", label=f"E={energy} {method}")
-plt.xlabel("order N")
-plt.ylabel(header[3])
-plt.legend()
-plt.tight_layout()
-plt.show()
-''',
-    "surface": '''curves = {}
-for row in rows:
-    curves.setdefault(row[0], []).append((float(row[1]), float(row[2])))
-
-for energy, points in sorted(curves.items(), key=lambda kv: float(kv[0])):
-    plt.plot([t for t, _ in points], [th for _, th in points], label=f"E={energy}")
-plt.xlabel("t")
-plt.ylabel("theta")
-plt.legend()
-plt.tight_layout()
-plt.show()
-''',
-}
-
-
-def _write_plot_script(out_path: str, command: str) -> Path:
-    path = Path(out_path)
-    script = path.with_name(path.stem + "_plot.py")
-    text = (_PLOT_HEAD + _PLOT_BODIES[command]).replace("__COMMAND__", command)
-    script.write_text(text.replace("__CSV__", repr(path.name)), encoding="utf-8")
-    return script
-
-
-def _add_output_flags(p, plottable: bool) -> None:
-    p.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
-    if plottable:
-        p.add_argument("--plot-script", action="store_true",
-                       help="also write a matplotlib script next to --out")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     energies = _values(float, 0.0, strict=True)  # E = 0 is the rest fixed point
     orders = _value(int, 2)
@@ -353,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="RK4 oracle step (1e-5 reproduces the reference runs)")
     p.add_argument("--degrees", action="store_true",
                    help="format angle columns in degrees")
-    _add_output_flags(p, plottable=True)
+    p.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_trajectory)
 
     p = sub.add_parser("error-sweep",
@@ -372,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sweep the effective-period error of K routes instead")
     p.add_argument("--degrees", action="store_true",
                    help="format sup_error in degrees")
-    _add_output_flags(p, plottable=True)
+    p.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_error_sweep)
 
     p = sub.add_parser("surface",
@@ -384,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--periods", type=periods, default=2)
     p.add_argument("--grid", type=grid, default=257, help="samples per energy")
     p.add_argument("--degrees", action="store_true")
-    _add_output_flags(p, plottable=True)
+    p.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("roc", help="convergence radii, exact and estimated")
@@ -392,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated energy grid")
     p.add_argument("--order", type=orders, default=400,
                    help="coefficient count for the root-test estimate")
-    _add_output_flags(p, plottable=False)
+    p.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_roc)
 
     return parser
@@ -401,8 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "plot_script", False) and not args.out:
-        parser.error("--plot-script requires --out")
     try:
         meta, header, rows, skipped = args.func(args)
     except ValueError as exc:  # a value the flag checks pass but the library rejects
@@ -410,8 +337,6 @@ def main(argv=None) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as stream:
             _emit(stream, args, meta, header, rows)
-        if getattr(args, "plot_script", False):
-            _write_plot_script(args.out, args.command)
     else:
         _emit(sys.stdout, args, meta, header, rows)
     for line in skipped:

@@ -1,13 +1,11 @@
 """Command-line artifact generation, exercised through cli.main."""
 
+import argparse
 import csv
 import io
-import json
 import math
-import os
+import re
 import shlex
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -106,109 +104,6 @@ class TestTrajectoryCommand:
         deg_theta = column(deg, header, "theta_analytic")
         np.testing.assert_allclose(deg_theta, np.degrees(rad_theta), rtol=1e-15)
         assert [r[0] for r in rad] == [d[0] for d in deg]  # time untouched
-
-    def test_plot_script_companion(self, tmp_path):
-        run_csv(tmp_path, [
-            "trajectory", "--energy", "1.0", "--order", "6", "--grid", "11",
-            "--oracle-dt", "1e-2", "--plot-script"], "traj.csv")
-        script = tmp_path / "traj_plot.py"
-        assert script.exists()
-        text = script.read_text(encoding="utf-8")
-        assert "'traj.csv'" in text
-        compile(text, str(script), "exec")  # must at least be valid python
-
-
-PYPLOT_STUB = """
-import atexit
-import json
-import os
-
-CALLS = []
-
-
-class _Recorder:
-    def __init__(self, name):
-        self.name = name
-
-    def __call__(self, *args, **kwargs):
-        CALLS.append([self.name, list(args), kwargs])
-        return _Recorder(self.name + "()")
-
-    def __getattr__(self, name):
-        return _Recorder(self.name + "." + name)
-
-    def __iter__(self):
-        return iter((_Recorder(self.name + "[0]"), _Recorder(self.name + "[1]")))
-
-
-def __getattr__(name):
-    return _Recorder(name)
-
-
-@atexit.register
-def _dump():
-    with open(os.environ["PYPLOT_LOG"], "w", encoding="utf-8") as f:
-        json.dump(CALLS, f)
-"""
-
-
-def _drawn(calls, method):
-    """(args, kwargs) of each recorded call of a pyplot or axes method."""
-    return [(args, kwargs) for name, args, kwargs in calls
-            if name.rsplit(".", 1)[-1] == method]
-
-
-@pytest.mark.parametrize("argv", [
-    ["trajectory", "--energy", "1.0", "--order", "6", "--grid", "11", "--oracle-dt", "1e-2"],
-    ["error-sweep", "--period", "--energy", "1.5", "--order", "5"],
-    ["surface", "--energy", "1.0", "--order", "6", "--grid", "5"],
-    ["error-sweep", "--energy", "0.5,1.5", "--order", "5,10", "--grid", "21",
-     "--oracle-dt", "1e-2"],
-    ["surface", "--energy", "3.0,1.0,2.0", "--order", "6", "--grid", "5"],
-])
-def test_plot_script_runs_from_another_directory(tmp_path, argv):
-    # matplotlib need not be installed: a stub pyplot records every call
-    stub = tmp_path / "stub" / "matplotlib"
-    stub.mkdir(parents=True)
-    (stub / "__init__.py").write_text("", encoding="utf-8")
-    (stub / "pyplot.py").write_text(PYPLOT_STUB, encoding="utf-8")
-    out = tmp_path / "out"
-    out.mkdir()
-    run_csv(out, argv + ["--plot-script"], "data.csv")
-    elsewhere = tmp_path / "elsewhere"
-    elsewhere.mkdir()
-    log = tmp_path / "calls.json"
-    done = subprocess.run(
-        [sys.executable, str(out / "data_plot.py")], cwd=elsewhere,
-        env={**os.environ, "PYTHONPATH": str(stub.parent), "PYPLOT_LOG": str(log)},
-        capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    calls = json.loads(log.read_text(encoding="utf-8"))
-    _, header, rows = parse_csv(out / "data.csv")
-    if argv[0] == "trajectory":
-        t = column(rows, header, "t").tolist()
-        assert [args for args, _ in _drawn(calls, "plot")] == [
-            [t, column(rows, header, "theta_analytic").tolist()],
-            [t, column(rows, header, "theta_rk4").tolist(), "--"],
-        ]
-    elif argv[0] == "error-sweep":
-        # one curve per (energy, method), over the orders
-        curves = {kwargs["label"]: args for args, kwargs in _drawn(calls, "semilogy")}
-        assert len(curves) == len(_drawn(calls, "semilogy"))
-        assert curves == {
-            f"E={e} {m}": [[int(r[1]) for r in rows if r[0] == e and r[2] == m],
-                           [float(r[3]) for r in rows if r[0] == e and r[2] == m]]
-            for e, _, m, _ in rows
-        }
-        assert _drawn(calls, "ylabel") == [([header[3]], {})]
-    else:
-        # one curve per energy, sorted by energy
-        energies = sorted({r[0] for r in rows}, key=float)
-        assert _drawn(calls, "plot") == [
-            ([[float(r[1]) for r in rows if r[0] == e],
-              [float(r[2]) for r in rows if r[0] == e]], {"label": f"E={e}"})
-            for e in energies
-        ]
 
 
 class TestErrorSweepCommand:
@@ -436,7 +331,7 @@ class TestUsageErrors:
         ["trajectory", "--energy", "1.0", "--grid", "1"],
         ["trajectory", "--energy", "1.0", "--periods", "0"],
         ["trajectory", "--energy", "1.0", "--oracle-dt", "0"],
-        ["trajectory", "--energy", "1.0", "--plot-script"],
+        ["trajectory", "--energy", "1.0", "--direction", "up"],
         ["error-sweep", "--energy", "1.0", "--order", "5,1"],
         ["trajectory", "--energy", "nan"],
         ["trajectory", "--energy", "inf"],
@@ -449,6 +344,16 @@ class TestUsageErrors:
             cli.main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["trajectory", "error-sweep", "surface"])
+    def test_plot_script_is_not_an_option(self, tmp_path, command, capsys):
+        # the CLI writes the CSV and nothing else
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--energy", "1.71", "--plot-script", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --plot-script" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text,message", [
         ("abc", "invalid float value in 'abc'"),
@@ -490,11 +395,25 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("# pendseries")
 
 
-def readme_commands():
+def readme_cli_section():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    return [shlex.split(line)[1:] for line in section.splitlines()
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_commands():
+    return [shlex.split(line)[1:] for line in readme_cli_section().splitlines()
             if line.startswith("    pendseries ")]
+
+
+def test_every_readme_flag_is_an_option():
+    # a README that still names a removed flag fails here
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for p in [parser, *sub.choices.values()]
+               for action in p._actions for opt in action.option_strings}
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme_cli_section()))
+    assert {"--out", "--degrees", "--oracle-dt"} <= flags
+    assert flags <= options, sorted(flags - options)
 
 
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):

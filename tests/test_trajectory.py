@@ -379,7 +379,8 @@ class TestSubnormalEnergies:
 
 class TestFoldReference:
     """`theta_at` folds by one branch index floor(t/T*); the two-level fold
-    above reduces t mod T first and clamps.  Both give the same bits."""
+    above reduces t mod T first and clamps.  Both give the same bits, to
+    array and scalar calls alike."""
 
     @pytest.mark.parametrize("direction", [1, -1])
     @pytest.mark.parametrize("energy", [1e-10, 1e-4, 0.5, 1.71, 1.9998, 2.0, 2.02, 5.0, 1e3])
@@ -396,7 +397,10 @@ class TestFoldReference:
             ts += list(rng.uniform(-1e6 * t_full, 1e6 * t_full, 50))
             got = theta_at(sol, np.array(ts))
             for t, value in zip(ts, got):
-                assert value.hex() == two_level_fold(sol, t).hex(), (method, t)
+                want = two_level_fold(sol, t).hex()
+                assert value.hex() == want, (method, t)
+                # a scalar call takes the same fold to the same bits
+                assert float.hex(theta_at(sol, float(t))) == want, (method, t)
 
 
 class TestSeams:
