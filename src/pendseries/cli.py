@@ -166,16 +166,14 @@ def _trajectory_sweep(args):
     scale = _angle_scale(args)
     for e in _off_separatrix(args.energy, skipped, "no finite T*"):
         state = _state(e, args.direction)
-        # one build per method; each order is its partial sum
-        sols = [build_trajectory(state, max(args.order), method) for method in methods]
-        t_star = sols[0].period_info.T_star  # shared by every method
+        sols = [build_trajectory(state, n, method) for method in methods for n in args.order]
+        t_star = sols[0].period_info.T_star  # shared by every build
         meta.append(f"energy={_fmt(e)} T_star={_fmt(t_star)}")
         grid = np.linspace(0.0, t_star, args.grid)
         oracle, _ = rk4_sample(*canonical_initial_state(sols[0]), grid, args.oracle_dt)
         for sol in sols:
-            for n in args.order:
-                err = sup_error(sol, upto=n, grid_points=args.grid, oracle=oracle)
-                rows.append([_fmt(e), str(n), sol.method, _fmt(scale * err)])
+            err = sup_error(sol, grid_points=args.grid, oracle=oracle)
+            rows.append([_fmt(e), str(sol.order), sol.method, _fmt(scale * err)])
     return meta, ["energy", "order", "method", "sup_error"], rows, skipped
 
 

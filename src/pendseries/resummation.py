@@ -133,16 +133,15 @@ def resum(a: SeriesCoefficients, state: EnergyState) -> ResummedSeries:
     return ResummedSeries(w, SeriesCoefficients(a_hat, t_star))
 
 
-def eval_resummed(r: ResummedSeries, t, upto: int | None = None):
+def eval_resummed(r: ResummedSeries, t):
     """Evaluate the resummed form at t (scalar or array).
 
     By construction the value at t = T* is exactly zero and the slope
-    there is exactly w*, independent of where the series is truncated;
-    `upto` selects a partial sum of the ahat coefficients.
+    there is exactly w*, independent of where the series is truncated.
     """
     t_star = r.a_hat.time_unit
     ds = (np.asarray(t, dtype=float) - t_star) / t_star
-    out = (r.omega_star * t_star) * ds + ds * ds * eval_poly(r.a_hat, t, upto)
+    out = (r.omega_star * t_star) * ds + ds * ds * eval_poly(r.a_hat, t)
     return float(out) if out.ndim == 0 else out
 
 

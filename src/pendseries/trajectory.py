@@ -122,17 +122,14 @@ def build_trajectory(state: EnergyState, order: int | None = None,
     return TrajectorySolution(state, pinfo, method, int(order), branch)
 
 
-def _tilde(sol: TrajectorySolution, t, upto: int | None = None):
-    """Canonical branch at t, unchecked; `upto` selects a partial sum."""
+def _tilde(sol: TrajectorySolution, t):
+    """Canonical branch at t, unchecked."""
     if sol.method == "separatrix":
         return separatrix_theta(t)
+    theta = eval_poly(sol.branch, t)
     if sol.method == "raw":
-        return eval_poly(sol.branch, t, upto)
-    branch, t_star = sol.branch, sol.branch.time_unit
-    if upto is not None:  # re-pin a_0..a_upto, as an order-`upto` build does
-        head = SeriesCoefficients(branch.coeffs[: upto + 1], t_star)
-        branch = efficient_truncation(head, sol.energy_state)
-    theta = eval_poly(branch, t)
+        return theta
+    t_star = sol.branch.time_unit
     # rounding can leave a few ulps at s = 1: return +0.0, so the seams are exact
     if isinstance(theta, float):
         return 0.0 if t == t_star else theta

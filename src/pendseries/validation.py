@@ -23,7 +23,7 @@ import numpy as np
 
 from .energy import SeparatrixError
 from .series import _whole
-from .trajectory import TrajectorySolution, _orient, _tilde, canonical_initial_state
+from .trajectory import TrajectorySolution, _orient, canonical_initial_state, theta_tilde
 
 __all__ = [
     "rk4_sample",
@@ -91,29 +91,24 @@ def rk4_sample(theta0: float, omega0: float, times, dt: float):
     return thetas, omegas
 
 
-def sup_error(sol: TrajectorySolution, upto: int | None = None,
-              grid_points: int = 1001, oracle_dt: float = 1e-4, oracle=None) -> float:
+def sup_error(sol: TrajectorySolution, *, grid_points: int = 1001,
+              oracle_dt: float = 1e-4, oracle=None) -> float:
     """Max |theta_series - theta_RK4| over an even grid on [0, T*], as a float.
 
     The grid covers the canonical branch in the orbit's own sense; the
-    separatrix has no finite T* and raises `SeparatrixError`.  `upto`
-    evaluates a partial sum of order 0..N (2..N when pinned) of a stored
-    series solution, letting one high-order build serve a whole truncation
-    sweep.  A precomputed `oracle` (thetas on the same grid) skips the
-    RK4 run.  A non-integral `upto` or `grid_points` raises.
+    separatrix has no finite T* and raises `SeparatrixError`.  The
+    order-n branch is `build_trajectory(state, n, method)`.  A precomputed
+    `oracle` (thetas on the same grid) skips the RK4 run.  A non-integral
+    `grid_points` raises.
     """
     t_star = sol.period_info.T_star
     if not math.isfinite(t_star):
         raise SeparatrixError("the separatrix has no branch on [0, T*] to measure")
-    if upto is not None:
-        upto = _whole(upto, "upto")
-        if not 0 <= upto <= sol.order:
-            raise ValueError(f"upto={upto} outside the solution's orders 0..{sol.order}")
     grid_points = _whole(grid_points, "grid_points")
     if grid_points < 2:
         raise ValueError("grid needs at least 2 points")
     grid = np.linspace(0.0, t_star, grid_points)
-    approx = _orient(sol.energy_state, _tilde(sol, grid, upto))
+    approx = _orient(sol.energy_state, theta_tilde(sol, grid))
     if oracle is None:
         theta0, omega0 = canonical_initial_state(sol)
         oracle, _ = rk4_sample(theta0, omega0, grid, oracle_dt)

@@ -155,7 +155,7 @@ PRIVATE_IMPORTS = {
     "elliptic": {"_orbit_constants", "_whole"},
     "resummation": {"_orbit_constants"},
     "trajectory": {"_orbit_constants"},
-    "validation": {"_whole", "_orient", "_tilde"},
+    "validation": {"_whole", "_orient"},
 }
 
 

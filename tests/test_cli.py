@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pendseries import cli
+from pendseries import canonical_initial_state, cli, sup_error
+from pendseries.validation import rk4_sample
 
 
 def run_csv(tmp_path, argv, name="out.csv"):
@@ -142,7 +143,7 @@ class TestErrorSweepCommand:
             assert err[(e, "10", "raw")] < err[(e, "5", "raw")]
 
     def test_trajectory_sweep_pinned_methods_agree(self, tmp_path):
-        # both pinned methods are one polynomial, so every partial sum agrees
+        # both pinned methods are one polynomial, so every order agrees
         columns = {}
         for method in ("resummed", "efficient"):
             code, out = run_csv(tmp_path, [
@@ -156,9 +157,9 @@ class TestErrorSweepCommand:
         assert columns["resummed"] == columns["efficient"]
 
     @pytest.mark.parametrize("method,builds", [
-        ("raw", [(10, "raw")]),
-        ("efficient", [(10, "efficient")]),
-        ("auto", [(10, "raw"), (10, "resummed")]),
+        ("raw", [(5, "raw"), (10, "raw")]),
+        ("efficient", [(5, "efficient"), (10, "efficient")]),
+        ("auto", [(5, "raw"), (5, "resummed"), (10, "raw"), (10, "resummed")]),
     ])
     def test_trajectory_sweep_builds_only_the_requested_methods(
             self, tmp_path, monkeypatch, method, builds):
@@ -175,6 +176,25 @@ class TestErrorSweepCommand:
             "--grid", "11", "--oracle-dt", "1e-2"])
         assert code == 0
         assert sorted(calls) == builds
+
+    @pytest.mark.parametrize("direction", ["cw", "ccw"])
+    @pytest.mark.parametrize("method", ["auto", "efficient"])
+    def test_trajectory_sweep_rows_are_direct_builds(self, tmp_path, method, direction):
+        # each row measures build_trajectory(state, n, method) against one
+        # RK4 oracle per energy
+        code, out = run_csv(tmp_path, [
+            "error-sweep", "--energy", "0.5,2.02", "--order", "4,9", "--grid", "41",
+            "--oracle-dt", "1e-2", "--method", method, "--direction", direction])
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        methods = ["raw", "resummed"] if method == "auto" else [method]
+        assert [(r[0], r[1], r[2]) for r in rows] == [
+            (e, n, m) for e in ("0.5", "2.02") for m in methods for n in ("4", "9")]
+        for e, n, m, err in rows:
+            sol = cli.build_trajectory(cli._state(float(e), direction), int(n), m)
+            grid = np.linspace(0.0, sol.period_info.T_star, 41)
+            oracle, _ = rk4_sample(*canonical_initial_state(sol), grid, 1e-2)
+            assert err == cli._fmt(sup_error(sol, grid_points=41, oracle=oracle))
 
 
 class TestSurfaceCommand:

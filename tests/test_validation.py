@@ -13,9 +13,12 @@ from pendseries import (
     energy_state,
     sup_error,
     theta_at,
+    theta_tilde,
 )
 from pendseries import validation
 from pendseries.energy import separatrix_theta
+from pendseries.series import eval_poly
+from pendseries.trajectory import _orient
 from pendseries.validation import rk4_sample
 
 
@@ -204,7 +207,7 @@ class TestSupError:
         assert err == np.max(np.abs(theta_at(sol, grid) - oracle))
 
     def test_separatrix_has_no_branch_to_measure(self):
-        kwargs = ({}, {"upto": 5}, {"grid_points": 11, "oracle": np.zeros(11)})
+        kwargs = ({}, {"grid_points": 11, "oracle": np.zeros(11)})
         for direction in (1, -1):
             sol = build_trajectory(energy_state(2.0, direction), method="separatrix")
             for kw in kwargs:
@@ -218,41 +221,33 @@ class TestSupError:
         assert res < raw
 
     def test_error_shrinks_with_order(self):
-        sol = build_trajectory(energy_state(1.71), 40, "raw")
-        oracle, _ = rk4_sample(*canonical_initial_state(sol),
-                               np.linspace(0.0, sol.period_info.T_star, 201), 1e-4)
-        low = sup_error(sol, upto=6, grid_points=201, oracle=oracle)
-        high = sup_error(sol, grid_points=201, oracle=oracle)
-        assert high < low
-
-    @pytest.mark.parametrize("method", ["resummed", "efficient"])
-    def test_partial_sums_match_direct_builds(self, method):
-        # one high-order build must reproduce the low-order build exactly
         state = energy_state(1.71)
-        big = build_trajectory(state, 40, method)
-        small = build_trajectory(state, 12, method)
-        grid = np.linspace(0.0, big.period_info.T_star, 201)
-        oracle, _ = rk4_sample(*canonical_initial_state(big), grid, 1e-4)
-        a = sup_error(big, upto=12, grid_points=201, oracle=oracle)
-        b = sup_error(small, grid_points=201, oracle=oracle)
-        assert a == b
+        low, high = (build_trajectory(state, n, "raw") for n in (6, 40))
+        oracle, _ = rk4_sample(*canonical_initial_state(high),
+                               np.linspace(0.0, high.period_info.T_star, 201), 1e-4)
+        assert (sup_error(high, grid_points=201, oracle=oracle)
+                < sup_error(low, grid_points=201, oracle=oracle))
 
     def test_partial_sums_respect_rotation_reflection(self):
         sol = build_trajectory(energy_state(2.02, 1), 36, "raw")
-        err = sup_error(sol, upto=36, grid_points=201)
+        err = sup_error(sol, grid_points=201)
         assert err < 1.5e-3
 
     @pytest.mark.parametrize("energy,direction",
                              [(0.5, 1), (1.71, 1), (2.02, -1), (5.0, 1)])
     def test_full_order_equals_partial_sum_at_full_order(self, energy, direction):
-        # both paths measure the same raw polynomial on the same branch,
-        # including its value at T*, which no seam rule may flip
-        sol = build_trajectory(energy_state(energy, direction), 20, "raw")
+        # sup_error measures the branch itself, the raw polynomial's partial
+        # sum at its full order, with its non-zero value at T*: theta_at
+        # would fold t = T* onto branch 1 and read -theta~(T*) there instead
+        state = energy_state(energy, direction)
+        sol = build_trajectory(state, 20, "raw")
         grid = np.linspace(0.0, sol.period_info.T_star, 1001)
         oracle, _ = rk4_sample(*canonical_initial_state(sol), grid, 1e-3)
-        full = sup_error(sol, oracle=oracle)
-        partial = sup_error(sol, upto=sol.order, oracle=oracle)
-        assert full == partial
+        branch = theta_tilde(sol, grid)
+        assert branch.tobytes() == eval_poly(sol.branch, grid, upto=sol.order).tobytes()
+        assert branch[-1] != 0.0
+        expected = np.max(np.abs(_orient(state, branch) - oracle))
+        assert sup_error(sol, oracle=oracle) == expected
 
     def test_grid_points_is_never_truncated(self):
         # np.linspace used to raise a bare TypeError for 51.0
@@ -269,25 +264,12 @@ class TestSupError:
             sup_error(sol, grid_points=1)
         with pytest.raises(ValueError):
             sup_error(sol, grid_points=11, oracle=np.zeros(10))
-        with pytest.raises(ValueError, match="upto must be an integer"):
-            sup_error(sol, upto=3.9, grid_points=11, oracle=np.zeros(11))
-        eff = build_trajectory(energy_state(1.71), 10, "efficient")
-        with pytest.raises(ValueError):
-            sup_error(eff, upto=11)
 
-    @pytest.mark.parametrize("method", ["resummed", "efficient"])
-    def test_pinned_partial_sums_stay_within_the_taylor_orders(self, method):
-        # a pinned branch stores a_0..a_N, alpha and beta: a partial sum
-        # re-pins a_0..a_upto and never sums alpha or beta in as Taylor terms
-        sol = build_trajectory(energy_state(1.71), 10, method)
-        oracle = np.zeros(11)
-        for upto in (11, 12, -1):
-            with pytest.raises(ValueError, match=r"outside the solution's orders 0\.\.10"):
-                sup_error(sol, upto=upto, grid_points=11, oracle=oracle)
-        for upto in (0, 1):
-            with pytest.raises(ValueError, match="order must be at least 2"):
-                sup_error(sol, upto=upto, grid_points=11, oracle=oracle)
-        with pytest.raises(ValueError, match="upto must be an integer"):
-            sup_error(sol, upto=2.5, grid_points=11, oracle=oracle)
-        assert (sup_error(sol, upto=2.0, grid_points=11, oracle=oracle)
-                == sup_error(sol, upto=2, grid_points=11, oracle=oracle))
+    def test_takes_no_partial_sum_order(self):
+        # the order-n branch is build_trajectory(state, n, method); a second
+        # argument, by keyword or by position, is not read as an order
+        sol = build_trajectory(energy_state(1.71), 10, "resummed")
+        with pytest.raises(TypeError):
+            sup_error(sol, upto=5)
+        with pytest.raises(TypeError):
+            sup_error(sol, 5)
