@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .convergence import roc_estimate, roc_exact
-from .elliptic import period
+from .elliptic import evaluate_k, period
 from .energy import Regime, _orbit_constants, classify_energy, energy_state
 from .series import pendulum_series
 from .trajectory import build_trajectory, canonical_initial_state, theta_at
@@ -151,11 +151,11 @@ def _period_sweep(args):
     meta, rows, skipped = [], [], []
     for e in _off_separatrix(args.energy, skipped, "no finite period"):
         state = energy_state(e)
-        exact = period(state).T_star
+        exact, c = period(state).T_star, _orbit_constants(state)
         meta.append(f"energy={_fmt(e)} T_star={_fmt(exact)}")
         for n in args.order:
             for route in ("series", "resummed"):
-                approx = period(state, method=route, order=n).T_star
+                approx = c.scale * evaluate_k(c.k, route, n).value
                 rows.append([_fmt(e), str(n), route, _fmt(abs(approx - exact))])
     return meta, ["energy", "order", "method", "T_star_abs_error"], rows, skipped
 
@@ -296,7 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="samples per [0, T*] error grid")
     p.add_argument("--oracle-dt", type=dt, default=1e-4)
     p.add_argument("--period", action="store_true",
-                   help="sweep the effective-period error of K routes instead")
+                   help="sweep the effective-period error of K routes instead "
+                        "(ignores --method, --direction, --grid, --oracle-dt, --degrees)")
     p.add_argument("--degrees", action="store_true",
                    help="format sup_error in degrees")
     p.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
@@ -333,8 +334,11 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a value the flag checks pass but the library rejects
         parser.error(str(exc))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as stream:
-            _emit(stream, args, meta, header, rows)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as stream:
+                _emit(stream, args, meta, header, rows)
+        except OSError as exc:
+            parser.error(f"cannot write --out {args.out!r}: {exc.strerror}")
     else:
         _emit(sys.stdout, args, meta, header, rows)
     for line in skipped:

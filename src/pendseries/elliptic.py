@@ -16,8 +16,8 @@ provided with one contract: each accepts exactly 0 <= k < 1 and raises
                           the truncation error stays O(1/N) even at the
                           logarithmic singularity k -> 1.
 
-``period`` forms an orbit's T* by the AGM as K'(k'), with k' from E, or by
-the series routes, which ``evaluate_k`` dispatches.
+``period`` forms an orbit's T and T* by the AGM as K'(k'), with k' from E;
+``evaluate_k`` dispatches the two series routes, which ``error-sweep --period`` measures.
 """
 
 from __future__ import annotations
@@ -174,7 +174,11 @@ def ellipk_prime(k: float) -> float:
 
 
 def evaluate_k(k: float, method: str, order: int | None = None) -> EllipticEval:
-    """K(k) by the "series" or "resummed" route, tagged with the route and whole order used."""
+    """K(k) by the "series" or "resummed" route, tagged with the route and whole order used.
+
+    "resummed" sizes a missing `order` by `resummed_order_for`, which raises "too close to 1"
+    within about 2.75e-6 of k = 1, that is for 0 < |E - 2| below about 1.1e-5.
+    """
     route = {"series": ellipk_series, "resummed": ellipk_resummed}.get(method)
     if route is None:
         raise ValueError(f"unknown method {method!r}")
@@ -184,24 +188,14 @@ def evaluate_k(k: float, method: str, order: int | None = None) -> EllipticEval:
     return EllipticEval(route(k, order), f"{method}(order={order})")
 
 
-def period(state: EnergyState, method: str = "quadrature",
-           order: int | None = None) -> PeriodInfo:
-    """Period of the orbit with the given energy.
+def period(state: EnergyState) -> PeriodInfo:
+    """Period of the orbit with the given energy, by the AGM; the separatrix raises.
 
-    Libration: T = 4 K(sqrt(E/2)), effective period T* = T/4.
-    Rotation:  T = 2 sqrt(2/E) K(sqrt(2/E)), effective period T* = T/2.
-    The separatrix has no period; requesting it raises.  "quadrature", the
-    default and the one AGM route, is K'(k') with k'^2 = (2 - E)/2 or (E - 2)/E
-    from E, and takes no `order`: its T* is within 1.6e-16 relative of K of the
-    given E from E = 0.5 to 1e4, 2 -+ 2e-12 included (mpmath, 40 digits).
-    "series" and "resummed" go through `evaluate_k`; "resummed" without an
-    `order` raises `ValueError` ("too close to 1") for 0 < |E - 2| below about
-    1.1e-5, where `resummed_order_for` exceeds its order cap.
+    Libration: T = 4 K(sqrt(E/2)), T* = T/4; rotation: T = 2 sqrt(2/E) K(sqrt(2/E)), T* = T/2.
+    K is K'(k'), k'^2 = (2 - E)/2 or (E - 2)/E from E: T* is within 1.6e-16 relative
+    of K of the given E from E = 0.5 to 1e4, 2 -+ 2e-12 included (mpmath, 40 digits).
     """
     c = _orbit_constants(state)
-    if method == "quadrature" and order is not None:
-        raise ValueError("quadrature route takes no truncation order")
-    t_star = c.scale * (ellipk_prime(c.k_prime) if method == "quadrature"
-                        else evaluate_k(c.k, method, order).value)
+    t_star = c.scale * ellipk_prime(c.k_prime)
     branches = 4.0 if state.regime is Regime.LIBRATION else 2.0
     return PeriodInfo(branches * t_star, t_star)

@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pendseries import canonical_initial_state, cli, sup_error
+from pendseries import canonical_initial_state, cli, energy_state, period, sup_error
+from pendseries.elliptic import evaluate_k
+from pendseries.energy import _orbit_constants
 from pendseries.validation import rk4_sample
 
 
@@ -117,6 +119,22 @@ class TestErrorSweepCommand:
         assert header == ["energy", "order", "method", "T_star_abs_error"]
         err = {(r[1], r[2]): float(r[3]) for r in rows}
         assert err[("10", "resummed")] < err[("100", "series")]
+
+    def test_period_sweep_rows_are_the_k_routes(self, tmp_path):
+        # each row is |scale K_route(k) - T*|, rotations (scale = k) included
+        code, out = run_csv(tmp_path, [
+            "error-sweep", "--period", "--energy", "0.3,1.9998,2.02,5,300",
+            "--order", "2,10,100"])
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert [(float(r[0]), r[1], r[2]) for r in rows] == [
+            (e, n, route) for e in (0.3, 1.9998, 2.02, 5.0, 300.0)
+            for n in ("2", "10", "100") for route in ("series", "resummed")]
+        for e, n, route, err in rows:
+            state = energy_state(float(e))
+            c = _orbit_constants(state)
+            approx = c.scale * evaluate_k(c.k, route, int(n)).value
+            assert err == cli._fmt(abs(approx - period(state).T_star))
 
     def test_separatrix_rows_are_skipped_not_faked(self, tmp_path, capsys):
         code, out = run_csv(tmp_path, [
@@ -394,6 +412,15 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage: pendseries")
         assert "error: dt = 5e-324 is too small to step over the span" in err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["roc", "--energy", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pendseries")
+        assert f"error: cannot write --out {str(out)!r}: No such file or directory" in err
 
     @pytest.mark.parametrize("command", ["trajectory", "surface", "error-sweep"])
     def test_largest_energies_build(self, tmp_path, command):

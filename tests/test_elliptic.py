@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from pendseries import SeparatrixError, energy_state, period
 from pendseries.elliptic import (
+    EllipticEval,
     PeriodInfo,
     ellipk_agm,
     ellipk_prime,
@@ -21,6 +22,7 @@ from pendseries.elliptic import (
     evaluate_k,
     resummed_order_for,
 )
+from pendseries.energy import _orbit_constants
 
 
 def ellipk_gauss_legendre(k, tol=1e-13):
@@ -165,9 +167,8 @@ def test_series_routes_reject_a_negative_order():
     lambda n: ellipk_series(0.5, n),
     lambda n: ellipk_resummed(0.5, n),
     lambda n: evaluate_k(0.5, "series", n).value,
-    lambda n: period(energy_state(1.0), "series", n),
-    lambda n: period(energy_state(1.0), "resummed", n),
-], ids=["series", "resummed", "evaluate_k", "period_series", "period_resummed"])
+    lambda n: evaluate_k(0.5, "resummed", n).value,
+], ids=["series", "resummed", "evaluate_k", "evaluate_k_resummed"])
 def test_k_routes_never_truncate_the_order(route):
     # int(order) used to sum 10 terms for order 10.7
     with pytest.raises(ValueError, match="order must be an integer"):
@@ -209,8 +210,6 @@ class TestEvaluateK:
         assert evaluate_k(0.5, "resummed", 10.0).method == "resummed(order=10)"
 
     def test_bad_combinations(self):
-        with pytest.raises(ValueError, match="quadrature route takes no truncation order"):
-            period(energy_state(1.0), "quadrature", 5)
         with pytest.raises(ValueError):
             evaluate_k(0.5, "series")
         for method in ("trapezoid", "quadrature"):  # the AGM route is period's alone
@@ -268,21 +267,32 @@ class TestPeriod:
             got = period(energy_state(energy)).T_star
             assert float(abs(got - want) / want) < 4e-16
 
+    def test_takes_no_route_or_order(self):
+        # the AGM is the one period route; the series routes are evaluate_k's
+        with pytest.raises(TypeError):
+            period(energy_state(1.0), "resummed")
+        with pytest.raises(TypeError):
+            period(energy_state(1.0), order=5)
+
     def test_resummed_route_at_rest(self):
-        # E = 0 is k = 0: the order-0 resummed route is the AGM period, T = 2 pi
-        info = period(energy_state(0.0), "resummed")
-        assert info == period(energy_state(0.0))
+        # E = 0 is k = 0: the order-0 resummed K is the AGM's pi/2, T = 2 pi
+        info = period(energy_state(0.0))
         assert info.T_star == 0.5 * math.pi and info.T == 2.0 * math.pi
+        assert evaluate_k(0.0, "resummed") == EllipticEval(0.5 * math.pi, "resummed(order=0)")
 
     def test_resummed_route_band_next_to_the_separatrix(self):
         # the arctanh-series order cap is reached within ~1.1e-5 of E = 2;
-        # the AGM default serves the same energies
-        resummed = period(energy_state(1.9999), "resummed")
-        assert_allclose(resummed.T, period(energy_state(1.9999)).T, rtol=1e-12)
+        # the AGM period serves the same energies
+        def resummed_t_star(energy):
+            c = _orbit_constants(energy_state(energy))
+            return c.scale * evaluate_k(c.k, "resummed").value
+
+        exact = period(energy_state(1.9999)).T_star
+        assert_allclose(resummed_t_star(1.9999), exact, rtol=1e-12)
         for energy in (1.99999, 2.0 - 1e-6):
             with pytest.raises(ValueError, match="too close to 1"):
-                period(energy_state(energy), "resummed")
-            assert math.isfinite(period(energy_state(energy)).T)
+                resummed_t_star(energy)
+            assert math.isfinite(period(energy_state(energy)).T_star)
 
     def test_period_info_validates(self):
         for t, t_star in ((-1.0, -0.25), (math.nan, math.nan), (3.0, 1.0), (math.inf, 1.0)):
