@@ -90,7 +90,12 @@ def energy_state(energy: float, direction: int = 1) -> EnergyState:
 
 
 def energy_of(theta0: float, omega0: float) -> EnergyState:
-    """Classify the orbit through (theta0, omega0); 1 - cos is 2 sin^2(theta0/2)."""
+    """Classify the orbit through (theta0, omega0); 1 - cos is 2 sin^2(theta0/2).
+
+    direction is the sign of omega0 (+1 at rest): the sense of rotation above E = 2,
+    but for libration only the turning point the orbit starts from (`EnergyState`),
+    not this point's motion.  `align_to_ics` reads only the energy.
+    """
     if not (math.isfinite(theta0) and math.isfinite(omega0)):
         raise ValueError(f"phase point ({theta0!r}, {omega0!r}) is not finite")
     energy = 0.5 * omega0 * omega0 + 2.0 * math.sin(0.5 * theta0) ** 2

@@ -68,20 +68,15 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
-def eval_poly(a: SeriesCoefficients, t, upto: int | None = None):
-    """Horner evaluation of the truncated series at t (scalar or array).
+def eval_poly(a: SeriesCoefficients, t):
+    """Horner evaluation of the whole stored series at t (scalar or array).
 
-    The series is evaluated at t / time_unit.  `upto` evaluates the
-    partial sum through order `upto`; by default the whole stored series
-    is used.  A non-integral `upto` raises rather than being truncated.
+    The series is evaluated at t / time_unit.
     """
     c = a.coeffs
-    n = c.size - 1 if upto is None else _whole(upto, "upto")
-    if n < 0 or n > c.size - 1:
-        raise ValueError(f"upto={upto} outside stored orders 0..{c.size - 1}")
     t = np.asarray(t, dtype=float) / a.time_unit
-    acc = np.full_like(t, c[n])
-    for k in range(n - 1, -1, -1):
+    acc = np.full_like(t, c[-1])
+    for k in range(c.size - 2, -1, -1):
         acc = acc * t + c[k]
     return float(acc) if acc.ndim == 0 else acc
 

@@ -225,10 +225,10 @@ def canonical_initial_state(sol: TrajectorySolution) -> tuple[float, float]:
 
 
 def _invert_tilde(sol: TrajectorySolution, target: float) -> float:
-    """Bisection solve of theta~(u) = target on [0, T*] (theta~ decreases)."""
+    """Bisection solve of theta~(u) = target >= 0 on [0, T*]; 0.0 from theta~(0) up."""
     t_star = sol.period_info.T_star
-    top = _tilde(sol, 0.0)
-    target = min(max(target, 0.0), top)
+    if target >= _tilde(sol, 0.0):
+        return 0.0
     lo, hi = 0.0, t_star
     while hi - lo > _ALIGN_TIME_TOL * min(t_star, 1.0):
         mid = 0.5 * (lo + hi)
@@ -273,8 +273,6 @@ def align_to_ics(sol: TrajectorySolution, theta0: float, omega0: float) -> float
     if state.regime is Regime.ROTATION:
         if omega_c >= 0.0:
             raise ValueError("velocity sign does not match the sense of rotation")
-        if theta_c == -math.pi:
-            theta_c = math.pi  # the top, where branch 0 starts
     t_star = sol.period_info.T_star
     if omega_c == 0.0:  # libration turning points, exactly
         return 0.0 if theta_c >= 0.0 else 2.0 * t_star

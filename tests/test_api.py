@@ -69,7 +69,7 @@ def test_every_traced_name_resolves():
 
 def test_tracer_counters_read_what_the_package_passes():
     # beyond the names, the tracer's counters read evaluate_k(...).method,
-    # pendulum_series' positional order, eval_poly's (a, t, upto),
+    # pendulum_series' positional order, eval_poly's (a, t),
     # theta_at's t and rk4_sample's times and dt; a change to any of them
     # would pass the name check and crash a traced benchmark run
     tracer_mod = _load_tracer()

@@ -129,26 +129,24 @@ class TestSeriesCoefficients:
 
 class TestEvalPoly:
     def test_constant(self):
-        assert eval_poly(SeriesCoefficients([5.0]), 3.7, upto=0) == 5.0
+        assert eval_poly(SeriesCoefficients([5.0]), 3.7) == 5.0
 
     def test_truncated_exponential(self):
         coeffs = [1.0 / math.factorial(n) for n in range(11)]
-        assert abs(eval_poly(SeriesCoefficients(coeffs), 1.0, upto=10) - math.e) < 1e-7
+        assert abs(eval_poly(SeriesCoefficients(coeffs), 1.0) - math.e) < 1e-7
 
     def test_truncated_sine(self):
         # remainder is the first dropped term, 0.5^7/5040 = 1.55e-6
         coeffs = SeriesCoefficients([0.0, 1.0, 0.0, -1.0 / 6.0, 0.0, 1.0 / 120.0])
-        assert abs(eval_poly(coeffs, 0.5, upto=5) - math.sin(0.5)) < 2e-6
+        assert abs(eval_poly(coeffs, 0.5) - math.sin(0.5)) < 2e-6
 
-    def test_upto_out_of_range(self):
-        with pytest.raises(ValueError):
-            eval_poly(SeriesCoefficients([1.0, 2.0]), 0.5, upto=5)
-
-    def test_upto_is_never_truncated(self):
+    def test_takes_no_truncation_order(self):
+        # an order-n partial sum is the order-n build, or a slice of a larger one
         coeffs = SeriesCoefficients([1.0, -2.0, 0.5, 0.25, 3.0])
-        assert eval_poly(coeffs, 0.3, upto=3.0) == eval_poly(coeffs, 0.3, upto=3)
-        with pytest.raises(ValueError, match="upto must be an integer"):
-            eval_poly(coeffs, 0.3, upto=3.9)
+        with pytest.raises(TypeError):
+            eval_poly(coeffs, 0.3, upto=3)
+        with pytest.raises(TypeError):
+            eval_poly(coeffs, 0.3, 3)
 
     def test_array_matches_scalar(self):
         coeffs = SeriesCoefficients([1.0, -2.0, 0.5, 0.25])
@@ -278,6 +276,16 @@ class TestPendulumSeries:
         a = pendulum_series(1.2, -0.3, 30)
         thetas, _ = rk4_sample(1.2, -0.3, [0.5], 1e-5)
         assert abs(eval_poly(a, 0.5) - thetas[-1]) < 1e-12
+
+    def test_order_n_series_is_a_prefix_of_a_longer_series(self):
+        # roc's bottom starts, in units of their radius, and a general start
+        bottoms = (1e-12, 0.5, 1.71, 1.9998, 2.0 - 1e-6, 2.0 + 1e-6, 2.02, 5.0, 1e4)
+        starts = [*map(_roc_bottom_start, bottoms), PINNED_STARTS["general"][:4]]
+        for theta0, omega0, seeds, unit in starts:
+            longer = pendulum_series(theta0, omega0, 400, time_unit=unit, sin_cos=seeds).coeffs
+            for n in (2, 3, 7, 20, 40, 81, 200):
+                series = pendulum_series(theta0, omega0, n, time_unit=unit, sin_cos=seeds)
+                assert series.coeffs.tobytes() == longer[:n + 1].tobytes(), (omega0, n)
 
     def test_order_too_small(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from pendseries import (
     theta_tilde,
 )
 from pendseries.energy import Regime, energy_of, separatrix_theta
-from pendseries.series import eval_poly, pendulum_series
+from pendseries.series import SeriesCoefficients, eval_poly, pendulum_series
 from pendseries.trajectory import _SEAM_SNAP_FRACTION, _orient, _tilde
 from pendseries.validation import rk4_sample
 
@@ -115,6 +115,19 @@ class TestEfficientBranch:
             ends = (theta_tilde(sol, t_star), theta_tilde(sol, np.array([0.0, t_star]))[1])
             for end in ends:
                 assert end == 0.0 and math.copysign(1.0, end) == 1.0, (direction, end)
+
+
+class TestCoefficientPrefixes:
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("method", ["raw", "resummed", "efficient"])
+    def test_order_n_build_is_a_prefix_of_a_longer_build(self, method, direction):
+        # so the order-n partial sum of a branch is the order-n build, bit for bit
+        for energy in (1e-12, 0.5, 1.71, 1.9998, 2.0 - 1e-6, 2.0 + 1e-6, 2.02, 5.0, 1e4):
+            state = energy_state(energy, direction)
+            longer = build_trajectory(state, 400, method).branch.coeffs
+            for n in (2, 3, 7, 20, 40, 81, 200):
+                branch = build_trajectory(state, n, method).branch.coeffs
+                assert branch[:n + 1].tobytes() == longer[:n + 1].tobytes(), (energy, n)
 
 
 class TestCoefficientRange:
@@ -455,7 +468,9 @@ class TestDivergenceReproduction:
         state = energy_state(2.02, -1)
         t_star = build_trajectory(state, 2, "raw").period_info.T_star
         bottom = pendulum_series(0.0, -math.sqrt(2.0 * 2.02), 100)
-        values = [abs(eval_poly(bottom, t_star, upto=n)) for n in (10, 50, 100)]
+        partial = [SeriesCoefficients(bottom.coeffs[:n + 1], bottom.time_unit)
+                   for n in (10, 50, 100)]
+        values = [abs(eval_poly(s_n, t_star)) for s_n in partial]
         assert values[1] > 10.0 * values[0]
         assert values[2] > 10.0 * values[1]
 
@@ -502,9 +517,16 @@ class TestCanonicalInitialState:
 
 class TestAlign:
     def test_canonical_start_is_zero_offset(self):
-        sol = build_trajectory(energy_state(1.71), 40, "resummed")
-        theta0, omega0 = canonical_initial_state(sol)
-        assert align_to_ics(sol, theta0, omega0) == 0.0
+        # a rotation top, whichever turn it is written in, is the start exactly,
+        # not half a bisection step past it
+        for energy in (0.5, 1.71, 2.02, 2.5, 5.0, 1e4):
+            for direction in (1, -1):
+                sol = build_trajectory(energy_state(energy, direction), 40, "resummed")
+                theta0, omega0 = canonical_initial_state(sol)
+                turns = (0.0, -2.0 * math.pi, 2.0 * math.pi) if energy > 2.0 else (0.0,)
+                for turn in turns:
+                    t0 = align_to_ics(sol, theta0 + turn, omega0)
+                    assert t0 == 0.0, (energy, direction, turn, t0)
 
     def test_bottom_crossing_is_t_star(self):
         sol = build_trajectory(energy_state(1.71), 40, "resummed")

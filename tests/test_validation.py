@@ -244,7 +244,7 @@ class TestSupError:
         grid = np.linspace(0.0, sol.period_info.T_star, 1001)
         oracle, _ = rk4_sample(*canonical_initial_state(sol), grid, 1e-3)
         branch = theta_tilde(sol, grid)
-        assert branch.tobytes() == eval_poly(sol.branch, grid, upto=sol.order).tobytes()
+        assert branch.tobytes() == eval_poly(sol.branch, grid).tobytes()
         assert branch[-1] != 0.0
         expected = np.max(np.abs(_orient(state, branch) - oracle))
         assert sup_error(sol, oracle=oracle) == expected
