@@ -269,8 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--energy", type=_value(float, 0.0, strict=True), required=True,
                    help="orbit energy (single value)")
     p.add_argument("--order", type=orders, default=20, help="truncation order N")
-    p.add_argument("--method", choices=("raw", "resummed", "efficient", "auto"),
-                   default="auto", help="auto = resummed, closed form at E=2")
+    p.add_argument("--method", choices=("raw", "resummed", "auto"), default="auto",
+                   help="raw or resummed branch; auto = resummed, closed form at E=2")
     p.add_argument("--direction", choices=("cw", "ccw"), default="cw",
                    help="initial sense of motion")
     p.add_argument("--periods", type=periods, default=1,
@@ -289,8 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated energy grid")
     p.add_argument("--order", type=_values(int, 2), default=[5, 10, 20],
                    help="comma-separated truncation orders")
-    p.add_argument("--method", choices=("raw", "resummed", "efficient", "auto"),
-                   default="auto", help="auto = compare raw and resummed")
+    p.add_argument("--method", choices=("raw", "resummed", "auto"), default="auto",
+                   help="raw or resummed branch; auto = compare raw and resummed")
     p.add_argument("--direction", choices=("cw", "ccw"), default="cw")
     p.add_argument("--grid", type=grid, default=1001,
                    help="samples per [0, T*] error grid")

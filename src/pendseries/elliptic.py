@@ -17,7 +17,8 @@ provided with one contract: each accepts exactly 0 <= k < 1 and raises
                           logarithmic singularity k -> 1.
 
 ``period`` forms an orbit's T and T* by the AGM as K'(k'), with k' from E;
-``evaluate_k`` dispatches the two series routes, which ``error-sweep --period`` measures.
+``evaluate_k`` dispatches the two series routes at an explicit order, which
+``error-sweep --period`` measures.
 """
 
 from __future__ import annotations
@@ -36,17 +37,10 @@ __all__ = [
     "ellipk_agm",
     "ellipk_series",
     "ellipk_resummed",
-    "resummed_order_for",
     "ellipk_prime",
     "evaluate_k",
     "period",
 ]
-
-_MAX_AUTO_ORDER = 4_000_000
-
-# Tail bound `resummed_order_for` sizes its order to.
-_TAIL_TOL = 1e-13
-
 
 @dataclass(frozen=True)
 class EllipticEval:
@@ -146,25 +140,6 @@ def ellipk_resummed(k: float, order: int) -> float:
     return bracket_0 + float(np.sum(brackets)) + _arctanh_over_k(k)
 
 
-def resummed_order_for(k: float) -> int:
-    """Truncation order that bounds the resummed-series tail below 1e-13.
-
-    Uses bracket_n <= 1/(4 n^2), so the tail after N is at most
-    k^(2(N+1)) / (4 N^2 (1 - k^2)).
-    """
-    k = _check_modulus(k)
-    if k == 0.0:
-        return 0
-    k2 = k * k
-    order = 8
-    while order <= _MAX_AUTO_ORDER:
-        tail = k2 ** (order + 1) / (4.0 * order * order * (1.0 - k2))
-        if tail < _TAIL_TOL:
-            return order
-        order *= 2
-    raise ValueError(f"modulus {k!r} too close to 1 for tail tolerance {_TAIL_TOL:g}")
-
-
 def ellipk_prime(k: float) -> float:
     """K'(k) = K(sqrt(1 - k^2)) = pi / (2 AGM(1, k)), 0 < k <= 1; k' is never formed."""
     k = float(k)
@@ -173,18 +148,12 @@ def ellipk_prime(k: float) -> float:
     return math.pi / (2.0 * _agm(1.0, k))
 
 
-def evaluate_k(k: float, method: str, order: int | None = None) -> EllipticEval:
-    """K(k) by the "series" or "resummed" route, tagged with the route and whole order used.
-
-    "resummed" sizes a missing `order` by `resummed_order_for`, which raises "too close to 1"
-    within about 2.75e-6 of k = 1, that is for 0 < |E - 2| below about 1.1e-5.
-    """
+def evaluate_k(k: float, method: str, order: int) -> EllipticEval:
+    """K(k) by the "series" or "resummed" route at `order`, tagged with the route and whole order."""
     route = {"series": ellipk_series, "resummed": ellipk_resummed}.get(method)
     if route is None:
         raise ValueError(f"unknown method {method!r}")
-    if order is None and method == "series":
-        raise ValueError("series route requires a truncation order")
-    order = resummed_order_for(k) if order is None else _whole(order, "order")
+    order = _whole(order, "order")
     return EllipticEval(route(k, order), f"{method}(order={order})")
 
 

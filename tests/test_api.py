@@ -95,7 +95,7 @@ def test_tracer_counters_read_what_the_package_passes():
         pendseries.align_to_ics(sol, 0.0, 2.0)
         omega0 = -math.sqrt(2.0 * (1.71 - 2.0 * math.sin(0.25) ** 2))
         pendseries.align_to_ics(pendseries.build_trajectory(state, 20), 0.5, omega0)
-        modules["elliptic"].evaluate_k(0.5, "resummed")
+        modules["elliptic"].evaluate_k(0.5, "resummed", 16)
         modules["validation"].rk4_sample(1.0, 0.0, [0.5, 1.0], 0.01)
     finally:
         tracer.remove()

@@ -70,7 +70,7 @@ class TestTrajectoryCommand:
         # span falls back to 2*pi per "period" on the infinite-period orbit
         assert float(rows[-1][0]) == pytest.approx(2.0 * math.pi, rel=1e-15)
 
-    @pytest.mark.parametrize("method", ["raw", "resummed", "efficient"])
+    @pytest.mark.parametrize("method", ["raw", "resummed"])
     def test_series_method_at_separatrix_is_noted(self, tmp_path, capsys, method):
         # the CLI takes the closed form itself: one note, no library warning
         argv = ["trajectory", "--energy", "2", "--grid", "21", "--oracle-dt", "1e-2"]
@@ -160,23 +160,8 @@ class TestErrorSweepCommand:
                 assert err[(e, n, "resummed")] <= err[(e, n, "raw")]
             assert err[(e, "10", "raw")] < err[(e, "5", "raw")]
 
-    def test_trajectory_sweep_pinned_methods_agree(self, tmp_path):
-        # both pinned methods are one polynomial, so every order agrees
-        columns = {}
-        for method in ("resummed", "efficient"):
-            code, out = run_csv(tmp_path, [
-                "error-sweep", "--energy", "0.5,1.9998,2.5", "--order", "2,5,10,20",
-                "--method", method, "--grid", "51", "--oracle-dt", "1e-2"], f"{method}.csv")
-            assert code == 0
-            _, header, rows = parse_csv(out)
-            assert {r[2] for r in rows} == {method}
-            columns[method] = [(r[0], r[1], r[3]) for r in rows]
-        assert len(columns["resummed"]) == 12
-        assert columns["resummed"] == columns["efficient"]
-
     @pytest.mark.parametrize("method,builds", [
         ("raw", [(5, "raw"), (10, "raw")]),
-        ("efficient", [(5, "efficient"), (10, "efficient")]),
         ("auto", [(5, "raw"), (5, "resummed"), (10, "raw"), (10, "resummed")]),
     ])
     def test_trajectory_sweep_builds_only_the_requested_methods(
@@ -196,7 +181,7 @@ class TestErrorSweepCommand:
         assert sorted(calls) == builds
 
     @pytest.mark.parametrize("direction", ["cw", "ccw"])
-    @pytest.mark.parametrize("method", ["auto", "efficient"])
+    @pytest.mark.parametrize("method", ["auto", "resummed"])
     def test_trajectory_sweep_rows_are_direct_builds(self, tmp_path, method, direction):
         # each row measures build_trajectory(state, n, method) against one
         # RK4 oracle per energy
@@ -391,6 +376,21 @@ class TestUsageErrors:
             cli.main([command, "--energy", "1.71", "--plot-script", "--out", str(out)])
         assert exc.value.code == 2
         assert "unrecognized arguments: --plot-script" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["trajectory", "error-sweep"])
+    def test_method_choices_name_distinct_branches(self, tmp_path, command, capsys):
+        # "efficient" built the same polynomial as "resummed", so the CLI
+        # offers one name for it
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        method = next(a for a in sub.choices[command]._actions if "--method" in a.option_strings)
+        assert tuple(method.choices) == ("raw", "resummed", "auto")
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--energy", "1.71", "--method", "efficient", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --method: invalid choice: 'efficient'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("text,message", [

@@ -20,7 +20,6 @@ from pendseries.elliptic import (
     ellipk_resummed,
     ellipk_series,
     evaluate_k,
-    resummed_order_for,
 )
 from pendseries.energy import _orbit_constants
 
@@ -133,25 +132,19 @@ class TestResummedRoute:
         for k in (0.0, 1e-6, 9.9e-5, 1.01e-4, 1e-3):
             assert abs(ellipk_resummed(k, 8) - ellipk_agm(k)) < 1e-14
 
-    def test_auto_order_at_zero_modulus(self):
-        # K(0) = pi/2 is the leading term alone
-        assert resummed_order_for(0.0) == 0
-
     def test_auto_order_meets_tolerance(self):
-        for k in (0.3, 0.9, 0.999):
-            order = resummed_order_for(k)
+        # the orders a 1e-13 tail bound, bracket_n <= 1/(4 n^2), asks for
+        for k, order in ((0.3, 16), (0.9, 128), (0.999, 16384)):
             assert abs(ellipk_resummed(k, order) - ellipk_agm(k)) < 1e-12
 
 
 @pytest.mark.parametrize("route", [
     lambda k: ellipk_series(k, 10),
     lambda k: ellipk_resummed(k, 10),
-    resummed_order_for,
-], ids=["series", "resummed", "order_for"])
+], ids=["series", "resummed"])
 @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 1.0, -1.0, -0.5])
 def test_series_routes_reject_a_modulus_off_the_unit_disc(route, k):
-    # NaN used to pass the k^2 >= 1 test: the sums returned NaN and the
-    # order search climbed to its cap to report "too close to 1"; a
+    # NaN used to pass the k^2 >= 1 test and the sums returned NaN; a
     # negative k used to pass it too, where the AGM route raised
     with pytest.raises(ValueError, match=r"modulus must satisfy 0 <= k < 1"):
         route(k)
@@ -210,11 +203,12 @@ class TestEvaluateK:
         assert evaluate_k(0.5, "resummed", 10.0).method == "resummed(order=10)"
 
     def test_bad_combinations(self):
-        with pytest.raises(ValueError):
-            evaluate_k(0.5, "series")
+        for method in ("series", "resummed"):  # neither route sizes its own order
+            with pytest.raises(TypeError):
+                evaluate_k(0.5, method)
         for method in ("trapezoid", "quadrature"):  # the AGM route is period's alone
             with pytest.raises(ValueError, match="unknown method"):
-                evaluate_k(0.5, method)
+                evaluate_k(0.5, method, 10)
         with pytest.raises(ValueError, match="order must be an integer"):
             evaluate_k(-0.5, "series", 10.7)  # the order is checked first
 
@@ -278,20 +272,15 @@ class TestPeriod:
         # E = 0 is k = 0: the order-0 resummed K is the AGM's pi/2, T = 2 pi
         info = period(energy_state(0.0))
         assert info.T_star == 0.5 * math.pi and info.T == 2.0 * math.pi
-        assert evaluate_k(0.0, "resummed") == EllipticEval(0.5 * math.pi, "resummed(order=0)")
+        assert evaluate_k(0.0, "resummed", 0) == EllipticEval(0.5 * math.pi, "resummed(order=0)")
 
     def test_resummed_route_band_next_to_the_separatrix(self):
-        # the arctanh-series order cap is reached within ~1.1e-5 of E = 2;
-        # the AGM period serves the same energies
-        def resummed_t_star(energy):
-            c = _orbit_constants(energy_state(energy))
-            return c.scale * evaluate_k(c.k, "resummed").value
-
+        # the resummed K needs 524,288 terms for a 1e-13 tail at E = 1.9999;
+        # the AGM period serves energies closer to 2 at no such cost
+        c = _orbit_constants(energy_state(1.9999))
         exact = period(energy_state(1.9999)).T_star
-        assert_allclose(resummed_t_star(1.9999), exact, rtol=1e-12)
+        assert_allclose(c.scale * evaluate_k(c.k, "resummed", 524288).value, exact, rtol=1e-12)
         for energy in (1.99999, 2.0 - 1e-6):
-            with pytest.raises(ValueError, match="too close to 1"):
-                resummed_t_star(energy)
             assert math.isfinite(period(energy_state(energy)).T_star)
 
     def test_period_info_validates(self):

@@ -75,8 +75,8 @@ class TestBuild:
     @pytest.mark.parametrize("energy", [2.0 - 1e-6, 1.99999, 2.0 + 1e-6])
     @pytest.mark.parametrize("method", ["raw", "resummed", "efficient"])
     def test_builds_next_to_the_separatrix(self, energy, method):
-        # the period comes from the AGM, exact to rounding as k -> 1; the
-        # resummed K raises "modulus too close to 1" in this band
+        # the period comes from the AGM, exact to rounding as k -> 1, where
+        # the resummed K's series would need millions of terms
         state = energy_state(energy)
         sol = build_trajectory(state, 40, method)
         assert sol.period_info == period(state)
