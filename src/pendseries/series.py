@@ -71,14 +71,19 @@ def _whole(value, name: str) -> int:
 def eval_poly(a: SeriesCoefficients, t):
     """Horner evaluation of the whole stored series at t (scalar or array).
 
-    The series is evaluated at t / time_unit.
+    The series is evaluated at t / time_unit, one rounded multiply and
+    one rounded add per coefficient.  A scalar or 0-d t gives a Python
+    float and an array t an array of t's shape, also for a constant
+    series, which is its a_0 at every t (NaN and +-inf included).
     """
     c = a.coeffs
-    t = np.asarray(t, dtype=float) / a.time_unit
-    acc = np.full_like(t, c[-1])
-    for k in range(c.size - 2, -1, -1):
-        acc = acc * t + c[k]
-    return float(acc) if acc.ndim == 0 else acc
+    s = np.asarray(t, dtype=float)[()] / a.time_unit  # a 0-d t becomes a numpy scalar
+    acc = c[-1]
+    for ck in c[-2::-1]:
+        acc = acc * s + ck
+    if np.ndim(s) == 0:
+        return float(acc)
+    return acc if c.size > 1 else np.full(s.shape, acc)
 
 
 def pendulum_series(theta0: float, omega0: float, order: int, *, time_unit: float = 1.0,

@@ -205,7 +205,7 @@ def theta_at(sol: TrajectorySolution, t):
     tt = np.asarray(t, dtype=float)
     if tt.ndim == 0:
         return _theta_at_scalar(sol, float(tt))
-    flat = [_theta_at_scalar(sol, float(x)) for x in tt.ravel()]
+    flat = [_theta_at_scalar(sol, x) for x in tt.ravel().tolist()]
     return np.array(flat, dtype=float).reshape(tt.shape)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pendseries import energy_state, period
+from pendseries import build_trajectory, energy_state, period
 from pendseries.convergence import roc_exact
 from pendseries.energy import _orbit_constants, canonical_top_ics, energy_of
 from pendseries.series import SeriesCoefficients, eval_poly, pendulum_series
@@ -71,6 +71,18 @@ def _two_dot_series(theta0, omega0, order, h, sin_cos=None):
             c_rev[top - m] = -float(np.dot(d[:m], s_rev[top - n :])) / m
             s_rev[top - m] = s_n
     return a
+
+
+def _indexed_horner(a, t):
+    """Reference `eval_poly`: Horner from a `np.full_like` start on t as an
+    array (0-d for a scalar), reading each coefficient by index, the loop
+    `eval_poly` ran before it moved to numpy scalars."""
+    c = a.coeffs
+    t = np.asarray(t, dtype=float) / a.time_unit
+    acc = np.full_like(t, c[-1])
+    for k in range(c.size - 2, -1, -1):
+        acc = acc * t + c[k]
+    return float(acc) if acc.ndim == 0 else acc
 
 
 def _top_start(energy, seeded=False):
@@ -154,6 +166,49 @@ class TestEvalPoly:
         out = eval_poly(coeffs, ts)
         for t, v in zip(ts, out):
             assert v == eval_poly(coeffs, float(t))
+
+    @pytest.mark.parametrize("t", [0.3, 2, np.float64(0.3), np.array(0.3), np.array(2)])
+    @pytest.mark.parametrize("coeffs", [[5.0], [1.0, -2.0, 0.5, 0.25]])
+    def test_scalar_gives_a_python_float(self, coeffs, t):
+        assert type(eval_poly(SeriesCoefficients(coeffs), t)) is float
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3), (0,), (0, 3)])
+    @pytest.mark.parametrize("coeffs", [[5.0], [1.0, -2.0, 0.5, 0.25]])
+    def test_array_gives_the_shape_of_t(self, coeffs, shape):
+        t = np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape)
+        out = eval_poly(SeriesCoefficients(coeffs), t)
+        assert isinstance(out, np.ndarray)
+        assert out.shape == shape and out.dtype == np.float64
+
+    def test_constant_series_is_its_value_at_every_t(self):
+        # a one-coefficient series runs no Horner step, so t never enters
+        const = SeriesCoefficients([5.0])
+        out = eval_poly(const, np.array([math.nan, math.inf, -math.inf, 1.0]))
+        assert out.tolist() == [5.0, 5.0, 5.0, 5.0]
+        assert eval_poly(const, math.nan) == 5.0
+        assert eval_poly(const, -math.inf) == 5.0
+
+
+class TestEvalPolyBits:
+    """`eval_poly` on numpy scalars rounds the same two operations per step
+    as the indexed loop over 0-d arrays (`_indexed_horner`), so every value
+    carries the same bits, on scalars and arrays alike."""
+
+    # TestFoldReference's energies that carry a series branch (E = 2 is the
+    # closed form), and two branches at their radius-sized orders
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("energy, order", [
+        *[(e, 40) for e in (1e-10, 1e-4, 0.5, 1.71, 1.9998, 2.02, 5.0, 1e3)],
+        (1.9998, 1004), (2.0 - 1e-10, 4999)])
+    @pytest.mark.parametrize("method", ["raw", "resummed"])
+    def test_bit_identical_to_the_indexed_loop(self, method, energy, order, direction):
+        sol = build_trajectory(energy_state(energy, direction), order, method)
+        branch, t_star = sol.branch, sol.period_info.T_star
+        ts = [0.0, t_star, -0.0, *np.linspace(0.0, t_star, 101).tolist()]
+        for t in ts:
+            assert float.hex(eval_poly(branch, t)) == float.hex(_indexed_horner(branch, t)), t
+        arr = np.array(ts)
+        assert eval_poly(branch, arr).tobytes() == _indexed_horner(branch, arr).tobytes()
 
 
 class TestPendulumSeries:
