@@ -149,12 +149,11 @@ def ellipk_prime(k: float) -> float:
 
 
 def evaluate_k(k: float, method: str, order: int) -> EllipticEval:
-    """K(k) by the "series" or "resummed" route at `order`, tagged with the route and whole order."""
+    """K(k) by the "series" or "resummed" route, which checks `order`; tagged with both."""
     route = {"series": ellipk_series, "resummed": ellipk_resummed}.get(method)
     if route is None:
         raise ValueError(f"unknown method {method!r}")
-    order = _whole(order, "order")
-    return EllipticEval(route(k, order), f"{method}(order={order})")
+    return EllipticEval(route(k, order), f"{method}(order={int(order)})")
 
 
 def period(state: EnergyState) -> PeriodInfo:

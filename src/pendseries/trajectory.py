@@ -34,7 +34,6 @@ from .energy import (
     Regime,
     SeparatrixError,
     _orbit_constants,
-    canonical_top_ics,
     energy_of,
     separatrix_theta,
 )
@@ -84,15 +83,16 @@ class TrajectorySolution:
     branch: SeriesCoefficients | None
 
 
-def build_trajectory(state: EnergyState, order: int | None = None,
+def build_trajectory(state: EnergyState, order: int | None,
                      method: str = "resummed") -> TrajectorySolution:
     """Construct the canonical-branch solution for one energy.
 
     `method` picks the branch: "raw" (Taylor partial sum), "resummed" or
     "efficient" (the same endpoint-pinned polynomial, built in O(N) by
     `efficient_truncation`), or "separatrix" (closed form, E = 2 only).
-    At the separatrix energy any series method falls back to the closed
-    form with a warning, since no Taylor branch spans the infinite T*.
+    `pendulum_series` checks `order`, a whole N >= 2 (None: `TypeError`).
+    At E = 2 any series method falls back to the closed form with a
+    warning, since no branch spans the infinite T*; pass order None there.
 
     The branch is carried in units of T* (see `TrajectorySolution`):
     plain Taylor coefficients fall like R^-n, which underflows near the
@@ -112,8 +112,6 @@ def build_trajectory(state: EnergyState, order: int | None = None,
         return TrajectorySolution(state, pinfo, "separatrix", 0, None)
     if method == "separatrix":
         raise SeparatrixError(f"closed form requires E = 2, got E = {state.energy}")
-    if order is None:
-        raise ValueError("series methods require a truncation order")
     pinfo, c = period(state), _orbit_constants(state)
     branch = pendulum_series(c.theta0, c.omega0, order, time_unit=pinfo.T_star,
                              sin_cos=c.sin_cos)
@@ -219,9 +217,9 @@ def canonical_initial_state(sol: TrajectorySolution) -> tuple[float, float]:
     state = sol.energy_state
     if state.regime is Regime.SEPARATRIX:
         return 0.0, 2.0 * state.direction
-    theta0, omega0 = canonical_top_ics(state)
+    c = _orbit_constants(state)
     # + 0.0: a reflected turning point starts at rest with +0.0, not -0.0
-    return _orient(state, theta0), _sense(state) * omega0 + 0.0
+    return _orient(state, c.theta0), _sense(state) * c.omega0 + 0.0
 
 
 def _invert_tilde(sol: TrajectorySolution, target: float) -> float:

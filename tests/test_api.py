@@ -2,13 +2,15 @@
 
 The last checks stand in for a linter: every module's `__all__`
 resolves, no module, in the package or among these tests, imports a
-name it never uses, and the private names one package module imports
-from another are exactly the ones listed here.
+name it never uses, the private names one package module imports
+from another are exactly the ones listed here, and no package module
+calls a wrapper that only the benchmark tracer and tests still use.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import math
 import pkgutil
 import types
@@ -29,6 +31,27 @@ def test_every_export_has_a_readme_api_entry():
     missing = [name for name in pendseries.__all__
                if not any(line.startswith((f"- `{name}`", f"- `{name}(")) for line in lines)]
     assert not missing
+
+
+def test_readme_api_signatures_match_the_exports():
+    # each "- `name(params)`" entry: the positional parameters in order, a
+    # default exactly where README shows one and with its value; "..." ends it
+    entries = [line.split("`")[1] for line in README.read_text(encoding="utf-8").splitlines()
+               if line.startswith("- `") and "(" in line.split("`")[1]]
+    assert entries
+    for entry in entries:
+        call = ast.parse(entry, mode="eval").body
+        name = call.func.id
+        documented = [None if isinstance(arg, ast.Name) else ast.literal_eval(arg)
+                      for arg in call.args]
+        documented += [(kw.arg, ast.literal_eval(kw.value)) for kw in call.keywords]
+        positional = [p for p in inspect.signature(getattr(pendseries, name)).parameters.values()
+                      if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        if ... in documented:
+            documented = documented[:documented.index(...)]
+            positional = positional[:len(documented)]
+        actual = [None if p.default is p.empty else (p.name, p.default) for p in positional]
+        assert documented == actual, entry
 
 
 def test_public_attributes_are_exactly_all():
@@ -177,3 +200,22 @@ def test_private_import_check_sees_a_new_name():
     source = ("from . import __version__\nfrom .a import _b, c\n"
               "from pendseries.d import _e\nfrom math import _f\n")
     assert _private_imports(source) == {"_b", "_e"}
+
+
+# Kept only because bench/tracer.py wraps them (or tests use them): the
+# package builds and evaluates without calling any of them.
+BENCH_PINNED_WRAPPERS = {"canonical_top_ics", "pole_lattice", "resum", "eval_resummed",
+                         "eval_efficient"}
+
+
+def _called_names(source: str) -> set[str]:
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_package_calls_no_bench_pinned_wrapper():
+    assert _called_names("a.resum(x)\neval_efficient(y)[0]\n") == {"resum", "eval_efficient"}
+    found = {path.name: hits for path in SOURCES
+             if (hits := _called_names(path.read_text(encoding="utf-8")) & BENCH_PINNED_WRAPPERS)}
+    assert not found

@@ -169,7 +169,7 @@ class TestErrorSweepCommand:
         calls = []
         real_build = cli.build_trajectory
 
-        def counting_build(state, order=None, method="resummed"):
+        def counting_build(state, order, method="resummed"):
             calls.append((order, method))
             return real_build(state, order, method)
 

@@ -41,7 +41,7 @@ class TestBuild:
         assert theta_tilde(sol, sol.period_info.T_star) == 0.0
 
     def test_separatrix_dispatch(self):
-        sol = build_trajectory(energy_state(2.0), method="separatrix")
+        sol = build_trajectory(energy_state(2.0), None, "separatrix")
         assert sol.method == "separatrix"
         assert math.isinf(sol.period_info.T)
 
@@ -52,11 +52,13 @@ class TestBuild:
 
     def test_separatrix_method_needs_separatrix_energy(self):
         with pytest.raises(SeparatrixError):
-            build_trajectory(energy_state(1.71), method="separatrix")
+            build_trajectory(energy_state(1.71), None, "separatrix")
 
     def test_series_methods_need_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             build_trajectory(energy_state(1.71), method="raw")
+        with pytest.raises(TypeError):
+            build_trajectory(energy_state(1.71), None, "raw")
         with pytest.raises(ValueError):
             build_trajectory(energy_state(1.71), 20, "spectral")
 
@@ -208,7 +210,7 @@ class TestThetaTilde:
         for t in (math.nan, [0.1, math.nan]):
             with pytest.raises(ValueError):
                 theta_tilde(sol, t)
-        sep = build_trajectory(energy_state(2.0), method="separatrix")
+        sep = build_trajectory(energy_state(2.0), None, "separatrix")
         for t in (math.inf, -math.inf):  # the separatrix has no finite T* to bound t
             with pytest.raises(ValueError):
                 theta_tilde(sep, t)
@@ -240,7 +242,7 @@ class TestThetaAt:
 
     def test_separatrix_aligned_before_the_canonical_start(self):
         # the far-side start has a negative offset; t + t0 < 0 must evaluate
-        sol = build_trajectory(energy_state(2.0), method="separatrix")
+        sol = build_trajectory(energy_state(2.0), None, "separatrix")
         t0 = align_to_ics(sol, -1.0, math.sqrt(2.0 * (1.0 + math.cos(1.0))))
         assert t0 < 0.0
         ts = np.linspace(0.0, 2.0, 41)
@@ -251,7 +253,7 @@ class TestThetaAt:
     def test_non_finite_time_rejected(self):
         sols = [build_trajectory(energy_state(1.71), 20, "resummed"),
                 build_trajectory(energy_state(2.02, -1), 20, "raw"),
-                build_trajectory(energy_state(2.0), method="separatrix")]
+                build_trajectory(energy_state(2.0), None, "separatrix")]
         for sol in sols:
             for t in (math.inf, -math.inf, math.nan, np.array([1.0, math.nan])):
                 with pytest.raises(ValueError, match="finite t"):
@@ -271,12 +273,12 @@ class TestThetaAt:
         lib = build_trajectory(energy_state(1.71), 20, "resummed")
         assert math.isfinite(theta_at(lib, 2.0 ** 50 * lib.period_info.T_star))
         # on the separatrix T* is infinite: every finite t has a phase
-        sep = build_trajectory(energy_state(2.0), method="separatrix")
+        sep = build_trajectory(energy_state(2.0), None, "separatrix")
         assert theta_at(sep, 1.7e308) == math.pi
 
     def test_array_keeps_its_shape(self):
         for sol in (build_trajectory(energy_state(1.71), 20, "resummed"),
-                    build_trajectory(energy_state(2.0), method="separatrix")):
+                    build_trajectory(energy_state(2.0), None, "separatrix")):
             ts = np.linspace(0.0, 7.0, 6)
             grid = theta_at(sol, ts.reshape(2, 3))
             assert grid.shape == (2, 3)
@@ -492,7 +494,7 @@ class TestCanonicalInitialState:
         theta0, omega0 = canonical_initial_state(rot)
         assert theta0 == math.pi
         assert omega0 == pytest.approx(0.2, rel=1e-15)
-        sep = build_trajectory(energy_state(2.0), method="separatrix")
+        sep = build_trajectory(energy_state(2.0), None, "separatrix")
         assert canonical_initial_state(sep) == (0.0, 2.0)
 
     @pytest.mark.parametrize("direction", [1, -1])
@@ -553,7 +555,7 @@ class TestAlign:
         assert np.max(np.abs(theta_at(sol, ts + t0) - oracle)) < 1e-7
 
     def test_separatrix_offset_closed_form(self):
-        sol = build_trajectory(energy_state(2.0), method="separatrix")
+        sol = build_trajectory(energy_state(2.0), None, "separatrix")
         assert align_to_ics(sol, 0.0, 2.0) == 0.0
         for theta0 in (1.0, -1.0):
             omega0 = math.sqrt(2.0 * (1.0 + math.cos(theta0)))
@@ -570,7 +572,7 @@ class TestAlign:
         rot = build_trajectory(energy_state(2.5, 1), 20, "resummed")
         with pytest.raises(ValueError):
             align_to_ics(rot, math.pi, -1.0)  # opposite sense of rotation
-        sep = build_trajectory(energy_state(2.0), method="separatrix")
+        sep = build_trajectory(energy_state(2.0), None, "separatrix")
         with pytest.raises(ValueError, match="does not match the solution's branch"):
             align_to_ics(sep, 1.0, -math.sqrt(2.0 * (1.0 + math.cos(1.0))))
 

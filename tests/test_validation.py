@@ -209,7 +209,7 @@ class TestSupError:
     def test_separatrix_has_no_branch_to_measure(self):
         kwargs = ({}, {"grid_points": 11, "oracle": np.zeros(11)})
         for direction in (1, -1):
-            sol = build_trajectory(energy_state(2.0, direction), method="separatrix")
+            sol = build_trajectory(energy_state(2.0, direction), None, "separatrix")
             for kw in kwargs:
                 with pytest.raises(SeparatrixError, match=r"no branch on \[0, T\*\]"):
                     sup_error(sol, **kw)
