@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +53,7 @@ __all__ = [
 METHODS = ("raw", "resummed", "efficient", "separatrix")
 
 # Seam snap: the fold snaps a time within this fraction of T onto the nearest
-# branch seam, absorbing its rounding; `theta_tilde` scales it by T*.
+# branch seam, absorbing its rounding.
 _SEAM_SNAP_FRACTION = 1e-12
 
 _ENERGY_MATCH_TOL = 1e-10
@@ -89,10 +88,11 @@ def build_trajectory(state: EnergyState, order: int | None,
 
     `method` picks the branch: "raw" (Taylor partial sum), "resummed" or
     "efficient" (the same endpoint-pinned polynomial, built in O(N) by
-    `efficient_truncation`), or "separatrix" (closed form, E = 2 only).
-    `pendulum_series` checks `order`, a whole N >= 2 (None: `TypeError`).
-    At E = 2 any series method falls back to the closed form with a
-    warning, since no branch spans the infinite T*; pass order None there.
+    `efficient_truncation`), or "separatrix" (the closed form).
+    "separatrix" is the one method at E = 2, since no branch spans the
+    infinite T*, and works nowhere else: either mismatch raises
+    `SeparatrixError`.  `pendulum_series` checks `order`, a whole N >= 2
+    (None: `TypeError`); at E = 2 the order is ignored, so pass None.
 
     The branch is carried in units of T* (see `TrajectorySolution`):
     plain Taylor coefficients fall like R^-n, which underflows near the
@@ -101,17 +101,11 @@ def build_trajectory(state: EnergyState, order: int | None,
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if state.regime is Regime.SEPARATRIX:
-        if method != "separatrix":
-            warnings.warn(
-                f"E = 2 within tolerance: using the closed-form separatrix "
-                f"instead of method {method!r}",
-                stacklevel=2,
-            )
-        pinfo = PeriodInfo(math.inf, math.inf)
-        return TrajectorySolution(state, pinfo, "separatrix", 0, None)
+    if (method == "separatrix") != (state.regime is Regime.SEPARATRIX):
+        raise SeparatrixError(f"method {method!r} does not solve E = {state.energy}: "
+                              f"\"separatrix\" is the method at E = 2 and only there")
     if method == "separatrix":
-        raise SeparatrixError(f"closed form requires E = 2, got E = {state.energy}")
+        return TrajectorySolution(state, PeriodInfo(math.inf, math.inf), method, 0, None)
     pinfo, c = period(state), _orbit_constants(state)
     branch = pendulum_series(c.theta0, c.omega0, order, time_unit=pinfo.T_star,
                              sin_cos=c.sin_cos)
@@ -152,11 +146,10 @@ def _orient(state: EnergyState, v):
 
 
 def theta_tilde(sol: TrajectorySolution, t):
-    """Canonical branch angle on 0 <= t <= T* (scalar or array); a non-finite t raises."""
+    """Canonical branch angle on 0 <= t <= T* (scalar or array); other t raise `ValueError`."""
     t_star = sol.period_info.T_star
     tt = np.asarray(t, dtype=float)
-    slack = _SEAM_SNAP_FRACTION * t_star if math.isfinite(t_star) else 0.0
-    if not np.all(np.isfinite(tt) & (-slack <= tt) & (tt <= t_star + slack)):
+    if not np.all(np.isfinite(tt) & (0.0 <= tt) & (tt <= t_star)):
         raise ValueError(f"branch parameter outside [0, T*], T* = {t_star}")
     return _tilde(sol, tt)
 

@@ -34,15 +34,15 @@ def test_every_export_has_a_readme_api_entry():
 
 
 def test_readme_api_signatures_match_the_exports():
-    # each "- `name(params)`" entry: the positional parameters in order, a
-    # default exactly where README shows one and with its value; "..." ends it
+    # each "- `name(params)`" entry: the positional parameters' names in order,
+    # a default exactly where README shows one and with its value; "..." ends it
     entries = [line.split("`")[1] for line in README.read_text(encoding="utf-8").splitlines()
                if line.startswith("- `") and "(" in line.split("`")[1]]
     assert entries
     for entry in entries:
         call = ast.parse(entry, mode="eval").body
         name = call.func.id
-        documented = [None if isinstance(arg, ast.Name) else ast.literal_eval(arg)
+        documented = [arg.id if isinstance(arg, ast.Name) else ast.literal_eval(arg)
                       for arg in call.args]
         documented += [(kw.arg, ast.literal_eval(kw.value)) for kw in call.keywords]
         positional = [p for p in inspect.signature(getattr(pendseries, name)).parameters.values()
@@ -50,7 +50,7 @@ def test_readme_api_signatures_match_the_exports():
         if ... in documented:
             documented = documented[:documented.index(...)]
             positional = positional[:len(documented)]
-        actual = [None if p.default is p.empty else (p.name, p.default) for p in positional]
+        actual = [p.name if p.default is p.empty else (p.name, p.default) for p in positional]
         assert documented == actual, entry
 
 

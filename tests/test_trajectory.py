@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,14 +46,21 @@ class TestBuild:
         assert sol.method == "separatrix"
         assert math.isinf(sol.period_info.T)
 
-    def test_series_method_falls_back_at_separatrix(self):
-        with pytest.warns(UserWarning, match="closed-form"):
-            sol = build_trajectory(energy_state(2.0), 20, "resummed")
-        assert sol.method == "separatrix"
+    def test_series_method_raises_at_separatrix(self):
+        # no branch spans the infinite T*: a series method raises, with no warning
+        for energy in (2.0, 2.0 - 5e-13, 2.0 + 5e-13):
+            assert energy_state(energy).regime is Regime.SEPARATRIX
+            for method in ("raw", "resummed", "efficient"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(SeparatrixError):
+                        build_trajectory(energy_state(energy), 20, method)
 
     def test_separatrix_method_needs_separatrix_energy(self):
-        with pytest.raises(SeparatrixError):
-            build_trajectory(energy_state(1.71), None, "separatrix")
+        # 2 -+ 2e-12 lie just outside the separatrix band
+        for energy in (1.71, 2.0 - 2e-12, 2.0 + 2e-12):
+            with pytest.raises(SeparatrixError):
+                build_trajectory(energy_state(energy), None, "separatrix")
 
     def test_series_methods_need_order(self):
         with pytest.raises(TypeError):
@@ -207,6 +215,13 @@ class TestThetaTilde:
             theta_tilde(sol, -0.1)
         with pytest.raises(ValueError):
             theta_tilde(sol, 1.001 * sol.period_info.T_star)
+        # exactly [0, T*]: no slack on either side
+        t_star = sol.period_info.T_star
+        for t in (math.nextafter(t_star, math.inf), -1e-13 * t_star):
+            with pytest.raises(ValueError):
+                theta_tilde(sol, t)
+        assert theta_tilde(sol, 0.0) == pytest.approx(0.5 * math.pi, rel=1e-12)
+        assert theta_tilde(sol, t_star) == 0.0
         for t in (math.nan, [0.1, math.nan]):
             with pytest.raises(ValueError):
                 theta_tilde(sol, t)
