@@ -8,6 +8,9 @@ Four subcommands produce self-describing CSV artifacts:
   surface      long-format (energy, t, theta) tables over several orbits
   roc          exact and estimated convergence radii per energy
 
+The flags several subcommands share (--out, the comma-list --energy,
+--direction, --degrees, --oracle-dt) are declared once, in parent parsers.
+
 Output is deterministic for a fixed configuration: `#`-prefixed metadata
 lines echo the package version and the config, reals carry 17
 significant digits, and rows are emitted in input order.  Angles are
@@ -46,10 +49,12 @@ def _fmt(x) -> str:
     return "%.17g" % x
 
 
-def _values(kind, low, strict=False):
-    """Comma-list flag type: each value finite and >= low (> low if strict)."""
+def _number(kind, low, strict=False, many=False):
+    """One value, or a comma list if many: each finite and >= low (> low if strict)."""
 
-    def parse(text: str) -> list:
+    def parse(text: str):
+        if not many and "," in text:
+            raise argparse.ArgumentTypeError(f"takes a single value, got {text!r}")
         try:
             values = [kind(part) for part in text.split(",") if part.strip()]
         except ValueError:
@@ -61,21 +66,9 @@ def _values(kind, low, strict=False):
             if not (math.isfinite(v) and (v > low if strict else v >= low)):
                 raise argparse.ArgumentTypeError(
                     f"must be finite and {'>' if strict else '>='} {low:g}, got {v!r}")
-        return values
+        return values if many else values[0]
 
     return parse
-
-
-def _value(kind, low, strict=False):
-    """Single-value form of `_values`."""
-    parse = _values(kind, low, strict)
-
-    def one(text: str):
-        if "," in text:
-            raise argparse.ArgumentTypeError(f"takes a single value, got {text!r}")
-        return parse(text)[0]
-
-    return one
 
 
 def _state(e: float, flag: str):
@@ -252,75 +245,62 @@ def _emit(stream, args, meta, header, rows) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    energies = _values(float, 0.0, strict=True)  # E = 0 is the rest fixed point
-    orders = _value(int, 2)
-    grid = _value(int, 2)
-    periods = _value(int, 1)
-    dt = _value(float, 0.0, strict=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
+    energies = argparse.ArgumentParser(add_help=False)  # E = 0 is the rest fixed point
+    energies.add_argument("--energy", type=_number(float, 0.0, strict=True, many=True),
+                          required=True, help="comma-separated energy grid")
+    orbit = argparse.ArgumentParser(add_help=False)
+    orbit.add_argument("--direction", choices=("cw", "ccw"), default="cw",
+                       help="initial sense of motion")
+    orbit.add_argument("--degrees", action="store_true",
+                       help="format angle columns in degrees")
+    oracle = argparse.ArgumentParser(add_help=False)
+    oracle.add_argument("--oracle-dt", type=_number(float, 0.0, strict=True), default=1e-4,
+                        help="RK4 oracle step (1e-5 reproduces the reference runs)")
+
     parser = argparse.ArgumentParser(
-        prog="pendseries",
-        description="Analytic pendulum trajectories as CSV artifacts.",
-    )
+        prog="pendseries", description="Analytic pendulum trajectories as CSV artifacts.")
     parser.add_argument("--version", action="version",
                         version=f"pendseries {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("trajectory", help="one orbit sampled against the RK4 oracle")
-    p.add_argument("--energy", type=_value(float, 0.0, strict=True), required=True,
+    p = sub.add_parser("trajectory", parents=[orbit, oracle, out],
+                       help="one orbit sampled against the RK4 oracle")
+    p.add_argument("--energy", type=_number(float, 0.0, strict=True), required=True,
                    help="orbit energy (single value)")
-    p.add_argument("--order", type=orders, default=20, help="truncation order N")
+    p.add_argument("--order", type=_number(int, 2), default=20, help="truncation order N")
     p.add_argument("--method", choices=("raw", "resummed", "auto"), default="auto",
                    help="raw or resummed branch; auto = resummed, closed form at E=2")
-    p.add_argument("--direction", choices=("cw", "ccw"), default="cw",
-                   help="initial sense of motion")
-    p.add_argument("--periods", type=periods, default=1,
+    p.add_argument("--periods", type=_number(int, 1), default=1,
                    help="time span in full periods (2*pi units at E=2)")
-    p.add_argument("--grid", type=grid, default=1001, help="number of samples")
-    p.add_argument("--oracle-dt", type=dt, default=1e-4,
-                   help="RK4 oracle step (1e-5 reproduces the reference runs)")
-    p.add_argument("--degrees", action="store_true",
-                   help="format angle columns in degrees")
-    p.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
+    p.add_argument("--grid", type=_number(int, 2), default=1001, help="number of samples")
     p.set_defaults(func=cmd_trajectory)
 
-    p = sub.add_parser("error-sweep",
+    p = sub.add_parser("error-sweep", parents=[energies, orbit, oracle, out],
                        help="sup-norm or period error over energy/order grids")
-    p.add_argument("--energy", type=energies, required=True,
-                   help="comma-separated energy grid")
-    p.add_argument("--order", type=_values(int, 2), default=[5, 10, 20],
+    p.add_argument("--order", type=_number(int, 2, many=True), default=[5, 10, 20],
                    help="comma-separated truncation orders")
     p.add_argument("--method", choices=("raw", "resummed", "auto"), default="auto",
                    help="raw or resummed branch; auto = compare raw and resummed")
-    p.add_argument("--direction", choices=("cw", "ccw"), default="cw")
-    p.add_argument("--grid", type=grid, default=1001,
+    p.add_argument("--grid", type=_number(int, 2), default=1001,
                    help="samples per [0, T*] error grid")
-    p.add_argument("--oracle-dt", type=dt, default=1e-4)
     p.add_argument("--period", action="store_true",
                    help="sweep the effective-period error of K routes instead "
                         "(ignores --method, --direction, --grid, --oracle-dt, --degrees)")
-    p.add_argument("--degrees", action="store_true",
-                   help="format sup_error in degrees")
-    p.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_error_sweep)
 
-    p = sub.add_parser("surface",
+    p = sub.add_parser("surface", parents=[energies, orbit, out],
                        help="long-format (energy, t, theta) over several orbits")
-    p.add_argument("--energy", type=energies, required=True,
-                   help="comma-separated energy grid")
-    p.add_argument("--order", type=orders, default=40)
-    p.add_argument("--direction", choices=("cw", "ccw"), default="cw")
-    p.add_argument("--periods", type=periods, default=2)
-    p.add_argument("--grid", type=grid, default=257, help="samples per energy")
-    p.add_argument("--degrees", action="store_true")
-    p.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
+    p.add_argument("--order", type=_number(int, 2), default=40)
+    p.add_argument("--periods", type=_number(int, 1), default=2)
+    p.add_argument("--grid", type=_number(int, 2), default=257, help="samples per energy")
     p.set_defaults(func=cmd_surface)
 
-    p = sub.add_parser("roc", help="convergence radii, exact and estimated")
-    p.add_argument("--energy", type=energies, required=True,
-                   help="comma-separated energy grid")
-    p.add_argument("--order", type=orders, default=400,
+    p = sub.add_parser("roc", parents=[energies, out],
+                       help="convergence radii, exact and estimated")
+    p.add_argument("--order", type=_number(int, 2), default=400,
                    help="coefficient count for the root-test estimate")
-    p.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_roc)
 
     return parser

@@ -96,17 +96,36 @@ class TestTrajectoryCommand:
         _, header, rows = parse_csv(out)
         assert len(rows) == 65
 
-    def test_degrees_only_rescales_display(self, tmp_path):
-        argv = ["trajectory", "--energy", "1.0", "--order", "10",
-                "--grid", "21", "--oracle-dt", "1e-2"]
-        _, out = run_csv(tmp_path, argv, "rad.csv")
-        _, header, rad = parse_csv(out)
-        _, out = run_csv(tmp_path, argv + ["--degrees"], "deg.csv")
-        _, _, deg = parse_csv(out)
-        rad_theta = column(rad, header, "theta_analytic")
-        deg_theta = column(deg, header, "theta_analytic")
-        np.testing.assert_allclose(deg_theta, np.degrees(rad_theta), rtol=1e-15)
-        assert [r[0] for r in rad] == [d[0] for d in deg]  # time untouched
+
+@pytest.mark.parametrize("argv,angles", [
+    (["trajectory", "--energy", "1.0", "--order", "10", "--grid", "21",
+      "--oracle-dt", "1e-2"], ["theta_analytic", "theta_rk4", "abs_error"]),
+    (["error-sweep", "--energy", "1.0,2.5", "--order", "5,10", "--grid", "21",
+      "--oracle-dt", "1e-2"], ["sup_error"]),
+    (["surface", "--energy", "1.0,2.0,2.5", "--order", "10", "--grid", "21"], ["theta"]),
+], ids=["trajectory", "error-sweep", "surface"])
+def test_degrees_only_rescales_display(tmp_path, argv, angles):
+    _, out = run_csv(tmp_path, argv, "rad.csv")
+    rad_meta, header, rad = parse_csv(out)
+    _, out = run_csv(tmp_path, argv + ["--degrees"], "deg.csv")
+    deg_meta, _, deg = parse_csv(out)
+    assert deg_meta[2:] == rad_meta[2:]
+    for name in header:
+        if name in angles:
+            np.testing.assert_allclose(column(deg, header, name),
+                                       np.degrees(column(rad, header, name)), rtol=1e-15)
+        else:  # time, energy, order and method untouched
+            i = header.index(name)
+            assert [r[i] for r in deg] == [r[i] for r in rad], name
+
+
+def test_period_sweep_ignores_degrees(tmp_path):
+    argv = ["error-sweep", "--period", "--energy", "0.5,2.5", "--order", "5,10"]
+    _, out = run_csv(tmp_path, argv, "rad.csv")
+    rad_meta, _, rad = parse_csv(out)
+    _, out = run_csv(tmp_path, argv + ["--degrees"], "deg.csv")
+    deg_meta, _, deg = parse_csv(out)
+    assert deg_meta[2:] == rad_meta[2:] and deg == rad
 
 
 class TestErrorSweepCommand:
@@ -345,28 +364,47 @@ class TestRocCommand:
         assert [r[header.index("root_test_estimate")] for r in rows] == ["", ""]
 
 
+USAGE_ERRORS = [
+    (["trajectory"], "the following arguments are required: --energy\n"),
+    (["trajectory", "--energy", "1.0,2.5"],
+     "argument --energy: takes a single value, got '1.0,2.5'\n"),
+    (["trajectory", "--energy", "1.0", "--order", "1"],
+     "argument --order: must be finite and >= 2, got 1\n"),
+    (["trajectory", "--energy", "-0.5"], "argument --energy: must be finite and > 0, got -0.5\n"),
+    (["trajectory", "--energy", "1.0", "--grid", "1"],
+     "argument --grid: must be finite and >= 2, got 1\n"),
+    (["trajectory", "--energy", "1.0", "--periods", "0"],
+     "argument --periods: must be finite and >= 1, got 0\n"),
+    (["trajectory", "--energy", "1.0", "--oracle-dt", "0"],
+     "argument --oracle-dt: must be finite and > 0, got 0.0\n"),
+    # the rest of this message differs between Python versions
+    (["trajectory", "--energy", "1.0", "--direction", "up"],
+     "argument --direction: invalid choice: 'up'"),
+    (["error-sweep", "--energy", "1.0", "--order", "5,1"],
+     "argument --order: must be finite and >= 2, got 1\n"),
+    (["trajectory", "--energy", "nan"], "argument --energy: must be finite and > 0, got nan\n"),
+    (["trajectory", "--energy", "inf"], "argument --energy: must be finite and > 0, got inf\n"),
+    (["surface", "--energy", "1,inf"], "argument --energy: must be finite and > 0, got inf\n"),
+    (["trajectory", "--energy", "1.0", "--oracle-dt", "inf"],
+     "argument --oracle-dt: must be finite and > 0, got inf\n"),
+    (["trajectory", "--energy", "1.0", "--oracle-dt", "nan"],
+     "argument --oracle-dt: must be finite and > 0, got nan\n"),
+    (["trajectory", "--energy", "1.0", "--grid", "1,2"],
+     "argument --grid: takes a single value, got '1,2'\n"),
+]
+
+
 class TestUsageErrors:
-    @pytest.mark.parametrize("argv", [
-        ["trajectory"],
-        ["trajectory", "--energy", "1.0,2.5"],
-        ["trajectory", "--energy", "1.0", "--order", "1"],
-        ["trajectory", "--energy", "-0.5"],
-        ["trajectory", "--energy", "1.0", "--grid", "1"],
-        ["trajectory", "--energy", "1.0", "--periods", "0"],
-        ["trajectory", "--energy", "1.0", "--oracle-dt", "0"],
-        ["trajectory", "--energy", "1.0", "--direction", "up"],
-        ["error-sweep", "--energy", "1.0", "--order", "5,1"],
-        ["trajectory", "--energy", "nan"],
-        ["trajectory", "--energy", "inf"],
-        ["surface", "--energy", "1,inf"],
-        ["trajectory", "--energy", "1.0", "--oracle-dt", "inf"],
-        ["trajectory", "--energy", "1.0", "--oracle-dt", "nan"],
-    ])
-    def test_rejected_with_usage_exit(self, argv, capsys):
+    # ids by index: the default would put each message into the test's name
+    @pytest.mark.parametrize("argv,message", USAGE_ERRORS,
+                             ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))])
+    def test_rejected_with_usage_exit(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: pendseries {argv[0]}")
+        assert f"pendseries {argv[0]}: error: {message}" in err
 
     @pytest.mark.parametrize("command", ["trajectory", "error-sweep", "surface"])
     def test_plot_script_is_not_an_option(self, tmp_path, command, capsys):
@@ -383,8 +421,8 @@ class TestUsageErrors:
         # "efficient" built the same polynomial as "resummed", so the CLI
         # offers one name for it
         parser = cli._build_parser()
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        method = next(a for a in sub.choices[command]._actions if "--method" in a.option_strings)
+        method = next(a for a in subcommands(parser)[command]._actions
+                      if "--method" in a.option_strings)
         assert tuple(method.choices) == ("raw", "resummed", "auto")
         out = tmp_path / "x.csv"
         with pytest.raises(SystemExit) as exc:
@@ -452,11 +490,87 @@ def readme_commands():
             if line.startswith("    pendseries ")]
 
 
+# option -> (default, required, choices, nargs) per subcommand; nargs 0 is a
+# flag that takes no value
+INTERFACE = {
+    "trajectory": {
+        "--energy": (None, True, None, None),
+        "--order": (20, False, None, None),
+        "--method": ("auto", False, ("raw", "resummed", "auto"), None),
+        "--direction": ("cw", False, ("cw", "ccw"), None),
+        "--periods": (1, False, None, None),
+        "--grid": (1001, False, None, None),
+        "--oracle-dt": (1e-4, False, None, None),
+        "--degrees": (False, False, None, 0),
+        "--out": (None, False, None, None),
+    },
+    "error-sweep": {
+        "--energy": (None, True, None, None),
+        "--order": ([5, 10, 20], False, None, None),
+        "--method": ("auto", False, ("raw", "resummed", "auto"), None),
+        "--direction": ("cw", False, ("cw", "ccw"), None),
+        "--grid": (1001, False, None, None),
+        "--oracle-dt": (1e-4, False, None, None),
+        "--period": (False, False, None, 0),
+        "--degrees": (False, False, None, 0),
+        "--out": (None, False, None, None),
+    },
+    "surface": {
+        "--energy": (None, True, None, None),
+        "--order": (40, False, None, None),
+        "--direction": ("cw", False, ("cw", "ccw"), None),
+        "--periods": (2, False, None, None),
+        "--grid": (257, False, None, None),
+        "--degrees": (False, False, None, 0),
+        "--out": (None, False, None, None),
+    },
+    "roc": {
+        "--energy": (None, True, None, None),
+        "--order": (400, False, None, None),
+        "--out": (None, False, None, None),
+    },
+}
+
+
+def subcommands(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_parser_matches_the_interface_table():
+    commands = subcommands(cli._build_parser())
+    assert list(commands) == list(INTERFACE)
+    for command, options in INTERFACE.items():
+        got = {opt: (type(a.default), a.default, a.required,
+                     tuple(a.choices) if a.choices else None, a.nargs)
+               for a in commands[command]._actions for opt in a.option_strings
+               if opt not in ("-h", "--help")}
+        assert got == {opt: (type(spec[0]), *spec) for opt, spec in options.items()}, command
+
+
+@pytest.mark.parametrize("command", [[], *([c] for c in INTERFACE)],
+                         ids=["pendseries", *INTERFACE])
+def test_help_lists_every_option(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(" ".join(["usage: pendseries", *command]))
+    for option in INTERFACE[command[0]] if command else ["--version", *INTERFACE]:
+        assert option in out
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"pendseries {cli.__version__}\n"
+
+
 def test_every_readme_flag_is_an_option():
     # a README that still names a removed flag fails here
     parser = cli._build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    options = {opt for p in [parser, *sub.choices.values()]
+    options = {opt for p in [parser, *subcommands(parser).values()]
                for action in p._actions for opt in action.option_strings}
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme_cli_section()))
     assert {"--out", "--degrees", "--oracle-dt"} <= flags
