@@ -31,8 +31,8 @@ import numpy as np
 
 from . import __version__
 from .convergence import roc_estimate, roc_exact
-from .elliptic import evaluate_k, period
-from .energy import Regime, _orbit_constants, classify_energy, energy_state
+from .elliptic import evaluate_k
+from .energy import Regime, classify_energy, energy_state
 from .series import pendulum_series
 from .trajectory import build_trajectory, canonical_initial_state, theta_at
 from .validation import rk4_sample, sup_error
@@ -43,10 +43,7 @@ _RAD2DEG = 180.0 / math.pi
 
 
 def _fmt(x) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # never emit -0
-    return "%.17g" % x
+    return "%.17g" % (float(x) + 0.0)  # -0.0 + 0.0 is +0.0: never emit -0
 
 
 def _number(kind, low, strict=False, many=False):
@@ -61,7 +58,8 @@ def _number(kind, low, strict=False, many=False):
             raise argparse.ArgumentTypeError(
                 f"invalid {kind.__name__} value in {text!r}") from None
         if not values:
-            raise argparse.ArgumentTypeError("empty list")
+            raise argparse.ArgumentTypeError(
+                "empty list" if many else f"expected a single {kind.__name__} value, got {text!r}")
         for v in values:
             if not (math.isfinite(v) and (v > low if strict else v >= low)):
                 raise argparse.ArgumentTypeError(
@@ -143,13 +141,12 @@ def cmd_error_sweep(args):
 def _period_sweep(args):
     meta, rows, skipped = [], [], []
     for e in _off_separatrix(args.energy, skipped, "no finite period"):
-        state = energy_state(e)
-        exact, c = period(state).T_star, _orbit_constants(state)
-        meta.append(f"energy={_fmt(e)} T_star={_fmt(exact)}")
+        c = energy_state(e).orbit
+        meta.append(f"energy={_fmt(e)} T_star={_fmt(c.t_star)}")
         for n in args.order:
             for route in ("series", "resummed"):
                 approx = c.scale * evaluate_k(c.k, route, n).value
-                rows.append([_fmt(e), str(n), route, _fmt(abs(approx - exact))])
+                rows.append([_fmt(e), str(n), route, _fmt(abs(approx - c.t_star))])
     return meta, ["energy", "order", "method", "T_star_abs_error"], rows, skipped
 
 
@@ -186,7 +183,7 @@ def cmd_roc(args):
     reason = "branch points at +-i*pi/2, no pole lattice"
     for e in _off_separatrix(args.energy, skipped, reason):
         state = energy_state(e)
-        c = _orbit_constants(state)
+        c = state.orbit
         starts = {"top": (c.theta0, c.omega0, c.sin_cos), "bottom": (0.0, c.omega_star, None)}
         for ics, (theta0, omega0, sin_cos) in starts.items():
             rep = roc_exact(state, ics)

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyState, _orbit_constants
-from .elliptic import ellipk_prime, period
+from .energy import EnergyState
+from .elliptic import ellipk_prime
 from .series import SeriesCoefficients
 
 __all__ = [
@@ -91,14 +91,15 @@ def roc_exact(state: EnergyState, ics: str = "top") -> RocReport:
     Bottom of the orbit, t = T*: the nearest poles sit straight above
     and below it, at K' (libration) or Kt' (rotation).  Of each
     equidistant set the report names the pole (-T*, -K') for the top and
-    (T*, -K') for the bottom start, with T* from `period` and K' or Kt'
-    from `ellipk_prime`.  It raises `SeparatrixError` at E = 2, and at
-    E = 0, the rest orbit, which has no poles, `ellipk_prime`'s `ValueError`.
+    (T*, -K') for the bottom start, with T* from the record `state.orbit`
+    and K' or Kt' from `ellipk_prime`.  It raises `SeparatrixError` at
+    E = 2, and at E = 0, the rest orbit, which has no poles,
+    `ellipk_prime`'s `ValueError`.
     """
-    c = _orbit_constants(state)
+    c = state.orbit
     if ics not in ("top", "bottom"):
         raise ValueError(f"ics must be 'top' or 'bottom', got {ics!r}")
-    t_star, im_unit = period(state).T_star, c.scale * ellipk_prime(c.k)
+    t_star, im_unit = c.t_star, c.scale * ellipk_prime(c.k)
     x0 = 0.0 if ics == "top" else t_star
     pole = complex(-t_star if ics == "top" else t_star, -im_unit)
     radius = abs(pole - x0)

@@ -16,20 +16,24 @@ provided with one contract: each accepts exactly 0 <= k < 1 and raises
                           the truncation error stays O(1/N) even at the
                           logarithmic singularity k -> 1.
 
-``period`` forms an orbit's T and T* by the AGM as K'(k'), with k' from E;
-``evaluate_k`` dispatches the two series routes at an explicit order, which
-``error-sweep --period`` measures.
+``ellipk_prime`` is the AGM that forms each orbit's T* = scale K'(k'), once
+per state, in its `energy` record; ``period`` views T and T* from that
+record.  ``evaluate_k`` dispatches the two series routes at an explicit
+order, which ``error-sweep --period`` measures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .energy import EnergyState, Regime, _orbit_constants
 from .series import _whole
+
+if TYPE_CHECKING:  # energy imports this module for ellipk_prime
+    from .energy import EnergyState
 
 __all__ = [
     "EllipticEval",
@@ -157,13 +161,11 @@ def evaluate_k(k: float, method: str, order: int) -> EllipticEval:
 
 
 def period(state: EnergyState) -> PeriodInfo:
-    """Period of the orbit with the given energy, by the AGM; the separatrix raises.
+    """T and T* of the orbit, from its record `state.orbit`; the separatrix raises.
 
     Libration: T = 4 K(sqrt(E/2)), T* = T/4; rotation: T = 2 sqrt(2/E) K(sqrt(2/E)), T* = T/2.
     K is K'(k'), k'^2 = (2 - E)/2 or (E - 2)/E from E: T* is within 1.6e-16 relative
     of K of the given E from E = 0.5 to 1e4, 2 -+ 2e-12 included (mpmath, 40 digits).
     """
-    c = _orbit_constants(state)
-    t_star = c.scale * ellipk_prime(c.k_prime)
-    branches = 4.0 if state.regime is Regime.LIBRATION else 2.0
-    return PeriodInfo(branches * t_star, t_star)
+    c = state.orbit
+    return PeriodInfo(c.period, c.t_star)

@@ -10,6 +10,10 @@ pendulum is determined by its energy up to time shifts and reflections,
 the solvers in this package work from canonical initial conditions at the
 turning point (libration) or the top of the circle (rotation) and recover
 arbitrary starts by realignment.
+
+Each state forms its orbit record once, `EnergyState.orbit`: T* by the
+AGM (`elliptic.ellipk_prime`), the full period, the top start with its
+series seeds and the endpoint slope, all taken from E.
 """
 
 from __future__ import annotations
@@ -17,9 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+
+from .elliptic import ellipk_prime
 
 __all__ = [
     "SEPARATRIX_ENERGY",
@@ -52,6 +59,50 @@ class SeparatrixError(ValueError):
     """Raised where an operation is undefined at (or requires) E = 2."""
 
 
+class _OrbitConstants(NamedTuple):
+    """The orbit record: T* = scale K'(k'), the period, the top start with its seeds, w*.
+
+    The one place these constants are formed, once per state by
+    `EnergyState.orbit`.  They describe the canonical branch, whatever the
+    direction: it spans T*, a quarter of the period (libration) or a half
+    (rotation), and falls clockwise, through the bottom at w* = -sqrt(2E)
+    (rotation: -2 sqrt(E/2), finite at every E).  Libration takes k = w/2
+    and w* = -w from one w = sqrt(2E): 2E is exact where E/2 rounds.
+    """
+
+    k: float
+    k_prime: float
+    scale: float
+    theta0: float
+    omega0: float
+    sin_cos: tuple[float, float]
+    omega_star: float
+    t_star: float
+    period: float
+
+
+def _orbit_constants(state: EnergyState) -> _OrbitConstants:
+    """The orbit's constants, all formed from E; E = 2 raises `SeparatrixError`.
+
+    k'^2 is (2 - E)/2 or (E - 2)/E, exact near E = 2, and the seeds are
+    sin, cos theta_max = (sqrt(E (2 - E)), 1 - E) or exactly (0, -1) at pi:
+    near the separatrix the orbit amplifies any mismatch with E by e^T*.
+    """
+    e = state.energy
+    if state.regime is Regime.SEPARATRIX:
+        raise SeparatrixError("the separatrix has no finite period, top start or endpoint")
+    if state.regime is Regime.LIBRATION:
+        w = math.sqrt(2.0 * e)
+        k, k_prime, scale, branches = 0.5 * w, math.sqrt(0.5 * (2.0 - e)), 1.0, 4.0
+        top = (2.0 * math.atan2(k, k_prime), 0.0, (math.sqrt(e * (2.0 - e)), 1.0 - e), -w)
+    else:
+        k, h = math.sqrt(2.0 / e), 0.5 * e
+        k_prime, scale, branches = math.sqrt((e - 2.0) / e), k, 2.0
+        top = (math.pi, -2.0 * math.sqrt(h - 1.0), (0.0, -1.0), -2.0 * math.sqrt(h))
+    t_star = scale * ellipk_prime(k_prime)
+    return _OrbitConstants(k, k_prime, scale, *top, t_star, branches * t_star)
+
+
 @dataclass(frozen=True)
 class EnergyState:
     """Energy and sense of motion of one pendulum orbit.
@@ -60,7 +111,8 @@ class EnergyState:
     libration +1 starts at the turning point +theta_max (first swinging
     clockwise) and -1 at -theta_max; for rotation and the separatrix it is
     the sign of the angular velocity.  `regime` is derived from `energy`
-    by `classify_energy`, not passed in.
+    by `classify_energy`, not passed in.  `orbit` is formed on first use and
+    kept; it takes no part in equality or hashing.
     """
 
     energy: float
@@ -72,6 +124,8 @@ class EnergyState:
         if self.direction not in (-1, 1):
             raise ValueError(f"direction must be +1 or -1, got {self.direction!r}")
         object.__setattr__(self, "direction", int(self.direction))
+
+    orbit = cached_property(_orbit_constants)
 
 
 def classify_energy(energy: float) -> Regime:
@@ -103,44 +157,6 @@ def energy_of(theta0: float, omega0: float) -> EnergyState:
     return EnergyState(energy, direction)
 
 
-class _OrbitConstants(NamedTuple):
-    """T* = scale K'(k'), the top start with its series seeds, and w* at the bottom.
-
-    The one place these constants are formed.  They describe the canonical
-    branch, whatever the direction: it falls clockwise, through the bottom at
-    w* = -sqrt(2E) (rotation: -2 sqrt(E/2), finite at every E).  Libration
-    takes k = w/2 and w* = -w from one w = sqrt(2E): 2E is exact where E/2 rounds.
-    """
-
-    k: float
-    k_prime: float
-    scale: float
-    theta0: float
-    omega0: float
-    sin_cos: tuple[float, float]
-    omega_star: float
-
-
-def _orbit_constants(state: EnergyState) -> _OrbitConstants:
-    """The orbit's constants, all formed from E; E = 2 raises `SeparatrixError`.
-
-    k'^2 is (2 - E)/2 or (E - 2)/E, exact near E = 2, and the seeds are
-    sin, cos theta_max = (sqrt(E (2 - E)), 1 - E) or exactly (0, -1) at pi:
-    near the separatrix the orbit amplifies any mismatch with E by e^T*.
-    """
-    e = state.energy
-    if state.regime is Regime.SEPARATRIX:
-        raise SeparatrixError("the separatrix has no finite period, top start or endpoint")
-    if state.regime is Regime.LIBRATION:
-        w = math.sqrt(2.0 * e)
-        k, k_prime = 0.5 * w, math.sqrt(0.5 * (2.0 - e))
-        return _OrbitConstants(k, k_prime, 1.0, 2.0 * math.atan2(k, k_prime), 0.0,
-                               (math.sqrt(e * (2.0 - e)), 1.0 - e), -w)
-    k, h = math.sqrt(2.0 / e), 0.5 * e
-    return _OrbitConstants(k, math.sqrt((e - 2.0) / e), k, math.pi, -2.0 * math.sqrt(h - 1.0),
-                           (0.0, -1.0), -2.0 * math.sqrt(h))
-
-
 def canonical_top_ics(state: EnergyState) -> tuple[float, float]:
     """Start of the canonical branch, at the highest point of the orbit.
 
@@ -151,7 +167,7 @@ def canonical_top_ics(state: EnergyState) -> tuple[float, float]:
     The start describes the canonical branch, whatever the direction;
     the orbit's own sense comes from reflecting it.
     """
-    c = _orbit_constants(state)
+    c = state.orbit
     return c.theta0, c.omega0
 
 

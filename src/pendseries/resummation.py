@@ -12,8 +12,9 @@ with w* = -sqrt(2E) the exact endpoint velocity, pins the endpoint value
 are plain linear images of the original coefficients, so nothing
 approximate has been introduced.
 
-Both transforms take the series and its orbit, and read T* from the orbit,
-`period(state).T_star`.  With s = t/T* the endpoint is s = 1 and the form reads
+Both transforms take the series and its orbit, and read T* and w* from the
+orbit's record, `state.orbit`.  With s = t/T* the endpoint is s = 1 and the
+form reads
 
     w* T* (s - 1) + (s - 1)^2 sum_n ahat_n s^n,
 
@@ -43,8 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import period
-from .energy import EnergyState, _orbit_constants
+from .energy import EnergyState
 from .series import SeriesCoefficients, eval_poly
 
 __all__ = [
@@ -95,7 +95,7 @@ class ResummedSeries:
 
 
 def _endpoint(a: SeriesCoefficients, state: EnergyState):
-    """Shared prologue of both resummations: (N, T*, w*), T* = `period(state).T_star`.
+    """Shared prologue of both resummations: (N, T*, w*) from the record `state.orbit`.
 
     Raises, in this order, a `ValueError` for N < 2, a `SeparatrixError` at
     E = 2, and a `ValueError` for a series not carried in units of that T*.
@@ -103,17 +103,17 @@ def _endpoint(a: SeriesCoefficients, state: EnergyState):
     n_max = a.truncation_order
     if n_max < 2:
         raise ValueError("order must be at least 2")
-    t_star = period(state).T_star
-    if a.time_unit != t_star:
-        raise ValueError(f"the series must be carried in units of T* = {t_star!r}, "
+    c = state.orbit
+    if a.time_unit != c.t_star:
+        raise ValueError(f"the series must be carried in units of T* = {c.t_star!r}, "
                          f"got time_unit {a.time_unit!r}")
-    return n_max, t_star, _orbit_constants(state).omega_star
+    return n_max, c.t_star, c.omega_star
 
 
 def resum(a: SeriesCoefficients, state: EnergyState) -> ResummedSeries:
     """Transform the orbit's raw coefficients into the endpoint-pinned form.
 
-    `a` is in s = t/T*, T* = `period(state).T_star`.  With b its coefficients
+    `a` is in s = t/T*, T* = `state.orbit.t_star`.  With b its coefficients
     after absorbing the linear endpoint term (b_0 = a_0 + w* T*, b_1 = a_1 - w* T*,
     b_n = a_n otherwise), dividing by (s - 1)^2 is the convolution
 
@@ -148,7 +148,7 @@ def eval_resummed(r: ResummedSeries, t):
 def efficient_truncation(a: SeriesCoefficients, state: EnergyState) -> SeriesCoefficients:
     """Append two monomials to the orbit's raw partial sum to pin the endpoint.
 
-    In s = t/T*, the unit of `a`, with T* = `period(state).T_star`, requiring
+    In s = t/T*, the unit of `a`, with T* = `state.orbit.t_star`, requiring
     sigma_N(s) + alpha s^(N+1) + beta s^(N+2) to take the value 0 and slope
     w* T* at s = 1 gives
 

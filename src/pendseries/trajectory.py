@@ -28,14 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (
-    EnergyState,
-    Regime,
-    SeparatrixError,
-    _orbit_constants,
-    energy_of,
-    separatrix_theta,
-)
+from .energy import EnergyState, Regime, SeparatrixError, energy_of, separatrix_theta
 from .elliptic import PeriodInfo, period
 from .resummation import efficient_truncation
 from .series import SeriesCoefficients, eval_poly, pendulum_series
@@ -106,12 +99,11 @@ def build_trajectory(state: EnergyState, order: int | None,
                               f"\"separatrix\" is the method at E = 2 and only there")
     if method == "separatrix":
         return TrajectorySolution(state, PeriodInfo(math.inf, math.inf), method, 0, None)
-    pinfo, c = period(state), _orbit_constants(state)
-    branch = pendulum_series(c.theta0, c.omega0, order, time_unit=pinfo.T_star,
-                             sin_cos=c.sin_cos)
+    c = state.orbit
+    branch = pendulum_series(c.theta0, c.omega0, order, time_unit=c.t_star, sin_cos=c.sin_cos)
     if method != "raw":
         branch = efficient_truncation(branch, state)
-    return TrajectorySolution(state, pinfo, method, int(order), branch)
+    return TrajectorySolution(state, period(state), method, int(order), branch)
 
 
 def _tilde(sol: TrajectorySolution, t):
@@ -210,7 +202,7 @@ def canonical_initial_state(sol: TrajectorySolution) -> tuple[float, float]:
     state = sol.energy_state
     if state.regime is Regime.SEPARATRIX:
         return 0.0, 2.0 * state.direction
-    c = _orbit_constants(state)
+    c = state.orbit
     # + 0.0: a reflected turning point starts at rest with +0.0, not -0.0
     return _orient(state, c.theta0), _sense(state) * c.omega0 + 0.0
 

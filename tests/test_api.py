@@ -173,11 +173,7 @@ def test_unused_import_check_sees_a_stale_name():
 # Private (single-underscore) names a package module imports from a sibling.
 # A new one is a new coupling between modules: add it here deliberately.
 PRIVATE_IMPORTS = {
-    "cli": {"_orbit_constants"},
-    "convergence": {"_orbit_constants"},
-    "elliptic": {"_orbit_constants", "_whole"},
-    "resummation": {"_orbit_constants"},
-    "trajectory": {"_orbit_constants"},
+    "elliptic": {"_whole"},
     "validation": {"_whole", "_orient"},
 }
 
@@ -219,3 +215,22 @@ def test_package_calls_no_bench_pinned_wrapper():
     found = {path.name: hits for path in SOURCES
              if (hits := _called_names(path.read_text(encoding="utf-8")) & BENCH_PINNED_WRAPPERS)}
     assert not found
+
+
+def _run_time_imports(source: str) -> set[str]:
+    """Sibling modules a source imports outside its `if TYPE_CHECKING:` blocks."""
+    tree = ast.parse(source)
+    hidden = {id(n) for node in ast.walk(tree)
+              if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
+              for n in ast.walk(node)}
+    return {node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0 and id(node) not in hidden}
+
+
+def test_only_energy_forms_the_orbit_record():
+    assert _run_time_imports("from .a import b\nif TYPE_CHECKING:\n    from .c import d\n") == {"a"}
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    # energy imports ellipk_prime from elliptic, so elliptic may not import energy back
+    assert "energy" not in _run_time_imports(sources["elliptic"])
+    # the rest read the record, `state.orbit`, and never name its builder
+    assert [stem for stem, source in sources.items() if "_orbit_constants" in source] == ["energy"]

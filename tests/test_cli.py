@@ -391,7 +391,22 @@ USAGE_ERRORS = [
      "argument --oracle-dt: must be finite and > 0, got nan\n"),
     (["trajectory", "--energy", "1.0", "--grid", "1,2"],
      "argument --grid: takes a single value, got '1,2'\n"),
+    # a blank single value is one missing value, not an empty list
+    (["trajectory", "--energy", ""], "argument --energy: expected a single float value, got ''\n"),
+    (["trajectory", "--energy", "1.71", "--grid", " "],
+     "argument --grid: expected a single int value, got ' '\n"),
+    (["roc", "--energy", "1", "--order", ""],
+     "argument --order: expected a single int value, got ''\n"),
 ]
+
+
+@pytest.mark.parametrize("x,text", [
+    (-0.0, "0"), (np.float64(-0.0), "0"), (0.0, "0"), (math.nan, "nan"), (math.inf, "inf"),
+    (-math.inf, "-inf"), (5e-324, "4.9406564584124654e-324"), (1 / 3, "0.33333333333333331"),
+    (1e308, "1e+308")])
+def test_fmt_strings(x, text):
+    # 17 significant digits round-trip every double; -0 is never written
+    assert cli._fmt(x) == text
 
 
 class TestUsageErrors:

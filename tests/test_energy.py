@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pendseries import SeparatrixError, energy_state
+from pendseries import SeparatrixError, build_trajectory, energy_state, period
+from pendseries.convergence import roc_exact
 from pendseries.energy import (
     SEPARATRIX_ENERGY,
     SEPARATRIX_TOLERANCE,
@@ -17,6 +18,7 @@ from pendseries.energy import (
     energy_of,
     separatrix_theta,
 )
+from pendseries.elliptic import ellipk_prime
 from pendseries.validation import rk4_sample
 
 
@@ -129,6 +131,48 @@ class TestCanonicalTopIcs:
             theta0, omega0 = canonical_top_ics(energy_state(energy))
             assert_allclose(energy_of(theta0, omega0).energy, energy,
                             rtol=0, atol=1e-14)
+
+
+class TestOrbitRecord:
+    """`EnergyState.orbit`: every constant of the orbit, formed once per state."""
+
+    def test_formed_once_and_kept(self):
+        state = energy_state(1.71)
+        assert state.orbit is state.orbit
+
+    @pytest.mark.parametrize("energy", [1e-8, 1.71, 2.0 - 2e-12, 2.02, 1e4])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_record_takes_no_part_in_equality(self, energy, direction):
+        formed = energy_state(energy, direction)
+        formed.orbit  # formed and kept
+        fresh = energy_state(energy, direction)
+        assert formed == fresh and hash(formed) == hash(fresh)
+        assert repr(formed) == repr(fresh)
+
+    @pytest.mark.parametrize("energy", [1e-3, 1.71, 2.0 + 2e-12, 5.0])
+    def test_period_is_a_view_of_the_record(self, energy):
+        state = energy_state(energy)
+        c, pinfo = state.orbit, period(state)
+        assert (pinfo.T, pinfo.T_star) == (c.period, c.t_star)
+        assert c.period == (4.0 if energy < 2.0 else 2.0) * c.t_star
+
+    def test_separatrix_has_no_record(self):
+        state = energy_state(2.0)
+        for call in (lambda: state.orbit, lambda: period(state), lambda: roc_exact(state)):
+            with pytest.raises(SeparatrixError):
+                call()
+
+    @pytest.mark.parametrize("method", ["raw", "resummed", "efficient"])
+    def test_build_runs_the_agm_once(self, monkeypatch, method):
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return ellipk_prime(k)
+
+        monkeypatch.setattr("pendseries.energy.ellipk_prime", counted)
+        build_trajectory(energy_state(1.71), 20, method)
+        assert len(calls) == 1
 
 
 class TestSeparatrixTheta:

@@ -21,6 +21,7 @@ from pendseries import (
     theta_at,
     theta_tilde,
 )
+from pendseries.convergence import roc_exact
 from pendseries.energy import Regime, energy_of, separatrix_theta
 from pendseries.series import SeriesCoefficients, eval_poly, pendulum_series
 from pendseries.trajectory import _SEAM_SNAP_FRACTION, _orient, _tilde
@@ -199,6 +200,24 @@ class TestSeparatrixGradeBranch:
         # the canonical branch falls from +theta_max, or turns clockwise from pi
         want = jacobi.theta_ref(energy, 1 if energy < 2.0 else -1, ts)
         assert np.max(np.abs(theta_tilde(sol, ts) - want)) < 1e-13
+
+    def test_branch_meets_the_closed_form_at_half_t_star(self, rng):
+        # at T*/2 the Jacobi functions are algebraic in k' (DLMF 22.5(ii)):
+        # sn = 1/sqrt(1 + k'), dn = sqrt(k'), so the canonical branch is
+        # 2 atan2(k/sqrt(1 + k'), sqrt(k')) below E = 2 and 2 atan2(1, sqrt(k')) above
+        near = 2.0 + np.array([-1.0, 1.0] * 5) * 10.0 ** rng.uniform(-12.0, -3.0, 10)
+        for energy in np.concatenate([10.0 ** rng.uniform(-6.0, 4.0, 16), near]):
+            state = energy_state(energy)
+            c, report = state.orbit, roc_exact(state)
+            rho = report.t_star / report.exact_roc
+            order = max(40, math.ceil(math.log(1e-13 * (1.0 - rho)) / math.log(rho)))
+            sol = build_trajectory(state, order, "resummed")
+            root = math.sqrt(c.k_prime)
+            if state.regime is Regime.LIBRATION:
+                want = 2.0 * math.atan2(c.k / math.sqrt(1.0 + c.k_prime), root)
+            else:
+                want = 2.0 * math.atan2(1.0, root)
+            assert abs(theta_tilde(sol, 0.5 * c.t_star) - want) <= 2e-15, (energy, order)
 
     def test_rotation_branch_keeps_exact_parity(self):
         # theta - pi is odd in t; seeded with sin(float pi) = 1.2e-16 the
