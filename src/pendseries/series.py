@@ -11,6 +11,9 @@ order; a start with a parity costs half that, because the loop skips
 the orders that parity makes exactly zero: the odd ones at rest (omega0
 = 0, even in t), and with sin(theta0) exactly 0 (odd about theta0) the
 even orders of the angle and sine and the odd ones of the cosine.
+Far from the separatrix the coefficients in units of T* underflow long
+before order N; the orders past a certified exact-zero tail are written,
+not computed, with the bytes the loop would give them.
 """
 
 from __future__ import annotations
@@ -86,6 +89,16 @@ def eval_poly(a: SeriesCoefficients, t):
     return acc if c.size > 1 else np.full(s.shape, acc)
 
 
+def _vanish(x, y_rev, low: int) -> bool:
+    """Whether every x_k y_j with k + j >= low rounds to zero in double;
+    `y_rev` holds y_J..y_0, a reversed history."""
+    top = y_rev.size - 1
+    with np.errstate(all="ignore"):  # an overflowing build reads inf or NaN here: not zero
+        tail_max = np.maximum.accumulate(np.abs(y_rev))  # [p]: max |y_j| over j >= top - p
+        k = np.arange(max(low - top, 0), x.size)
+        return not (np.abs(x[k]) * tail_max[np.minimum(top - low + k, top)]).any()
+
+
 def pendulum_series(theta0: float, omega0: float, order: int, *, time_unit: float = 1.0,
                     sin_cos: tuple[float, float] | None = None) -> SeriesCoefficients:
     """Taylor coefficients of the pendulum angle theta(t) about t = 0.
@@ -122,6 +135,16 @@ def pendulum_series(theta0: float, omega0: float, order: int, *, time_unit: floa
       even order past 0 and c at every odd order.  s_m at odd m and
       c_{m+1} share a pass; (1, 2, 1).
     - any other start: every order, two dot products each; (1, 1, 0).
+
+    Once a_{m+2} is 0.0, a pass with m % 16 < stride (set by m alone, so
+    an order-n build stays a byte prefix of a longer one) asks `_vanish`
+    whether every product a later sum can still form from known entries,
+    d_i c_j with i + j >= m and d_i s_j with i + j >= m + lag, rounds to
+    zero.  If so every later s, c, d and a is zero by induction on m:
+    every product in a later dot rounds to zero, the dot returns +0.0, and
+    the loop would write -(h^2 * 0.0) / ((m+1)(m+2)) = -0.0 at each order
+    it computes, while the orders its parity skips keep +0.0.  The kernel
+    writes those bytes and returns.
 
     A stride of 2 halves the work.  `ndarray.dot` calls the same BLAS
     routine as `np.dot`, so each computed value has the bits a stride-1
@@ -162,4 +185,8 @@ def pendulum_series(theta0: float, omega0: float, order: int, *, time_unit: floa
         if k > top:
             break
         c_rev[top - k] = -float((d[:k] if lag else dm).dot(s_rev[top - k + 1 :])) / k
+        if (a_m == 0.0 and m % 16 < stride and _vanish(d[: m + 2], c_rev[top - k :], m)
+                and _vanish(d[: m + 2], s_rev[j:], k)):
+            a[m + 2 + stride :: stride] = -0.0  # what the passes left would write
+            break
     return SeriesCoefficients(a, h)

@@ -2,12 +2,13 @@
 
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pendseries import build_trajectory, energy_state, period
+from pendseries import build_trajectory, energy_state, period, series
 from pendseries.convergence import roc_exact
 from pendseries.energy import _orbit_constants, canonical_top_ics, energy_of
 from pendseries.series import SeriesCoefficients, eval_poly, pendulum_series
@@ -115,6 +116,16 @@ PINNED_STARTS = {
     **{f"seeded rotation {e:g}": (*_top_start(e, seeded=True), ()) for e in (2.0 + 1e-6, 5.0)},
     "seeded rotation 10000": (*_top_start(1e4, seeded=True), (1000, 4999)),
     **{f"roc bottom {e:g}": (*_roc_bottom_start(e), ()) for e in (0.5, 1.71, 5.0)},
+}
+
+
+# starts whose coefficients underflow to exact zeros well before order
+# 4,000: libration and rotation tops in units of T*, seeded as
+# `build_trajectory` seeds them, and a general start in a short unit
+TAIL_STARTS = {
+    **{f"libration {e:g}": _top_start(e, seeded=True) for e in (1e-14, 1e-8, 1e-4, 1e-2)},
+    **{f"rotation {e:g}": _top_start(e, seeded=True) for e in (1e2, 1e3, 1e4)},
+    "general in unit 0.05": (0.3, 0.7, None, 0.05),
 }
 
 
@@ -372,3 +383,58 @@ class TestPendulumSeries:
                 SeriesCoefficients([1.0, 2.0], bad)
             with pytest.raises(ValueError, match="time_unit"):
                 pendulum_series(1.0, 0.0, 4, time_unit=bad)
+
+
+class TestExactZeroTail:
+    """Once every product the remaining sums can form rounds to zero, the
+    kernel writes the rest of the series instead of computing it."""
+
+    @pytest.mark.parametrize("name", sorted(TAIL_STARTS))
+    def test_bytes_match_the_stride_one_kernel(self, name):
+        theta0, omega0, seeds, unit = TAIL_STARTS[name]
+        for order in (200, 701, 1000, 4000):
+            got = pendulum_series(theta0, omega0, order, time_unit=unit, sin_cos=seeds).coeffs
+            want = _two_dot_series(theta0, omega0, order, unit, seeds)
+            # the orders a parity skips keep +0.0, where the reference may hold -0.0
+            if omega0 == 0.0:
+                want[3::2] = 0.0
+            elif seeds is not None and seeds[0] == 0.0:
+                want[2::2] = 0.0
+            assert got.tobytes() == want.tobytes(), order
+        assert np.flatnonzero(got)[-1] < 1000  # the order-4000 build crossed a stop
+
+    @pytest.mark.parametrize("energy", [1e-12, 1e-4, 1e3])
+    def test_order_n_build_is_a_prefix_across_the_stop(self, energy):
+        theta0, omega0, seeds, unit = _top_start(energy, seeded=True)
+        longest = pendulum_series(theta0, omega0, 4000, time_unit=unit, sin_cos=seeds).coeffs
+        last = int(np.flatnonzero(longest)[-1])
+        for n in (2, 3, 40, last - 1, last, last + 1, last + 16, last + 17, 1000, 2001, 3999):
+            got = pendulum_series(theta0, omega0, n, time_unit=unit, sin_cos=seeds).coeffs
+            assert got.tobytes() == longest[: n + 1].tobytes(), n
+
+    def test_certifies_once_at_an_order_set_by_the_series_alone(self, monkeypatch):
+        calls, real = [], series._vanish
+
+        def spy(x, y_rev, low):
+            vanish = real(x, y_rev, low)
+            calls.append((x.size - 2, vanish))  # the pass m that asked
+            return vanish
+
+        monkeypatch.setattr(series, "_vanish", spy)
+        stops = {}
+        theta0, omega0, seeds, unit = _top_start(1e-12, seeded=True)
+        for order in (1000, 4000):
+            calls.clear()
+            a = pendulum_series(theta0, omega0, order, time_unit=unit, sin_cos=seeds).coeffs
+            # both halves hold at one pass, the last to ask, past a_322
+            held = Counter(m for m, vanish in calls if vanish)
+            certified = [m for m, count in held.items() if count == 2]
+            assert certified == [calls[-1][0]], calls
+            stops[order] = certified[0]
+            assert np.flatnonzero(a)[-1] == 322 < stops[order] + 2
+        assert stops[1000] == stops[4000]
+        # no coefficient at 1.71 underflows by N = 1000: the helper never runs
+        calls.clear()
+        theta0, omega0, seeds, unit = _top_start(1.71, seeded=True)
+        pendulum_series(theta0, omega0, 1000, time_unit=unit, sin_cos=seeds)
+        assert calls == []

@@ -36,6 +36,23 @@ CONVERGENCE_ORDERS = [
     (2.0 - 1e-10, 4999), (2.0 + 1e-10, 4999), (2.0 - 2e-12, 6624), (2.0 + 2e-12, 6624)]
 
 
+def _rho_sized_order(state):
+    """The order that rho = T*/R sizes for 1e-13, floor 40 (ROADMAP's table)."""
+    report = roc_exact(state)
+    rho = report.t_star / report.exact_roc
+    return max(40, math.ceil(math.log(1e-13 * (1.0 - rho)) / math.log(rho)))
+
+
+def _half_t_star_anchor(c, regime):
+    """The canonical branch at T*/2, algebraic in k' (DLMF 22.5(ii)):
+    sn = 1/sqrt(1 + k') and dn = sqrt(k') there, so 2 atan2(k/sqrt(1 + k'),
+    sqrt(k')) below E = 2 and 2 atan2(1, sqrt(k')) above."""
+    root = math.sqrt(c.k_prime)
+    if regime is Regime.LIBRATION:
+        return 2.0 * math.atan2(c.k / math.sqrt(1.0 + c.k_prime), root)
+    return 2.0 * math.atan2(1.0, root)
+
+
 class TestBuild:
     def test_libration_endpoints(self):
         sol = build_trajectory(energy_state(1.71), 6, "resummed")
@@ -202,22 +219,40 @@ class TestSeparatrixGradeBranch:
         assert np.max(np.abs(theta_tilde(sol, ts) - want)) < 1e-13
 
     def test_branch_meets_the_closed_form_at_half_t_star(self, rng):
-        # at T*/2 the Jacobi functions are algebraic in k' (DLMF 22.5(ii)):
-        # sn = 1/sqrt(1 + k'), dn = sqrt(k'), so the canonical branch is
-        # 2 atan2(k/sqrt(1 + k'), sqrt(k')) below E = 2 and 2 atan2(1, sqrt(k')) above
         near = 2.0 + np.array([-1.0, 1.0] * 5) * 10.0 ** rng.uniform(-12.0, -3.0, 10)
         for energy in np.concatenate([10.0 ** rng.uniform(-6.0, 4.0, 16), near]):
             state = energy_state(energy)
-            c, report = state.orbit, roc_exact(state)
-            rho = report.t_star / report.exact_roc
-            order = max(40, math.ceil(math.log(1e-13 * (1.0 - rho)) / math.log(rho)))
+            order = _rho_sized_order(state)
             sol = build_trajectory(state, order, "resummed")
-            root = math.sqrt(c.k_prime)
-            if state.regime is Regime.LIBRATION:
-                want = 2.0 * math.atan2(c.k / math.sqrt(1.0 + c.k_prime), root)
-            else:
-                want = 2.0 * math.atan2(1.0, root)
-            assert abs(theta_tilde(sol, 0.5 * c.t_star) - want) <= 2e-15, (energy, order)
+            want = _half_t_star_anchor(state.orbit, state.regime)
+            assert abs(theta_tilde(sol, 0.5 * state.orbit.t_star) - want) <= 2e-15, \
+                (energy, order)
+
+    # the worst gap measured over these 5 energies x 2 directions x 8 times
+    # is 3.6e-15, one ulp of theta = 26.8 at E = 5, j = 7; below E = 2 it is
+    # 5.6e-16.  The gate adds about one ulp of 2 pi k to it.
+    @pytest.mark.parametrize("energy", [0.5, 1.71, 2.0 - 1e-10, 2.0 + 1e-10, 5.0])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_orbit_meets_the_closed_form_at_every_odd_half_t_star(self, energy, direction):
+        # the fold table in `trajectory`'s docstring at t = (2j + 1) T*/2:
+        # libration signs +, -, -, + by j mod 4; rotation +, - by j mod 2,
+        # winding -2 pi (j // 2); the other direction reflects to -theta
+        # (libration) or 2 pi - theta (rotation)
+        state = energy_state(energy, direction)
+        c = state.orbit
+        sol = build_trajectory(state, _rho_sized_order(state), "resummed")
+        anchor = _half_t_star_anchor(c, state.regime)
+        j = np.arange(8)
+        times = (2 * j + 1) * 0.5 * c.t_star
+        if state.regime is Regime.LIBRATION:
+            want = np.where((j % 4 == 1) | (j % 4 == 2), -anchor, anchor)
+            want = want if direction == 1 else -want
+        else:
+            want = np.where(j % 2, -anchor, anchor) - 2.0 * math.pi * (j // 2)
+            want = want if direction == -1 else 2.0 * math.pi - want
+        assert np.max(np.abs(theta_at(sol, times) - want)) <= 8e-15
+        for t, w in zip(times.tolist(), want.tolist()):
+            assert abs(theta_at(sol, t) - w) <= 8e-15, t
 
     def test_rotation_branch_keeps_exact_parity(self):
         # theta - pi is odd in t; seeded with sin(float pi) = 1.2e-16 the
