@@ -109,11 +109,10 @@ def _orbit(e: float, args, method: str):
     elif method == "auto":
         method = "resummed"
     sol = build_trajectory(state, args.order, method)  # E = 2 ignores the order
-    t_full = sol.period_info.T
-    span = args.periods * (t_full if math.isfinite(t_full) else 2.0 * math.pi)
+    span = args.periods * (sol.T if math.isfinite(sol.T) else 2.0 * math.pi)
     grid = np.linspace(0.0, span, args.grid)
     meta = (f"energy={_fmt(e)} method={sol.method} order={sol.order} "
-            f"T={_fmt(t_full)} T_star={_fmt(sol.period_info.T_star)}")
+            f"T={_fmt(sol.T)} T_star={_fmt(sol.T_star)}")
     return sol, grid, theta_at(sol, grid), meta
 
 
@@ -142,11 +141,11 @@ def _period_sweep(args):
     meta, rows, skipped = [], [], []
     for e in _off_separatrix(args.energy, skipped, "no finite period"):
         c = energy_state(e).orbit
-        meta.append(f"energy={_fmt(e)} T_star={_fmt(c.t_star)}")
+        meta.append(f"energy={_fmt(e)} T_star={_fmt(c.T_star)}")
         for n in args.order:
             for route in ("series", "resummed"):
                 approx = c.scale * evaluate_k(c.k, route, n).value
-                rows.append([_fmt(e), str(n), route, _fmt(abs(approx - c.t_star))])
+                rows.append([_fmt(e), str(n), route, _fmt(abs(approx - c.T_star))])
     return meta, ["energy", "order", "method", "T_star_abs_error"], rows, skipped
 
 
@@ -157,7 +156,7 @@ def _trajectory_sweep(args):
     for e in _off_separatrix(args.energy, skipped, "no finite T*"):
         state = _state(e, args.direction)
         sols = [build_trajectory(state, n, method) for method in methods for n in args.order]
-        t_star = sols[0].period_info.T_star  # shared by every build
+        t_star = sols[0].T_star  # shared by every build
         meta.append(f"energy={_fmt(e)} T_star={_fmt(t_star)}")
         grid = np.linspace(0.0, t_star, args.grid)
         oracle, _ = rk4_sample(*canonical_initial_state(sols[0]), grid, args.oracle_dt)

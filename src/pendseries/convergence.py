@@ -18,7 +18,7 @@ effective period T*, which is what makes the single-branch construction
 in ``trajectory`` possible.  ``roc_exact`` is the one place that forms
 the lattice constants; ``pole_lattice`` mirrors its top-start corner.
 On the separatrix the lattice degenerates into branch points at
-+- i pi/2 (``SEPARATRIX_BRANCH_POINTS``); the rest orbit E = 0 has no
++- i pi/2 of 2 gd(t) = 4 arctan(tanh(t/2)); the rest orbit E = 0 has no
 poles, and there ``roc_exact`` and ``pole_lattice`` raise ``ValueError``.
 
 The root test of ``roc_estimate`` sees R only past the coefficients'
@@ -39,15 +39,11 @@ from .elliptic import ellipk_prime
 from .series import SeriesCoefficients
 
 __all__ = [
-    "SEPARATRIX_BRANCH_POINTS",
     "RocReport",
     "pole_lattice",
     "roc_exact",
     "roc_estimate",
 ]
-
-# Singularities of the separatrix orbit 2 gd(t) = 4 arctan(tanh(t/2)) in complex time.
-SEPARATRIX_BRANCH_POINTS = (0.5j * math.pi, -0.5j * math.pi)
 
 _MIN_FIT_COEFFS = 50
 
@@ -99,7 +95,7 @@ def roc_exact(state: EnergyState, ics: str = "top") -> RocReport:
     c = state.orbit
     if ics not in ("top", "bottom"):
         raise ValueError(f"ics must be 'top' or 'bottom', got {ics!r}")
-    t_star, im_unit = c.t_star, c.scale * ellipk_prime(c.k)
+    t_star, im_unit = c.T_star, c.scale * ellipk_prime(c.k)
     x0 = 0.0 if ics == "top" else t_star
     pole = complex(-t_star if ics == "top" else t_star, -im_unit)
     radius = abs(pole - x0)

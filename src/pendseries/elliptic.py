@@ -17,9 +17,10 @@ provided with one contract: each accepts exactly 0 <= k < 1 and raises
                           logarithmic singularity k -> 1.
 
 ``ellipk_prime`` is the AGM that forms each orbit's T* = scale K'(k'), once
-per state, in its `energy` record; ``period`` views T and T* from that
-record.  ``evaluate_k`` dispatches the two series routes at an explicit
-order, which ``error-sweep --period`` measures.
+per state, in its `energy` record; ``period`` returns that record, whose
+``T`` and ``T_star`` are the period and T*.  ``evaluate_k`` dispatches the
+two series routes at an explicit order, which ``error-sweep --period``
+measures.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ if TYPE_CHECKING:  # energy imports this module for ellipk_prime
 
 __all__ = [
     "EllipticEval",
-    "PeriodInfo",
     "ellipk_agm",
     "ellipk_series",
     "ellipk_resummed",
@@ -52,23 +52,6 @@ class EllipticEval:
 
     value: float
     method: str
-
-
-@dataclass(frozen=True)
-class PeriodInfo:
-    """Full period T and effective period T* of one orbit.
-
-    T* is the span the series solvers actually have to cover: a quarter
-    period for libration, a half period for rotation.  Both are +inf on
-    the separatrix.  `ValueError` unless T* > 0 (not NaN) and T = 2 T* or 4 T*.
-    """
-
-    T: float
-    T_star: float
-
-    def __post_init__(self):
-        if not (self.T_star > 0.0 and self.T in (2.0 * self.T_star, 4.0 * self.T_star)):
-            raise ValueError(f"need T* > 0, T = 2T* or 4T*; got {self.T!r}, {self.T_star!r}")
 
 
 def _check_modulus(k: float) -> float:
@@ -160,12 +143,11 @@ def evaluate_k(k: float, method: str, order: int) -> EllipticEval:
     return EllipticEval(route(k, order), f"{method}(order={int(order)})")
 
 
-def period(state: EnergyState) -> PeriodInfo:
-    """T and T* of the orbit, from its record `state.orbit`; the separatrix raises.
+def period(state: EnergyState):
+    """The orbit record `state.orbit`, with its period `.T` and T* `.T_star`; E = 2 raises.
 
     Libration: T = 4 K(sqrt(E/2)), T* = T/4; rotation: T = 2 sqrt(2/E) K(sqrt(2/E)), T* = T/2.
     K is K'(k'), k'^2 = (2 - E)/2 or (E - 2)/E from E: T* is within 1.6e-16 relative
     of K of the given E from E = 0.5 to 1e4, 2 -+ 2e-12 included (mpmath, 40 digits).
     """
-    c = state.orbit
-    return PeriodInfo(c.period, c.t_star)
+    return state.orbit

@@ -60,7 +60,7 @@ class SeparatrixError(ValueError):
 
 
 class _OrbitConstants(NamedTuple):
-    """The orbit record: T* = scale K'(k'), the period, the top start with its seeds, w*.
+    """The orbit record: T* = scale K'(k'), the period T, the top start with its seeds, w*.
 
     The one place these constants are formed, once per state by
     `EnergyState.orbit`.  They describe the canonical branch, whatever the
@@ -77,8 +77,8 @@ class _OrbitConstants(NamedTuple):
     omega0: float
     sin_cos: tuple[float, float]
     omega_star: float
-    t_star: float
-    period: float
+    T_star: float
+    T: float
 
 
 def _orbit_constants(state: EnergyState) -> _OrbitConstants:
@@ -90,7 +90,8 @@ def _orbit_constants(state: EnergyState) -> _OrbitConstants:
     """
     e = state.energy
     if state.regime is Regime.SEPARATRIX:
-        raise SeparatrixError("the separatrix has no finite period, top start or endpoint")
+        raise SeparatrixError(f"E = {e} is the separatrix (|E - 2| <= {SEPARATRIX_TOLERANCE:g}): "
+                              f"no finite period, top start or endpoint")
     if state.regime is Regime.LIBRATION:
         w = math.sqrt(2.0 * e)
         k, k_prime, scale, branches = 0.5 * w, math.sqrt(0.5 * (2.0 - e)), 1.0, 4.0

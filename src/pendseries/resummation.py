@@ -104,16 +104,16 @@ def _endpoint(a: SeriesCoefficients, state: EnergyState):
     if n_max < 2:
         raise ValueError("order must be at least 2")
     c = state.orbit
-    if a.time_unit != c.t_star:
-        raise ValueError(f"the series must be carried in units of T* = {c.t_star!r}, "
+    if a.time_unit != c.T_star:
+        raise ValueError(f"the series must be carried in units of T* = {c.T_star!r}, "
                          f"got time_unit {a.time_unit!r}")
-    return n_max, c.t_star, c.omega_star
+    return n_max, c.T_star, c.omega_star
 
 
 def resum(a: SeriesCoefficients, state: EnergyState) -> ResummedSeries:
     """Transform the orbit's raw coefficients into the endpoint-pinned form.
 
-    `a` is in s = t/T*, T* = `state.orbit.t_star`.  With b its coefficients
+    `a` is in s = t/T*, T* = `state.orbit.T_star`.  With b its coefficients
     after absorbing the linear endpoint term (b_0 = a_0 + w* T*, b_1 = a_1 - w* T*,
     b_n = a_n otherwise), dividing by (s - 1)^2 is the convolution
 
@@ -148,7 +148,7 @@ def eval_resummed(r: ResummedSeries, t):
 def efficient_truncation(a: SeriesCoefficients, state: EnergyState) -> SeriesCoefficients:
     """Append two monomials to the orbit's raw partial sum to pin the endpoint.
 
-    In s = t/T*, the unit of `a`, with T* = `state.orbit.t_star`, requiring
+    In s = t/T*, the unit of `a`, with T* = `state.orbit.T_star`, requiring
     sigma_N(s) + alpha s^(N+1) + beta s^(N+2) to take the value 0 and slope
     w* T* at s = 1 gives
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyState, Regime, SeparatrixError, energy_of, separatrix_theta
-from .elliptic import PeriodInfo, period
+from .energy import (SEPARATRIX_TOLERANCE, EnergyState, Regime, SeparatrixError, energy_of,
+                     separatrix_theta)
 from .resummation import efficient_truncation
 from .series import SeriesCoefficients, eval_poly, pendulum_series
 
@@ -64,12 +64,14 @@ class TrajectorySolution:
     that `efficient_truncation` builds.  Series branches are carried in
     the branch-normalised time s = t/T* (time unit T*), so that their
     coefficients fall like (T*/R)^n and stay in double range at every
-    order and energy.  Time 0 is the canonical start; `align_to_ics`
-    gives the offset of any other start on the orbit.
+    order and energy.  `T` and `T_star` are the orbit's period and T*,
+    both inf for the separatrix.  Time 0 is the canonical start;
+    `align_to_ics` gives the offset of any other start on the orbit.
     """
 
     energy_state: EnergyState
-    period_info: PeriodInfo
+    T: float
+    T_star: float
     method: str
     order: int
     branch: SeriesCoefficients | None
@@ -96,14 +98,15 @@ def build_trajectory(state: EnergyState, order: int | None,
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if (method == "separatrix") != (state.regime is Regime.SEPARATRIX):
         raise SeparatrixError(f"method {method!r} does not solve E = {state.energy}: "
-                              f"\"separatrix\" is the method at E = 2 and only there")
+                              f"\"separatrix\" is the method at E = 2 "
+                              f"(|E - 2| <= {SEPARATRIX_TOLERANCE:g}) and only there")
     if method == "separatrix":
-        return TrajectorySolution(state, PeriodInfo(math.inf, math.inf), method, 0, None)
+        return TrajectorySolution(state, math.inf, math.inf, method, 0, None)
     c = state.orbit
-    branch = pendulum_series(c.theta0, c.omega0, order, time_unit=c.t_star, sin_cos=c.sin_cos)
+    branch = pendulum_series(c.theta0, c.omega0, order, time_unit=c.T_star, sin_cos=c.sin_cos)
     if method != "raw":
         branch = efficient_truncation(branch, state)
-    return TrajectorySolution(state, period(state), method, int(order), branch)
+    return TrajectorySolution(state, c.T, c.T_star, method, int(order), branch)
 
 
 def _tilde(sol: TrajectorySolution, t):
@@ -113,11 +116,10 @@ def _tilde(sol: TrajectorySolution, t):
     theta = eval_poly(sol.branch, t)
     if sol.method == "raw":
         return theta
-    t_star = sol.branch.time_unit
     # rounding can leave a few ulps at s = 1: return +0.0, so the seams are exact
     if isinstance(theta, float):
-        return 0.0 if t == t_star else theta
-    theta[t == t_star] = 0.0
+        return 0.0 if t == sol.T_star else theta
+    theta[t == sol.T_star] = 0.0
     return theta
 
 
@@ -139,21 +141,19 @@ def _orient(state: EnergyState, v):
 
 def theta_tilde(sol: TrajectorySolution, t):
     """Canonical branch angle on 0 <= t <= T* (scalar or array); other t raise `ValueError`."""
-    t_star = sol.period_info.T_star
     tt = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(tt) & (0.0 <= tt) & (tt <= t_star)):
-        raise ValueError(f"branch parameter outside [0, T*], T* = {t_star}")
+    if not np.all(np.isfinite(tt) & (0.0 <= tt) & (tt <= sol.T_star)):
+        raise ValueError(f"branch parameter outside [0, T*], T* = {sol.T_star}")
     return _tilde(sol, tt)
 
 
 def _theta_at_scalar(sol: TrajectorySolution, t: float) -> float:
-    t_star = sol.period_info.T_star
+    t_star, t_full = sol.T_star, sol.T
     if not math.ulp(t) < t_star:  # NaN, +-inf, or doubles too far apart for a phase
         raise ValueError(f"trajectories need finite t with ulp(t) < T*, got {t!r}")
     state = sol.energy_state
     if state.regime is Regime.SEPARATRIX:
         return _orient(state, _tilde(sol, t))
-    t_full = sol.period_info.T
     snap = _SEAM_SNAP_FRACTION * t_full
     branches = 4 if state.regime is Regime.LIBRATION else 2
     n = math.floor(t / t_star)
@@ -209,7 +209,7 @@ def canonical_initial_state(sol: TrajectorySolution) -> tuple[float, float]:
 
 def _invert_tilde(sol: TrajectorySolution, target: float) -> float:
     """Bisection solve of theta~(u) = target >= 0 on [0, T*]; 0.0 from theta~(0) up."""
-    t_star = sol.period_info.T_star
+    t_star = sol.T_star
     if target >= _tilde(sol, 0.0):
         return 0.0
     lo, hi = 0.0, t_star
@@ -256,7 +256,7 @@ def align_to_ics(sol: TrajectorySolution, theta0: float, omega0: float) -> float
     if state.regime is Regime.ROTATION:
         if omega_c >= 0.0:
             raise ValueError("velocity sign does not match the sense of rotation")
-    t_star = sol.period_info.T_star
+    t_star = sol.T_star
     if omega_c == 0.0:  # libration turning points, exactly
         return 0.0 if theta_c >= 0.0 else 2.0 * t_star
     if omega_c < 0.0:
@@ -265,4 +265,4 @@ def align_to_ics(sol: TrajectorySolution, theta0: float, omega0: float) -> float
         j = 2 if theta_c <= 0.0 else 3
     u = _invert_tilde(sol, abs(theta_c))
     t0 = (j + 1) * t_star - u if j % 2 else j * t_star + u
-    return math.fmod(t0, sol.period_info.T)
+    return math.fmod(t0, sol.T)

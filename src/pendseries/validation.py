@@ -101,7 +101,7 @@ def sup_error(sol: TrajectorySolution, *, grid_points: int = 1001,
     `oracle` (thetas on the same grid) skips the RK4 run.  A non-integral
     `grid_points` raises.
     """
-    t_star = sol.period_info.T_star
+    t_star = sol.T_star
     if not math.isfinite(t_star):
         raise SeparatrixError("the separatrix has no branch on [0, T*] to measure")
     grid_points = _whole(grid_points, "grid_points")

@@ -51,7 +51,7 @@ def raw_top_errors(energy, orders, grid_points=1001):
     state = energy_state(energy, 1 if energy < 2 else -1)
     sols = {n: build_trajectory(state, n, "raw") for n in orders}
     first = sols[orders[0]]
-    grid = np.linspace(0.0, first.period_info.T_star, grid_points)
+    grid = np.linspace(0.0, first.T_star, grid_points)
     oracle, _ = rk4_sample(*canonical_initial_state(first), grid, ORACLE_DT)
     return {n: sup_error(sol, grid_points=grid_points, oracle=oracle)
             for n, sol in sols.items()}
@@ -144,7 +144,7 @@ def test_criterion_06_resummation_never_loses():
     for energy in (0.5, 1.0, 1.5, 1.9, 1.9998, 2.02, 3.0, 6.0):
         state = energy_state(energy, 1 if energy < 2 else -1)
         raws = [build_trajectory(state, n, "raw") for n in (5, 10, 20)]
-        grid = np.linspace(0.0, raws[0].period_info.T_star, 1001)
+        grid = np.linspace(0.0, raws[0].T_star, 1001)
         oracle, _ = rk4_sample(*canonical_initial_state(raws[0]), grid, ORACLE_DT)
         for raw in raws:
             n = raw.order
@@ -220,7 +220,7 @@ def test_criterion_10_four_period_extension():
         for direction in (1, -1):
             state = energy_state(energy, direction)
             sol = build_trajectory(state, rho_order(state, 1e-8, 40), "resummed")
-            t_full, t_star = sol.period_info.T, sol.period_info.T_star
+            t_full, t_star = sol.T, sol.T_star
             eps = 1e-11 * t_full
             seams = np.arange(1, int(round(4.0 * t_full / t_star))) * t_star
             seam_gap = float(np.max(np.abs(

@@ -3,8 +3,9 @@
 The last checks stand in for a linter: every module's `__all__`
 resolves, no module, in the package or among these tests, imports a
 name it never uses, the private names one package module imports
-from another are exactly the ones listed here, and no package module
-calls a wrapper that only the benchmark tracer and tests still use.
+from another are exactly the ones listed here, no package module
+calls a wrapper that only the benchmark tracer and tests still use,
+and every source parses under the oldest supported Python's grammar.
 """
 
 import ast
@@ -17,6 +18,7 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import pendseries
 
@@ -24,6 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 SOURCES = sorted((ROOT / "src" / "pendseries").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 
 def test_every_export_has_a_readme_api_entry():
@@ -232,5 +235,19 @@ def test_only_energy_forms_the_orbit_record():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
     # energy imports ellipk_prime from elliptic, so elliptic may not import energy back
     assert "energy" not in _run_time_imports(sources["elliptic"])
-    # the rest read the record, `state.orbit`, and never name its builder
+    # the rest read the record, `state.orbit`, and never name its builder;
+    # nor do the tests, but for this file, which holds the name to look for
     assert [stem for stem, source in sources.items() if "_orbit_constants" in source] == ["energy"]
+    assert not [path.name for path in TESTS if path.name != "test_api.py"
+                and "_orbit_constants" in path.read_text(encoding="utf-8")]
+
+
+def test_every_source_parses_under_python_3_10():
+    # requires-python is >= 3.10.  This checks grammar only: a call into a
+    # 3.11+ standard-library API (math.fma, tomllib) still parses here
+    try_star = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    with pytest.raises(SyntaxError):
+        ast.parse(try_star, feature_version=(3, 10))
+    assert SOURCES and TESTS and BENCH
+    for path in SOURCES + TESTS + BENCH:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

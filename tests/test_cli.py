@@ -14,7 +14,6 @@ import pytest
 
 from pendseries import canonical_initial_state, cli, energy_state, period, sup_error
 from pendseries.elliptic import evaluate_k
-from pendseries.energy import _orbit_constants
 from pendseries.validation import rk4_sample
 
 
@@ -151,7 +150,7 @@ class TestErrorSweepCommand:
             for n in ("2", "10", "100") for route in ("series", "resummed")]
         for e, n, route, err in rows:
             state = energy_state(float(e))
-            c = _orbit_constants(state)
+            c = state.orbit
             approx = c.scale * evaluate_k(c.k, route, int(n)).value
             assert err == cli._fmt(abs(approx - period(state).T_star))
 
@@ -214,7 +213,7 @@ class TestErrorSweepCommand:
             (e, n, m) for e in ("0.5", "2.02") for m in methods for n in ("4", "9")]
         for e, n, m, err in rows:
             sol = cli.build_trajectory(cli._state(float(e), direction), int(n), m)
-            grid = np.linspace(0.0, sol.period_info.T_star, 41)
+            grid = np.linspace(0.0, sol.T_star, 41)
             oracle, _ = rk4_sample(*canonical_initial_state(sol), grid, 1e-2)
             assert err == cli._fmt(sup_error(sol, grid_points=41, oracle=oracle))
 

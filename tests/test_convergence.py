@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from pendseries import SeparatrixError, build_trajectory, energy_state, period, theta_at
-from pendseries.convergence import (
-    SEPARATRIX_BRANCH_POINTS,
-    pole_lattice,
-    roc_estimate,
-    roc_exact,
-)
+from pendseries.convergence import pole_lattice, roc_estimate, roc_exact
 from pendseries.elliptic import ellipk_agm, ellipk_prime
 from pendseries.energy import canonical_top_ics
 from pendseries.series import SeriesCoefficients, pendulum_series
@@ -67,11 +62,6 @@ class TestPoleLattice:
                 p = roc_exact(state, "top").nearest_pole
                 assert pole_lattice(state).tolist() == [
                     p, p.conjugate(), -p.conjugate(), -p]
-
-    def test_separatrix_constant_instead(self):
-        with pytest.raises(SeparatrixError):
-            pole_lattice(energy_state(2.0))
-        assert SEPARATRIX_BRANCH_POINTS == (0.5j * math.pi, -0.5j * math.pi)
 
     def test_first_cell_is_a_read_only_array_with_t_star_from_period(self):
         for energy in (0.3, 1.71, 2.02, 12.0):
@@ -148,8 +138,9 @@ class TestRocExact:
                 call()
 
     def test_guards(self):
-        with pytest.raises(SeparatrixError):
-            roc_exact(energy_state(2.0))
+        for call in (roc_exact, pole_lattice):
+            with pytest.raises(SeparatrixError):
+                call(energy_state(2.0))
         with pytest.raises(ValueError):
             roc_exact(energy_state(1.0), "middle")
 

@@ -14,14 +14,12 @@ from numpy.testing import assert_allclose
 from pendseries import SeparatrixError, energy_state, period
 from pendseries.elliptic import (
     EllipticEval,
-    PeriodInfo,
     ellipk_agm,
     ellipk_prime,
     ellipk_resummed,
     ellipk_series,
     evaluate_k,
 )
-from pendseries.energy import _orbit_constants
 
 
 def ellipk_gauss_legendre(k, tol=1e-13):
@@ -277,16 +275,8 @@ class TestPeriod:
     def test_resummed_route_band_next_to_the_separatrix(self):
         # the resummed K needs 524,288 terms for a 1e-13 tail at E = 1.9999;
         # the AGM period serves energies closer to 2 at no such cost
-        c = _orbit_constants(energy_state(1.9999))
+        c = energy_state(1.9999).orbit
         exact = period(energy_state(1.9999)).T_star
         assert_allclose(c.scale * evaluate_k(c.k, "resummed", 524288).value, exact, rtol=1e-12)
         for energy in (1.99999, 2.0 - 1e-6):
             assert math.isfinite(period(energy_state(energy)).T_star)
-
-    def test_period_info_validates(self):
-        for t, t_star in ((-1.0, -0.25), (math.nan, math.nan), (3.0, 1.0), (math.inf, 1.0)):
-            with pytest.raises(ValueError):
-                PeriodInfo(t, t_star)
-        assert PeriodInfo(2.0, 1.0).T == 2.0 and PeriodInfo(4.0, 1.0).T == 4.0
-        info = PeriodInfo(math.inf, math.inf)
-        assert math.isinf(info.T_star)

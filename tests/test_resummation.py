@@ -14,7 +14,7 @@ from pendseries import (
     sup_error,
     tally_coefficient_ops,
 )
-from pendseries.energy import _orbit_constants, canonical_top_ics
+from pendseries.energy import canonical_top_ics
 from pendseries.resummation import (
     ResummedSeries,
     efficient_truncation,
@@ -49,7 +49,7 @@ def reexpand(w, t_star, a_hat):
 def unit_inputs(energy, order, direction):
     """`make_inputs` plus the endpoint in s = t/T*: s* = 1 and w_s = w* T*."""
     state, raw, t_star = make_inputs(energy, order, direction)
-    return state, raw, t_star, 1.0, _orbit_constants(state).omega_star * t_star
+    return state, raw, t_star, 1.0, state.orbit.omega_star * t_star
 
 
 def fused_horner_alpha_beta(a, state):
@@ -62,7 +62,7 @@ def fused_horner_alpha_beta(a, state):
     for n in range(n_max - 1, -1, -1):
         dsig += sig
         sig += coeffs[n]
-    gap = _orbit_constants(state).omega_star * period(state).T_star - dsig
+    gap = state.orbit.omega_star * period(state).T_star - dsig
     return -(n_max + 2) * sig - gap, (n_max + 1) * sig + gap
 
 
@@ -72,25 +72,25 @@ FSUM_ORDERS = [2, 3, 6, 10, 20, 200, 1000]
 
 class TestOmegaStar:
     def test_rotation_clockwise_value(self):
-        assert _orbit_constants(energy_state(2.02, -1)).omega_star == -math.sqrt(4.04)
+        assert energy_state(2.02, -1).orbit.omega_star == -math.sqrt(4.04)
 
     def test_libration_magnitude(self):
-        assert abs(_orbit_constants(energy_state(1.71)).omega_star) == pytest.approx(
+        assert abs(energy_state(1.71).orbit.omega_star) == pytest.approx(
             math.sqrt(3.42), rel=1e-15)
 
     def test_vanishes_with_energy(self):
-        assert abs(_orbit_constants(energy_state(1e-12)).omega_star) < 1e-5
+        assert abs(energy_state(1e-12).orbit.omega_star) < 1e-5
 
     def test_separatrix_rejected(self):
         with pytest.raises(SeparatrixError):
-            _orbit_constants(energy_state(2.0)).omega_star
+            energy_state(2.0).orbit.omega_star
 
 
 class TestResum:
     def test_first_two_coefficients(self):
         state, raw, t_star = make_inputs(1.71, 12)
         r = resum(raw, state)
-        s, w = 1.0, _orbit_constants(state).omega_star * t_star  # the endpoint in s = t/T*
+        s, w = 1.0, state.orbit.omega_star * t_star  # the endpoint in s = t/T*
         a = raw.coeffs
         b0, b1 = a[0] + s * w, a[1] - w
         assert r.a_hat.coeffs[0] == pytest.approx(b0 / s**2, rel=1e-13)
@@ -180,7 +180,7 @@ class TestEvalResummed:
         r = resum(raw, state)
         h = 1e-6
         slope = (eval_resummed(r, t_star + h) - eval_resummed(r, t_star - h)) / (2 * h)
-        assert slope == pytest.approx(_orbit_constants(state).omega_star, abs=1e-8)
+        assert slope == pytest.approx(state.orbit.omega_star, abs=1e-8)
 
     def test_endpoint_curvature_vanishes_with_order(self):
         # the exact solution has theta'' = 0 at the bottom; truncations
@@ -229,7 +229,7 @@ class TestEfficientTruncation:
         assert abs(eval_efficient(e, t_star)) < 1e-12
         h = 1e-6
         slope = (eval_efficient(e, t_star + h) - eval_efficient(e, t_star - h)) / (2 * h)
-        assert slope == pytest.approx(_orbit_constants(state).omega_star, abs=1e-8)
+        assert slope == pytest.approx(state.orbit.omega_star, abs=1e-8)
 
     def test_alpha_beta_formulas(self):
         state, raw, t_star = make_inputs(2.02, 8, -1)
@@ -239,7 +239,7 @@ class TestEfficientTruncation:
         s = 1.0  # the endpoint in s = t/T*
         sigma = sum(a[i] * s**i for i in range(n + 1))
         dsigma = sum(i * a[i] * s ** (i - 1) for i in range(1, n + 1))
-        gap = _orbit_constants(state).omega_star * t_star - dsigma
+        gap = state.orbit.omega_star * t_star - dsigma
         alpha = -(n + 2) * sigma * s ** (-n - 1) - gap * s**-n
         beta = (n + 1) * sigma * s ** (-n - 2) + gap * s ** (-n - 1)
         assert e.coeffs[-2] == pytest.approx(alpha, rel=1e-12)
@@ -272,7 +272,7 @@ class TestEfficientTruncation:
     def test_bit_identical_to_the_fused_horner_loop(self, energy, direction):
         # on the branch build_trajectory expands, exact seeds included
         state = energy_state(energy, direction)
-        c = _orbit_constants(state)
+        c = state.orbit
         t_star = period(state).T_star
         for order in (2, 3, 40, 200, 1000, 4999):
             raw = pendulum_series(c.theta0, c.omega0, order, time_unit=t_star,

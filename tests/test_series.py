@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from pendseries import build_trajectory, energy_state, period, series
 from pendseries.convergence import roc_exact
-from pendseries.energy import _orbit_constants, canonical_top_ics, energy_of
+from pendseries.energy import canonical_top_ics, energy_of
 from pendseries.series import SeriesCoefficients, eval_poly, pendulum_series
 from pendseries.validation import rk4_sample
 
@@ -90,14 +90,14 @@ def _top_start(energy, seeded=False):
     """(theta0, omega0, seeds, T*) of the top start; `seeded` passes the
     exact (sin, cos) seeds that `build_trajectory` passes."""
     state = energy_state(energy)
-    c = _orbit_constants(state)
+    c = state.orbit
     return c.theta0, c.omega0, c.sin_cos if seeded else None, period(state).T_star
 
 
 def _roc_bottom_start(energy):
     """The bottom start (0, w*) as `roc` expands it, in units of its radius."""
     state = energy_state(energy)
-    return 0.0, _orbit_constants(state).omega_star, None, roc_exact(state, "bottom").exact_roc
+    return 0.0, state.orbit.omega_star, None, roc_exact(state, "bottom").exact_roc
 
 
 # (theta0, omega0, seeds, unit, orders at which unit 1 overflows): libration
@@ -214,7 +214,7 @@ class TestEvalPolyBits:
     @pytest.mark.parametrize("method", ["raw", "resummed"])
     def test_bit_identical_to_the_indexed_loop(self, method, energy, order, direction):
         sol = build_trajectory(energy_state(energy, direction), order, method)
-        branch, t_star = sol.branch, sol.period_info.T_star
+        branch, t_star = sol.branch, sol.T_star
         ts = [0.0, t_star, -0.0, *np.linspace(0.0, t_star, 101).tolist()]
         for t in ts:
             assert float.hex(eval_poly(branch, t)) == float.hex(_indexed_horner(branch, t)), t

@@ -57,12 +57,12 @@ class TestBuild:
     def test_libration_endpoints(self):
         sol = build_trajectory(energy_state(1.71), 6, "resummed")
         assert theta_tilde(sol, 0.0) == pytest.approx(math.acos(-0.71), rel=1e-12)
-        assert theta_tilde(sol, sol.period_info.T_star) == 0.0
+        assert theta_tilde(sol, sol.T_star) == 0.0
 
     def test_separatrix_dispatch(self):
         sol = build_trajectory(energy_state(2.0), None, "separatrix")
         assert sol.method == "separatrix"
-        assert math.isinf(sol.period_info.T)
+        assert math.isinf(sol.T) and math.isinf(sol.T_star)
 
     def test_series_method_raises_at_separatrix(self):
         # no branch spans the infinite T*: a series method raises, with no warning
@@ -73,6 +73,14 @@ class TestBuild:
                     warnings.simplefilter("error")
                     with pytest.raises(SeparatrixError):
                         build_trajectory(energy_state(energy), 20, method)
+
+    @pytest.mark.parametrize("energy", [2.0 - 5e-13, 2.0 + 5e-13])
+    def test_in_band_message_names_the_band(self, energy):
+        # E != 2 is still the separatrix inside |E - 2| <= 1e-12: both errors say so
+        state = energy_state(energy)
+        for call in (lambda: build_trajectory(state, 40), lambda: period(state)):
+            with pytest.raises(SeparatrixError, match=r"\(\|E - 2\| <= 1e-12\)"):
+                call()
 
     def test_separatrix_method_needs_separatrix_energy(self):
         # 2 -+ 2e-12 lie just outside the separatrix band
@@ -95,8 +103,8 @@ class TestBuild:
         assert sup_error(sol, oracle_dt=1e-5) < 1.5e-3
 
     def test_period_consistent_with_regime(self):
-        lib = build_trajectory(energy_state(1.0), 10, "resummed").period_info
-        rot = build_trajectory(energy_state(3.0), 10, "resummed").period_info
+        lib = build_trajectory(energy_state(1.0), 10, "resummed")
+        rot = build_trajectory(energy_state(3.0), 10, "resummed")
         assert lib.T_star == 0.25 * lib.T
         assert rot.T_star == 0.5 * rot.T
 
@@ -107,8 +115,8 @@ class TestBuild:
         # the resummed K's series would need millions of terms
         state = energy_state(energy)
         sol = build_trajectory(state, 40, method)
-        assert sol.period_info == period(state)
-        t_star = sol.period_info.T_star
+        assert (sol.T, sol.T_star) == (state.orbit.T, state.orbit.T_star)
+        t_star = sol.T_star
         assert np.all(np.isfinite(theta_at(sol, np.linspace(0.0, 8.0 * t_star, 17))))
         if method == "resummed":
             assert theta_tilde(sol, t_star) == 0.0
@@ -121,7 +129,7 @@ class TestEfficientBranch:
         raw = build_trajectory(state, 20, "raw").branch
         sol = build_trajectory(state, 20, "efficient")
         assert sol.branch.truncation_order == 20 + 2
-        assert sol.branch.time_unit == sol.period_info.T_star
+        assert sol.branch.time_unit == sol.T_star
         assert sol.branch.coeffs[:21].tobytes() == raw.coeffs.tobytes()
 
     @pytest.mark.parametrize("energy,order", CONVERGENCE_ORDERS)
@@ -139,7 +147,7 @@ class TestEfficientBranch:
         # the rounded polynomial can leave a few ulps at s = 1; the seams need 0
         for direction in (1, -1):
             sol = build_trajectory(energy_state(energy, direction), order, method)
-            t_star = sol.period_info.T_star
+            t_star = sol.T_star
             ends = (theta_tilde(sol, t_star), theta_tilde(sol, np.array([0.0, t_star]))[1])
             for end in ends:
                 assert end == 0.0 and math.copysign(1.0, end) == 1.0, (direction, end)
@@ -183,7 +191,7 @@ class TestCoefficientRange:
         state = energy_state(energy, -1)
         for method in ("raw", "resummed", "efficient"):
             sol = build_trajectory(state, 40, method)
-            t_star = sol.period_info.T_star
+            t_star = sol.T_star
             assert np.all(np.isfinite(theta_at(sol, np.linspace(0.0, 4.0 * t_star, 9))))
             assert sup_error(sol, oracle_dt=t_star / 1000) < 1e-12
 
@@ -213,7 +221,7 @@ class TestSeparatrixGradeBranch:
         (2.0 + 1e-10, 4999), (2.0 - 2e-12, 6624), (2.0 + 2e-12, 6624)])
     def test_resummed_branch_matches_jacobi_solution(self, jacobi, energy, order):
         sol = build_trajectory(energy_state(energy), order, "resummed")
-        ts = np.linspace(0.0, sol.period_info.T_star, 41)
+        ts = np.linspace(0.0, sol.T_star, 41)
         # the canonical branch falls from +theta_max, or turns clockwise from pi
         want = jacobi.theta_ref(energy, 1 if energy < 2.0 else -1, ts)
         assert np.max(np.abs(theta_tilde(sol, ts) - want)) < 1e-13
@@ -225,8 +233,20 @@ class TestSeparatrixGradeBranch:
             order = _rho_sized_order(state)
             sol = build_trajectory(state, order, "resummed")
             want = _half_t_star_anchor(state.orbit, state.regime)
-            assert abs(theta_tilde(sol, 0.5 * state.orbit.t_star) - want) <= 2e-15, \
+            assert abs(theta_tilde(sol, 0.5 * state.orbit.T_star) - want) <= 2e-15, \
                 (energy, order)
+
+    @pytest.mark.parametrize("energy", [0.5, 1.71, 1.99, 2.02, 5.0, 100.0])
+    def test_rk4_meets_the_closed_form_velocity_at_half_t_star(self, energy):
+        # cn = sqrt(k'/(1 + k')) and dn = sqrt(k') at K/2 give
+        # omega = -2 k cn = -2k sqrt(k'/(1 + k')) below E = 2 and
+        # -(2/k) dn = -(2/k) sqrt(k') above; the worst gap measured is 4.2e-14, at 1.99
+        c = energy_state(energy).orbit
+        root = math.sqrt(c.k_prime)
+        want = -2.0 * c.k * root / math.sqrt(1.0 + c.k_prime) if energy < 2.0 else \
+            -2.0 / c.k * root
+        _, omega = rk4_sample(c.theta0, c.omega0, [0.5 * c.T_star], 1e-4)
+        assert abs(omega[0] - want) <= 1e-12
 
     # the worst gap measured over these 5 energies x 2 directions x 8 times
     # is 3.6e-15, one ulp of theta = 26.8 at E = 5, j = 7; below E = 2 it is
@@ -243,7 +263,7 @@ class TestSeparatrixGradeBranch:
         sol = build_trajectory(state, _rho_sized_order(state), "resummed")
         anchor = _half_t_star_anchor(c, state.regime)
         j = np.arange(8)
-        times = (2 * j + 1) * 0.5 * c.t_star
+        times = (2 * j + 1) * 0.5 * c.T_star
         if state.regime is Regime.LIBRATION:
             want = np.where((j % 4 == 1) | (j % 4 == 2), -anchor, anchor)
             want = want if direction == 1 else -want
@@ -268,9 +288,9 @@ class TestThetaTilde:
         with pytest.raises(ValueError):
             theta_tilde(sol, -0.1)
         with pytest.raises(ValueError):
-            theta_tilde(sol, 1.001 * sol.period_info.T_star)
+            theta_tilde(sol, 1.001 * sol.T_star)
         # exactly [0, T*]: no slack on either side
-        t_star = sol.period_info.T_star
+        t_star = sol.T_star
         for t in (math.nextafter(t_star, math.inf), -1e-13 * t_star):
             with pytest.raises(ValueError):
                 theta_tilde(sol, t)
@@ -286,7 +306,7 @@ class TestThetaTilde:
 
     def test_midbranch_against_oracle(self):
         sol = build_trajectory(energy_state(1.9998), 40, "resummed")
-        t = 0.5 * sol.period_info.T_star
+        t = 0.5 * sol.T_star
         oracle, _ = rk4_sample(*canonical_initial_state(sol), [t], 1e-4)
         assert abs(theta_tilde(sol, t) - oracle[0]) < 1e-8
 
@@ -298,7 +318,7 @@ class TestThetaAt:
         # libration repeats exactly; rotation winds by 2 pi per period in
         # its own sense, so t - kT lies 2 pi k behind (ccw) or ahead (cw)
         sol = build_trajectory(energy_state(energy, direction), 40, "resummed")
-        t_full = sol.period_info.T
+        t_full = sol.T
         winding = 0.0
         if sol.energy_state.regime is Regime.ROTATION:
             winding = 2.0 * math.pi * direction
@@ -340,7 +360,7 @@ class TestThetaAt:
 
     def test_time_just_inside_the_limit(self):
         lib = build_trajectory(energy_state(1.71), 20, "resummed")
-        assert math.isfinite(theta_at(lib, 2.0 ** 50 * lib.period_info.T_star))
+        assert math.isfinite(theta_at(lib, 2.0 ** 50 * lib.T_star))
         # on the separatrix T* is infinite: every finite t has a phase
         sep = build_trajectory(energy_state(2.0), None, "separatrix")
         assert theta_at(sep, 1.7e308) == math.pi
@@ -357,9 +377,9 @@ class TestThetaAt:
 
     def test_libration_symmetry_values(self):
         sol = build_trajectory(energy_state(1.71), 30, "resummed")
-        t_star = sol.period_info.T_star
+        t_star = sol.T_star
         theta0 = theta_at(sol, 0.0)
-        assert theta_at(sol, sol.period_info.T) == theta0
+        assert theta_at(sol, sol.T) == theta0
         assert theta_at(sol, 2.0 * t_star) == -theta0
         # quarter-period symmetry: theta(T* + u) = -theta(T* - u)
         for u in (0.3, 0.9):
@@ -369,7 +389,7 @@ class TestThetaAt:
     def test_rotation_winding(self):
         for direction, winding in ((-1, -2.0 * math.pi), (1, 2.0 * math.pi)):
             sol = build_trajectory(energy_state(2.02, direction), 30, "resummed")
-            t_full = sol.period_info.T
+            t_full = sol.T
             theta0 = theta_at(sol, 0.0)
             assert theta_at(sol, t_full) == pytest.approx(
                 theta0 + winding, rel=1e-14)
@@ -378,27 +398,27 @@ class TestThetaAt:
 
     def test_rotation_multiperiod_against_oracle(self):
         sol = build_trajectory(energy_state(2.02, -1), 36, "raw")
-        t = 1.5 * sol.period_info.T_star
+        t = 1.5 * sol.T_star
         oracle, _ = rk4_sample(*canonical_initial_state(sol), [t], 1e-4)
         assert abs(theta_at(sol, t) - oracle[0]) < 1e-6
 
     def test_libration_reflection_is_exact_negation(self):
         plus = build_trajectory(energy_state(1.71, 1), 20, "resummed")
         minus = build_trajectory(energy_state(1.71, -1), 20, "resummed")
-        ts = np.linspace(0.0, 2.0 * plus.period_info.T, 17)
+        ts = np.linspace(0.0, 2.0 * plus.T, 17)
         assert np.all(theta_at(minus, ts) == -theta_at(plus, ts))
 
     def test_rotation_reflection(self):
         cw = build_trajectory(energy_state(5.0, -1), 20, "resummed")
         ccw = build_trajectory(energy_state(5.0, 1), 20, "resummed")
-        ts = np.linspace(0.0, 1.7 * cw.period_info.T, 13)
+        ts = np.linspace(0.0, 1.7 * cw.T, 13)
         assert_allclose(theta_at(ccw, ts) + theta_at(cw, ts),
                         2.0 * math.pi, rtol=0, atol=1e-12)
 
     def test_periodicity(self, rng):
         for energy, direction in ((0.5, 1), (1.71, 1), (2.02, -1), (5.0, 1)):
             sol = build_trajectory(energy_state(energy, direction), 40, "resummed")
-            t_full = sol.period_info.T
+            t_full = sol.T
             state = sol.energy_state
             shift = 0.0
             if state.regime is Regime.ROTATION:
@@ -413,8 +433,8 @@ def two_level_fold(sol, t):
     state = sol.energy_state
     if state.regime is Regime.SEPARATRIX:
         return _orient(state, _tilde(sol, t))
-    t_full = sol.period_info.T
-    t_star = sol.period_info.T_star
+    t_full = sol.T
+    t_star = sol.T_star
     snap = _SEAM_SNAP_FRACTION * t_full
     winding = math.floor(t / t_full)
     that = max(t - t_full * winding, 0.0)
@@ -456,7 +476,7 @@ class TestSubnormalEnergies:
         # theta_max cos t, to O(theta_max^3)
         sol = build_trajectory(energy_state(energy), 40, method)
         theta_max = math.sqrt(2.0 * energy)
-        ts = np.linspace(0.0, sol.period_info.T, 65)
+        ts = np.linspace(0.0, sol.T, 65)
         assert_allclose(theta_at(sol, ts), theta_max * np.cos(ts),
                         rtol=0, atol=1e-12 * theta_max)
 
@@ -473,7 +493,7 @@ class TestFoldReference:
         methods = ["separatrix"] if energy == 2.0 else ["raw", "resummed", "efficient"]
         for method in methods:
             sol = build_trajectory(state, 40, method)
-            t_full, t_star = sol.period_info.T, sol.period_info.T_star
+            t_full, t_star = sol.T, sol.T_star
             if method == "separatrix":
                 t_full = t_star = 2.0 * math.pi
             ts = [k * t_star + off for k in range(-12, 13)
@@ -492,8 +512,8 @@ class TestSeams:
 
     @staticmethod
     def seam_gaps(sol, h):
-        t_star = sol.period_info.T_star
-        eps = 1e-11 * sol.period_info.T
+        t_star = sol.T_star
+        eps = 1e-11 * sol.T
         gaps, vgaps = [], []
         for k in range(1, 9):
             left, right = k * t_star - eps, k * t_star + eps
@@ -537,7 +557,7 @@ class TestSeams:
 class TestDivergenceReproduction:
     def test_bottom_series_diverges_at_t_star_rotation(self):
         state = energy_state(2.02, -1)
-        t_star = build_trajectory(state, 2, "raw").period_info.T_star
+        t_star = build_trajectory(state, 2, "raw").T_star
         bottom = pendulum_series(0.0, -math.sqrt(2.0 * 2.02), 100)
         partial = [SeriesCoefficients(bottom.coeffs[:n + 1], bottom.time_unit)
                    for n in (10, 50, 100)]
@@ -548,7 +568,7 @@ class TestDivergenceReproduction:
     def test_bottom_diverges_while_top_converges_libration(self):
         state = energy_state(1.71)
         sol = build_trajectory(state, 200, "raw")
-        t_star = sol.period_info.T_star
+        t_star = sol.T_star
         bottom = pendulum_series(0.0, -math.sqrt(2.0 * 1.71), 200)
         assert abs(eval_poly(bottom, t_star)) > 1e6
         oracle, _ = rk4_sample(*canonical_initial_state(sol), [t_star], 1e-4)
@@ -602,14 +622,14 @@ class TestAlign:
     def test_bottom_crossing_is_t_star(self):
         sol = build_trajectory(energy_state(1.71), 40, "resummed")
         t0 = align_to_ics(sol, 0.0, -math.sqrt(2.0 * 1.71))
-        assert t0 == pytest.approx(sol.period_info.T_star, abs=1e-9)
+        assert t0 == pytest.approx(sol.T_star, abs=1e-9)
 
     def test_libration_alignment_against_rk4(self):
         theta0, omega_sq = 1.0, 2.0 * (1.71 - 1.0 + math.cos(1.0))
         omega0 = math.sqrt(omega_sq)
         sol = build_trajectory(energy_of(theta0, omega0), 80, "resummed")
         t0 = align_to_ics(sol, theta0, omega0)
-        ts = np.linspace(0.0, sol.period_info.T, 201)
+        ts = np.linspace(0.0, sol.T, 201)
         oracle, _ = rk4_sample(theta0, omega0, ts, 1e-4)
         assert np.max(np.abs(theta_at(sol, ts + t0) - oracle)) < 1e-7
 
@@ -618,8 +638,8 @@ class TestAlign:
         omega0 = -math.sqrt(2.0 * (2.5 - 1.0 + math.cos(theta0)))
         sol = build_trajectory(energy_of(theta0, omega0), 60, "resummed")
         t0 = align_to_ics(sol, theta0, omega0)
-        assert 0.0 <= t0 < sol.period_info.T
-        ts = np.linspace(0.0, sol.period_info.T, 101)
+        assert 0.0 <= t0 < sol.T
+        ts = np.linspace(0.0, sol.T, 101)
         oracle, _ = rk4_sample(theta0, omega0, ts, 1e-4)
         assert np.max(np.abs(theta_at(sol, ts + t0) - oracle)) < 1e-7
 
@@ -656,7 +676,7 @@ class TestAlign:
     @pytest.mark.parametrize("energy", [0.5, 1.71, 2.5, 5.0])
     def test_round_trip_on_every_branch(self, energy, direction):
         sol = build_trajectory(energy_state(energy, direction), 60, "resummed")
-        t_star, t_full = sol.period_info.T_star, sol.period_info.T
+        t_star, t_full = sol.T_star, sol.T
 
         def on_orbit(theta, sign):
             return theta, sign * math.sqrt(2.0 * energy - 4.0 * math.sin(0.5 * theta) ** 2)
@@ -684,7 +704,7 @@ class TestAlign:
         # T* ~ pi / sqrt(2E) << 1: the energy must match relative to E and
         # the offset must resolve a fraction of T*, not of one time unit
         sol = build_trajectory(energy_state(energy, direction), 40, "resummed")
-        t_star, t_full = sol.period_info.T_star, sol.period_info.T
+        t_star, t_full = sol.T_star, sol.T
         for t in np.linspace(0.0, t_full, 21)[:-1]:
             theta0 = theta_at(sol, t)
             omega0 = direction * math.sqrt(2.0 * energy - 4.0 * math.sin(0.5 * theta0) ** 2)
@@ -704,7 +724,7 @@ class TestAlign:
         # phase points from theta(0) cos t, exact to O(theta_max^3): at
         # subnormal E, sqrt(2E - 4 sin^2(theta/2)) has no digits left
         sol = build_trajectory(energy_state(energy, direction), 40, "resummed")
-        top, t_full = theta_at(sol, 0.0), sol.period_info.T
+        top, t_full = theta_at(sol, 0.0), sol.T
         for t in (np.arange(40) + 0.5) * (t_full / 40):
             t0 = align_to_ics(sol, top * math.cos(t), -top * math.sin(t))
             assert abs(math.remainder(t0 - t, t_full)) <= 1e-9
@@ -717,7 +737,7 @@ class TestAlign:
             for sign in (1.0, -1.0):
                 omega0 = sign * math.sqrt(2.0 * (energy - 1.0 + math.cos(theta0)))
                 t0 = align_to_ics(sol, theta0, omega0)
-                assert 0.0 <= t0 < sol.period_info.T
+                assert 0.0 <= t0 < sol.T
                 oracle, _ = rk4_sample(theta0, omega0, [0.0, 0.4, 0.9], 1e-4)
                 got = theta_at(sol, np.array([0.0, 0.4, 0.9]) + t0)
                 assert_allclose(got, oracle, rtol=0, atol=1e-9)

@@ -93,7 +93,7 @@ class TestRk4Pendulum:
     def test_period_return_convergence_off_separatrix(self):
         sol = build_trajectory(energy_state(0.5), 10, "resummed")
         theta0, omega0 = canonical_initial_state(sol)
-        t_full = sol.period_info.T
+        t_full = sol.T
 
         def return_error(k):
             # T / (T / 2^k) is exactly 2^k, so the run takes 2^k steps
@@ -107,7 +107,7 @@ class TestRk4Pendulum:
     def test_energy_drift_below_oracle_budget(self):
         sol = build_trajectory(energy_state(1.71), 4, "resummed")
         theta0, omega0 = canonical_initial_state(sol)
-        ts = np.linspace(0.0, 4.0 * sol.period_info.T, 201)
+        ts = np.linspace(0.0, 4.0 * sol.T, 201)
         thetas, omegas = rk4_sample(theta0, omega0, ts, 1e-5)
         energies = 0.5 * omegas**2 + 1.0 - np.cos(thetas)
         assert np.max(np.abs(energies - 1.71)) < 1e-10
@@ -200,7 +200,7 @@ class TestRk4Sample:
 class TestSupError:
     def test_returns_the_sup_norm_as_a_float(self):
         sol = build_trajectory(energy_state(1.71), 20, "resummed")
-        grid = np.linspace(0.0, sol.period_info.T_star, 51)
+        grid = np.linspace(0.0, sol.T_star, 51)
         oracle, _ = rk4_sample(*canonical_initial_state(sol), grid, 1e-4)
         err = sup_error(sol, grid_points=51)
         assert type(err) is float
@@ -224,7 +224,7 @@ class TestSupError:
         state = energy_state(1.71)
         low, high = (build_trajectory(state, n, "raw") for n in (6, 40))
         oracle, _ = rk4_sample(*canonical_initial_state(high),
-                               np.linspace(0.0, high.period_info.T_star, 201), 1e-4)
+                               np.linspace(0.0, high.T_star, 201), 1e-4)
         assert (sup_error(high, grid_points=201, oracle=oracle)
                 < sup_error(low, grid_points=201, oracle=oracle))
 
@@ -241,7 +241,7 @@ class TestSupError:
         # would fold t = T* onto branch 1 and read -theta~(T*) there instead
         state = energy_state(energy, direction)
         sol = build_trajectory(state, 20, "raw")
-        grid = np.linspace(0.0, sol.period_info.T_star, 1001)
+        grid = np.linspace(0.0, sol.T_star, 1001)
         oracle, _ = rk4_sample(*canonical_initial_state(sol), grid, 1e-3)
         branch = theta_tilde(sol, grid)
         assert branch.tobytes() == eval_poly(sol.branch, grid).tobytes()
