@@ -6,7 +6,7 @@ effective period T* when the expansion starts at the top of the orbit.
 One series branch, resummed so that truncations pin the exact endpoint
 value and velocity, plus reflection/translation bookkeeping, yields the
 angle at any time in any regime; the separatrix is handled in closed
-form.  RK4 and AGM oracles are included for validation, and a CLI
+form.  An RK4 oracle is included for validation, and a CLI
 (``pendseries``) exports trajectories, error sweeps, surfaces, and
 convergence-radius reports as CSV.
 
@@ -16,7 +16,6 @@ blocks behind them are imported from their submodules (``series``,
 ``trajectory``, ``validation``).
 """
 
-from .elliptic import period
 from .energy import SeparatrixError, energy_state
 from .resummation import tally_coefficient_ops
 from .trajectory import (
@@ -32,6 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "energy_state", "SeparatrixError", "build_trajectory", "theta_at",
-    "theta_tilde", "canonical_initial_state", "align_to_ics", "period",
-    "sup_error", "tally_coefficient_ops",
+    "theta_tilde", "canonical_initial_state", "align_to_ics", "sup_error",
+    "tally_coefficient_ops",
 ]

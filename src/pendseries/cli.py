@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .convergence import roc_estimate, roc_exact
 from .elliptic import evaluate_k
-from .energy import Regime, classify_energy, energy_state
+from .energy import SEPARATRIX_TOLERANCE, Regime, classify_energy, energy_state
 from .series import pendulum_series
 from .trajectory import build_trajectory, canonical_initial_state, theta_at
 from .validation import rk4_sample, sup_error
@@ -97,11 +97,15 @@ def _orbit(e: float, args, method: str):
     """One orbit on `args.grid` points over `args.periods` periods (2 pi each at E = 2).
 
     `auto` is resummed.  E = 2 takes the closed form for every method,
-    with a note on stderr naming any method other than `auto`.  Returns
-    (solution, grid, theta on the grid, meta line).
+    with a note on stderr naming any method other than `auto`, and another
+    for any other energy in the separatrix band.  Returns (solution, grid,
+    theta on the grid, meta line).
     """
     state = _state(e, args.direction)
     if state.regime is Regime.SEPARATRIX:
+        if e != 2.0:
+            print(f"note: energy={_fmt(e)} is in the separatrix band (|E - 2| <= "
+                  f"{SEPARATRIX_TOLERANCE:g}): the columns describe E = 2", file=sys.stderr)
         if method != "auto":
             print(f"note: energy={_fmt(e)} is the separatrix: using the closed form "
                   f"instead of method {method!r}", file=sys.stderr)

@@ -1,13 +1,10 @@
 """Complete elliptic integral of the first kind and pendulum periods.
 
 K(k) enters the period both below the separatrix, T = 4 K(sqrt(E/2)),
-and above it, T = 2 sqrt(2/E) K(sqrt(2/E)).  Three evaluation routes are
-provided with one contract: each accepts exactly 0 <= k < 1 and raises
-`ValueError` for any other modulus, NaN and infinities included.
+and above it, T = 2 sqrt(2/E) K(sqrt(2/E)).  Two series routes share one
+contract: each accepts exactly 0 <= k < 1 and raises `ValueError` for any
+other modulus, NaN and infinities included.
 
-* ``ellipk_agm``       -- arithmetic-geometric mean iteration, converges
-                          quadratically; the reference the others are
-                          measured against.
 * ``ellipk_series``    -- the Maclaurin series in k^2.  Converges for
                           k < 1 but uselessly slowly near 1.
 * ``ellipk_resummed``  -- same series with its slow geometric tail summed
@@ -16,11 +13,11 @@ provided with one contract: each accepts exactly 0 <= k < 1 and raises
                           the truncation error stays O(1/N) even at the
                           logarithmic singularity k -> 1.
 
-``ellipk_prime`` is the AGM that forms each orbit's T* = scale K'(k'), once
-per state, in its `energy` record; ``period`` returns that record, whose
-``T`` and ``T_star`` are the period and T*.  ``evaluate_k`` dispatches the
-two series routes at an explicit order, which ``error-sweep --period``
-measures.
+``ellipk_prime`` is the one AGM: it forms each orbit's T* = scale K'(k'),
+once per state, in its `energy` record, and the series routes are measured
+against it.  ``evaluate_k`` dispatches the two series routes at an explicit
+order, which ``error-sweep --period`` measures.  ``period`` is a view of
+the record, kept for the benchmark tracer.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ if TYPE_CHECKING:  # energy imports this module for ellipk_prime
 
 __all__ = [
     "EllipticEval",
-    "ellipk_agm",
     "ellipk_series",
     "ellipk_resummed",
     "ellipk_prime",
@@ -52,13 +48,6 @@ class EllipticEval:
 
     value: float
     method: str
-
-
-def _check_modulus(k: float) -> float:
-    k = float(k)
-    if not (0.0 <= k < 1.0):
-        raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k!r}")
-    return k
 
 
 def _agm(a: float, b: float) -> float:
@@ -75,18 +64,15 @@ def _agm(a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def ellipk_agm(k: float) -> float:
-    """K(k) = K'(k') by `ellipk_prime`, k' = sqrt((1 - k)(1 + k)); accurate to rounding."""
-    k = _check_modulus(k)
-    return ellipk_prime(math.sqrt((1.0 - k) * (1.0 + k)))
-
-
 def _series_args(k: float, order: int) -> tuple[float, int]:
     """(k, order) checked, the order first: a whole int >= 0, then 0 <= k < 1."""
     order = _whole(order, "order")
     if order < 0:
         raise ValueError("order must be >= 0")
-    return _check_modulus(k), order
+    k = float(k)
+    if not (0.0 <= k < 1.0):
+        raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k!r}")
+    return k, order
 
 
 def _beta_k2n(k: float, order: int) -> np.ndarray:
@@ -144,7 +130,7 @@ def evaluate_k(k: float, method: str, order: int) -> EllipticEval:
 
 
 def period(state: EnergyState):
-    """The orbit record `state.orbit`, with its period `.T` and T* `.T_star`; E = 2 raises.
+    """`state.orbit`, whose `.T` and `.T_star` are T and T* (E = 2 raises); for the bench tracer.
 
     Libration: T = 4 K(sqrt(E/2)), T* = T/4; rotation: T = 2 sqrt(2/E) K(sqrt(2/E)), T* = T/2.
     K is K'(k'), k'^2 = (2 - E)/2 or (E - 2)/E from E: T* is within 1.6e-16 relative

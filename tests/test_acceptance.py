@@ -15,13 +15,12 @@ from pendseries import (
     build_trajectory,
     canonical_initial_state,
     energy_state,
-    period,
     sup_error,
     tally_coefficient_ops,
     theta_at,
 )
 from pendseries.convergence import roc_estimate, roc_exact
-from pendseries.elliptic import ellipk_agm, ellipk_resummed, ellipk_series
+from pendseries.elliptic import ellipk_resummed, ellipk_series
 from pendseries.energy import canonical_top_ics, separatrix_theta
 from pendseries.resummation import (
     efficient_truncation,
@@ -88,7 +87,7 @@ def test_criterion_02_raw_series_reaches_1e10_by_order_200():
 def test_criterion_03_bottom_series_divergence():
     # rotation just above the separatrix: the bottom expansion diverges
     # before T*, so its partial sums at T* blow up with order
-    t_star = period(energy_state(2.02, -1)).T_star
+    t_star = energy_state(2.02, -1).orbit.T_star
     bottom = pendulum_series(0.0, -math.sqrt(2.0 * 2.02), 100)
     partial = [SeriesCoefficients(bottom.coeffs[:n + 1], bottom.time_unit) for n in (10, 50, 100)]
     mags = [abs(eval_poly(s_n, t_star)) for s_n in partial]
@@ -97,7 +96,7 @@ def test_criterion_03_bottom_series_divergence():
     assert mags[2] > 10.0 * mags[1]
 
     state = energy_state(1.71)
-    t_star = period(state).T_star
+    t_star = state.orbit.T_star
     bottom = pendulum_series(0.0, -math.sqrt(2.0 * 1.71), 200)
     bottom_mag = abs(eval_poly(bottom, t_star))
     top_err = raw_top_errors(1.71, [200], grid_points=2)[200]
@@ -163,7 +162,7 @@ def test_criterion_07_two_monomial_form_matches_at_half_the_work():
     efficient_ops = 0
     for energy in (1.71, 2.02):
         state = energy_state(energy, 1 if energy < 2 else -1)
-        t_star = period(state).T_star
+        t_star = state.orbit.T_star
         grid = np.linspace(0.0, t_star, 100)
         for order in (6, 20, 36):
             series = build_trajectory(state, order, "raw").branch
@@ -184,29 +183,29 @@ def test_criterion_07_two_monomial_form_matches_at_half_the_work():
     assert efficient_ops * 2 <= resummed_ops
 
 
-def test_criterion_08_resummed_elliptic_integral():
+def test_criterion_08_resummed_elliptic_integral(ellipk_mp):
     for k_squared in (1.9998 / 2.0, 2.0 / 2.02):
         k = math.sqrt(k_squared)
-        reference = ellipk_agm(k)
+        reference = ellipk_mp(k)
         res_err = abs(ellipk_resummed(k, 10) - reference)
         series_err = abs(ellipk_series(k, 100) - reference)
         print(f"k^2={k_squared:.6f}: resummed N=10 err {res_err:.3e}, "
               f"series N=100 err {series_err:.3e}")
         assert res_err < series_err
-    mid_err = abs(ellipk_resummed(0.5, 30) - ellipk_agm(0.5))
+    mid_err = abs(ellipk_resummed(0.5, 30) - ellipk_mp(0.5))
     print(f"k=0.5, N=30: {mid_err:.3e}")
     assert mid_err < 1e-12
 
 
-def test_criterion_09_period_limits():
-    harmonic_gap = abs(period(energy_state(1e-6)).T - 2.0 * math.pi)
+def test_criterion_09_period_limits(ellipk_mp):
+    harmonic_gap = abs(energy_state(1e-6).orbit.T - 2.0 * math.pi)
     print(f"|T(1e-6) - 2pi| = {harmonic_gap:.3e}")
     assert harmonic_gap < 1e-5
 
     energy = 1e4
     modulus = math.sqrt(2.0 / energy)
-    identity = 2.0 * modulus * ellipk_agm(modulus)
-    fast_gap = abs(period(energy_state(energy, -1)).T - identity)
+    identity = 2.0 * modulus * ellipk_mp(modulus)
+    fast_gap = abs(energy_state(energy, -1).orbit.T - identity)
     print(f"|T(1e4) - 2*sqrt(2/E)*K| = {fast_gap:.3e}")
     assert fast_gap < 1e-13
 

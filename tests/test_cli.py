@@ -4,15 +4,18 @@ import argparse
 import csv
 import io
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pendseries import canonical_initial_state, cli, energy_state, period, sup_error
+from pendseries import canonical_initial_state, cli, energy_state, sup_error
 from pendseries.elliptic import evaluate_k
 from pendseries.validation import rk4_sample
 
@@ -87,6 +90,25 @@ class TestTrajectoryCommand:
         assert meta[2:] == auto_meta[2:] and "method=separatrix" in meta[2]
         assert rows == auto_rows
 
+    @pytest.mark.parametrize("energy", ["1.9999999999995", "2.0000000000005"])
+    def test_in_band_energy_is_noted(self, tmp_path, capsys, energy):
+        # inside |E - 2| <= 1e-12 both columns are the E = 2 orbit, the RK4
+        # one seeded from it too, while the meta line names the energy asked for
+        argv = ["trajectory", "--energy", energy, "--grid", "21", "--oracle-dt", "1e-2"]
+        band = (f"note: energy={energy} is in the separatrix band (|E - 2| <= 1e-12): "
+                "the columns describe E = 2\n")
+        run_csv(tmp_path, ["trajectory", "--energy", "2", *argv[3:]], "two.csv")
+        assert capsys.readouterr().err == ""
+        code, out = run_csv(tmp_path, argv)
+        assert code == 0 and capsys.readouterr().err == band
+        meta, _, rows = parse_csv(out)
+        assert meta[2].startswith(f"# energy={energy} method=separatrix ")
+        assert rows == parse_csv(tmp_path / "two.csv")[2]
+        run_csv(tmp_path, argv + ["--method", "raw"])
+        assert capsys.readouterr().err == band + (
+            f"note: energy={energy} is the separatrix: using the closed form "
+            "instead of method 'raw'\n")
+
     def test_energy_next_to_the_separatrix(self, tmp_path):
         code, out = run_csv(tmp_path, [
             "trajectory", "--energy", "1.99999", "--grid", "65",
@@ -149,10 +171,9 @@ class TestErrorSweepCommand:
             (e, n, route) for e in (0.3, 1.9998, 2.02, 5.0, 300.0)
             for n in ("2", "10", "100") for route in ("series", "resummed")]
         for e, n, route, err in rows:
-            state = energy_state(float(e))
-            c = state.orbit
+            c = energy_state(float(e)).orbit
             approx = c.scale * evaluate_k(c.k, route, int(n)).value
-            assert err == cli._fmt(abs(approx - period(state).T_star))
+            assert err == cli._fmt(abs(approx - c.T_star))
 
     def test_separatrix_rows_are_skipped_not_faked(self, tmp_path, capsys):
         code, out = run_csv(tmp_path, [
@@ -246,6 +267,17 @@ class TestSurfaceCommand:
         sep = [r for r in rows if r[0] == "2"]
         assert len(sep) == 65
         assert np.all(np.abs(column(sep, header, "theta")) < math.pi)
+
+    def test_in_band_energies_are_noted_and_two_is_not(self, tmp_path, capsys):
+        code, out = run_csv(tmp_path, [
+            "surface", "--energy", "1.9999999999995,2,2.0000000000005", "--grid", "17"])
+        assert code == 0
+        assert capsys.readouterr().err == "".join(
+            f"note: energy={e} is in the separatrix band (|E - 2| <= 1e-12): "
+            "the columns describe E = 2\n" for e in ("1.9999999999995", "2.0000000000005"))
+        _, _, rows = parse_csv(out)
+        curves = [[r[1:] for r in rows[i:i + 17]] for i in (0, 17, 34)]
+        assert curves[0] == curves[1] == curves[2]
 
     def test_energies_next_to_the_separatrix(self, tmp_path):
         code, out = run_csv(tmp_path, [
@@ -579,6 +611,24 @@ def test_version(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == f"pendseries {cli.__version__}\n"
+
+
+def test_module_runs_as_a_script():
+    # `python -m pendseries.cli` reaches main() and exits with its status
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "pendseries.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    skipped = run("roc", "--energy", "2")
+    assert skipped.returncode == 1
+    assert skipped.stderr == ("skipped: energy=2 reason=separatrix "
+                              "(branch points at +-i*pi/2, no pole lattice)\n")
+    version = run("--version")
+    assert version.returncode == 0 and version.stdout == f"pendseries {cli.__version__}\n"
 
 
 def test_every_readme_flag_is_an_option():

@@ -5,20 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from pendseries import SeparatrixError, build_trajectory, energy_state, period, theta_at
+from pendseries import SeparatrixError, build_trajectory, energy_state, theta_at
 from pendseries.convergence import pole_lattice, roc_estimate, roc_exact
-from pendseries.elliptic import ellipk_agm, ellipk_prime
+from pendseries.elliptic import ellipk_prime
 from pendseries.energy import canonical_top_ics
 from pendseries.series import SeriesCoefficients, pendulum_series
 
 
 class TestPoleLattice:
-    def test_libration_first_cell(self):
+    def test_libration_first_cell(self, ellipk_mp):
         state = energy_state(1.0)
         k = math.sqrt(0.5)
         poles = pole_lattice(state)
         expected = {
-            (re * ellipk_agm(k), im * ellipk_prime(k))
+            (re * ellipk_mp(k), im * ellipk_prime(k))
             for re in (1, -1) for im in (1, -1)
         }
         got = {(p.real, p.imag) for p in poles}
@@ -28,11 +28,11 @@ class TestPoleLattice:
                        and math.isclose(im, gi, rel_tol=1e-14)
                        for gr, gi in got)
 
-    def test_rotation_first_cell(self):
+    def test_rotation_first_cell(self, ellipk_mp):
         # relative to the top start, like libration: (odd, odd) corners
         state = energy_state(5.0)
         k = math.sqrt(2.0 / 5.0)
-        kt, ktp = k * ellipk_agm(k), k * ellipk_prime(k)
+        kt, ktp = k * ellipk_mp(k), k * ellipk_prime(k)
         poles = pole_lattice(state)
         got = {(round(p.real, 12), round(p.imag, 12)) for p in poles}
         expected = {
@@ -41,10 +41,10 @@ class TestPoleLattice:
         }
         assert got == expected
 
-    def test_fig5_nearest_singularity(self):
+    def test_fig5_nearest_singularity(self, ellipk_mp):
         k = math.sqrt(0.855)
         poles = pole_lattice(energy_state(1.71))
-        target = complex(ellipk_agm(k), ellipk_prime(k))
+        target = complex(ellipk_mp(k), ellipk_prime(k))
         assert min(abs(poles - target)) < 1e-13
 
     def test_no_real_poles_and_symmetry(self):
@@ -69,22 +69,22 @@ class TestPoleLattice:
             poles = pole_lattice(state)
             assert poles.shape == (4,) and poles.dtype == complex
             assert not poles.flags.writeable
-            assert set(np.abs(poles.real)) == {period(state).T_star}
+            assert set(np.abs(poles.real)) == {state.orbit.T_star}
 
 
 class TestRocExact:
-    def test_libration_top_formula(self):
+    def test_libration_top_formula(self, ellipk_mp):
         k = math.sqrt(0.855)
         report = roc_exact(energy_state(1.71), "top")
         assert report.exact_roc == pytest.approx(
-            math.hypot(ellipk_agm(k), ellipk_prime(k)), rel=1e-15)
+            math.hypot(ellipk_mp(k), ellipk_prime(k)), rel=1e-15)
         assert report.margin > 0.0
 
-    def test_rotation_top_formula(self):
+    def test_rotation_top_formula(self, ellipk_mp):
         k = math.sqrt(2.0 / 5.0)
         report = roc_exact(energy_state(5.0), "top")
         assert report.exact_roc == pytest.approx(
-            math.hypot(k * ellipk_agm(k), k * ellipk_prime(k)), rel=1e-15)
+            math.hypot(k * ellipk_mp(k), k * ellipk_prime(k)), rel=1e-15)
 
     def test_rotation_bottom_is_imaginary_pole(self):
         for energy in (2.5, 3.9, 4.1, 8.0):

@@ -1,8 +1,10 @@
 """Elliptic integral routes and pendulum periods.
 
-The AGM route is itself validated here against a second, structurally
-different oracle: adaptive Gauss-Legendre quadrature of the defining
-integral, with the node count doubled until the value settles.
+The AGM, `ellipk_prime`, is itself validated here against a second,
+structurally different oracle: adaptive Gauss-Legendre quadrature of the
+defining integral, with the node count doubled until the value settles.
+The series routes and the periods are checked against mpmath's K
+(`ellipk_mp`), so no check compares the AGM with itself.
 """
 
 import math
@@ -11,14 +13,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pendseries import SeparatrixError, energy_state, period
+from pendseries import SeparatrixError, energy_state
 from pendseries.elliptic import (
     EllipticEval,
-    ellipk_agm,
     ellipk_prime,
     ellipk_resummed,
     ellipk_series,
     evaluate_k,
+    period,
 )
 
 
@@ -45,34 +47,39 @@ def bracket_coefficient(n):
     return 0.5 * math.pi * beta - 1.0 / (2.0 * n + 1.0)
 
 
+def ellipk_by_agm(k):
+    """K(k) = K'(k') by the package's AGM, k' = sqrt((1 - k)(1 + k))."""
+    return ellipk_prime(math.sqrt((1.0 - k) * (1.0 + k)))
+
+
 class TestAgm:
     def test_k_zero(self):
-        assert ellipk_agm(0.0) == 0.5 * math.pi
+        assert ellipk_by_agm(0.0) == 0.5 * math.pi
 
     def test_logarithmic_divergence_direction(self):
-        assert ellipk_agm(0.99999999) > 5.0
+        assert ellipk_by_agm(0.99999999) > 5.0
 
     def test_monotone_in_modulus(self):
         ks = np.linspace(0.0, 0.999999, 200)
-        values = [ellipk_agm(k) for k in ks]
+        values = [ellipk_by_agm(k) for k in ks]
         assert np.all(np.diff(values) > 0.0)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            ellipk_agm(1.0)
-        with pytest.raises(ValueError):
-            ellipk_agm(-0.1)
+        # k' = 0 is K at k = 1, where K diverges
+        for k_prime in (0.0, -0.1, 1.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"K' requires 0 < k <= 1"):
+                ellipk_prime(k_prime)
 
     def test_against_gauss_legendre(self):
         for k in [0.1, 0.3, 0.5, 0.7, 0.9, math.sqrt(1.71 / 2.0)]:
-            agm = ellipk_agm(k)
+            agm = ellipk_by_agm(k)
             gl = ellipk_gauss_legendre(k)
             assert abs(agm - gl) < 1e-12 * agm
 
     def test_terminates_at_one_ulp_plateau(self):
-        # k = sqrt(0.5) leaves the AGM gap cycling by one ulp; the
+        # AGM(1, sqrt(0.5)) leaves the gap cycling by one ulp; the
         # iteration must stop on its own rather than loop forever
-        value = ellipk_agm(math.sqrt(0.5))
+        value = ellipk_prime(math.sqrt(0.5))
         assert abs(value - ellipk_gauss_legendre(math.sqrt(0.5))) < 1e-13
 
 
@@ -85,12 +92,12 @@ class TestSeriesRoute:
         assert ellipk_series(0.5, 0) == 0.5 * math.pi
         assert_allclose(ellipk_series(0.5, 1), 0.5 * math.pi * 1.0625, rtol=1e-15)
 
-    def test_error_decreases_with_order(self):
+    def test_error_decreases_with_order(self, ellipk_mp):
         # strict decrease only holds above the rounding floor; small k
         # converges to the floor well before N=128
         floor = 1e-15
         for k in np.arange(0.1, 0.95, 0.1):
-            exact = ellipk_agm(k)
+            exact = ellipk_mp(k)
             errors = [abs(ellipk_series(k, n) - exact) for n in (2, 8, 32, 128)]
             for a, b in zip(errors, errors[1:]):
                 assert b < a or (a < floor and b < floor)
@@ -101,17 +108,17 @@ class TestResummedRoute:
         for order in (0, 3, 40):
             assert_allclose(ellipk_resummed(0.0, order), 0.5 * math.pi, rtol=1e-15)
 
-    def test_moderate_modulus(self):
-        assert abs(ellipk_resummed(0.5, 30) - ellipk_agm(0.5)) < 1e-12
+    def test_moderate_modulus(self, ellipk_mp):
+        assert abs(ellipk_resummed(0.5, 30) - ellipk_mp(0.5)) < 1e-12
 
-    def test_beats_raw_series_near_one(self):
+    def test_beats_raw_series_near_one(self, ellipk_mp):
         k = 0.999
-        exact = ellipk_agm(k)
+        exact = ellipk_mp(k)
         assert abs(ellipk_resummed(k, 10) - exact) < abs(ellipk_series(k, 100) - exact)
 
-    def test_dominates_raw_series_at_equal_order(self):
+    def test_dominates_raw_series_at_equal_order(self, ellipk_mp):
         for k in np.arange(0.1, 0.95, 0.1):
-            exact = ellipk_agm(k)
+            exact = ellipk_mp(k)
             for order in (2, 5, 10, 20):
                 res = abs(ellipk_resummed(k, order) - exact)
                 raw = abs(ellipk_series(k, order) - exact)
@@ -125,15 +132,15 @@ class TestResummedRoute:
         assert abs(bracket_coefficient(1000)) < abs(bracket_coefficient(100))
         assert abs(bracket_coefficient(100)) < abs(bracket_coefficient(10))
 
-    def test_small_k_branch(self):
+    def test_small_k_branch(self, ellipk_mp):
         # crossing the series fallback must stay smooth and accurate
         for k in (0.0, 1e-6, 9.9e-5, 1.01e-4, 1e-3):
-            assert abs(ellipk_resummed(k, 8) - ellipk_agm(k)) < 1e-14
+            assert abs(ellipk_resummed(k, 8) - ellipk_mp(k)) < 1e-14
 
-    def test_auto_order_meets_tolerance(self):
+    def test_auto_order_meets_tolerance(self, ellipk_mp):
         # the orders a 1e-13 tail bound, bracket_n <= 1/(4 n^2), asks for
         for k, order in ((0.3, 16), (0.9, 128), (0.999, 16384)):
-            assert abs(ellipk_resummed(k, order) - ellipk_agm(k)) < 1e-12
+            assert abs(ellipk_resummed(k, order) - ellipk_mp(k)) < 1e-12
 
 
 @pytest.mark.parametrize("route", [
@@ -143,7 +150,7 @@ class TestResummedRoute:
 @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 1.0, -1.0, -0.5])
 def test_series_routes_reject_a_modulus_off_the_unit_disc(route, k):
     # NaN used to pass the k^2 >= 1 test and the sums returned NaN; a
-    # negative k used to pass it too, where the AGM route raised
+    # negative k used to pass it too
     with pytest.raises(ValueError, match=r"modulus must satisfy 0 <= k < 1"):
         route(k)
 
@@ -171,9 +178,9 @@ class TestKPrime:
     def test_k_one(self):
         assert ellipk_prime(1.0) == 0.5 * math.pi
 
-    def test_self_dual_point(self):
+    def test_self_dual_point(self, ellipk_mp):
         k = 1.0 / math.sqrt(2.0)
-        assert_allclose(ellipk_prime(k), ellipk_agm(k), rtol=1e-15)
+        assert_allclose(ellipk_prime(k), ellipk_mp(k), rtol=1e-15)
 
     @pytest.mark.parametrize("k", [1e-7, 1e-5])
     def test_small_modulus_asymptotics(self, k):
@@ -204,7 +211,7 @@ class TestEvaluateK:
         for method in ("series", "resummed"):  # neither route sizes its own order
             with pytest.raises(TypeError):
                 evaluate_k(0.5, method)
-        for method in ("trapezoid", "quadrature"):  # the AGM route is period's alone
+        for method in ("trapezoid", "quadrature"):  # the AGM route is the orbit record's alone
             with pytest.raises(ValueError, match="unknown method"):
                 evaluate_k(0.5, method, 10)
         with pytest.raises(ValueError, match="order must be an integer"):
@@ -212,38 +219,38 @@ class TestEvaluateK:
 
     def test_value_floor(self):
         for k in (0.0, 0.2, 0.8):
-            assert ellipk_agm(k) >= 0.5 * math.pi
+            assert ellipk_by_agm(k) >= 0.5 * math.pi
 
 
 class TestPeriod:
     def test_harmonic_limit(self):
-        info = period(energy_state(1e-6))
+        info = energy_state(1e-6).orbit
         assert abs(info.T - 2.0 * math.pi) < 1e-5
 
-    def test_libration_formula(self):
-        info = period(energy_state(1.71))
-        assert_allclose(info.T, 4.0 * ellipk_agm(math.sqrt(0.855)), rtol=1e-15)
+    def test_libration_formula(self, ellipk_mp):
+        info = energy_state(1.71).orbit
+        assert_allclose(info.T, 4.0 * ellipk_mp(math.sqrt(0.855)), rtol=1e-15)
         assert info.T_star == 0.25 * info.T
 
-    def test_rotation_formula(self):
-        info = period(energy_state(5.0))
+    def test_rotation_formula(self, ellipk_mp):
+        info = energy_state(5.0).orbit
         k = math.sqrt(2.0 / 5.0)
-        assert_allclose(info.T, 2.0 * k * ellipk_agm(k), rtol=1e-15)
+        assert_allclose(info.T, 2.0 * k * ellipk_mp(k), rtol=1e-15)
         assert info.T_star == 0.5 * info.T
 
     def test_uniform_rotation_limit(self):
-        info = period(energy_state(1e4))
+        info = energy_state(1e4).orbit
         assert abs(info.T * math.sqrt(0.5e4) / math.pi - 1.0) < 1e-3
 
     def test_monotone_in_energy(self):
-        librations = [period(energy_state(e)).T for e in np.linspace(0.05, 1.95, 30)]
-        rotations = [period(energy_state(e)).T for e in np.linspace(2.05, 30.0, 30)]
+        librations = [energy_state(e).orbit.T for e in np.linspace(0.05, 1.95, 30)]
+        rotations = [energy_state(e).orbit.T for e in np.linspace(2.05, 30.0, 30)]
         assert all(a < b for a, b in zip(librations, librations[1:]))
         assert all(a > b for a, b in zip(rotations, rotations[1:]))
 
     def test_separatrix_rejected(self):
         with pytest.raises(SeparatrixError):
-            period(energy_state(2.0))
+            energy_state(2.0).orbit
 
     @pytest.mark.parametrize("energy", [1.9998, 1.99999, 2.0 - 1e-6, 2.0 + 1e-6,
                                         2.0 - 1e-10, 2.0 + 1e-10, 2.0 - 2e-12, 2.0 + 2e-12])
@@ -256,7 +263,7 @@ class TestPeriod:
             e = mp.mpf(energy)
             m = e / 2 if energy < 2.0 else 2 / e
             want = mp.ellipk(m) * (1 if energy < 2.0 else mp.sqrt(m))
-            got = period(energy_state(energy)).T_star
+            got = energy_state(energy).orbit.T_star
             assert float(abs(got - want) / want) < 4e-16
 
     def test_takes_no_route_or_order(self):
@@ -268,7 +275,7 @@ class TestPeriod:
 
     def test_resummed_route_at_rest(self):
         # E = 0 is k = 0: the order-0 resummed K is the AGM's pi/2, T = 2 pi
-        info = period(energy_state(0.0))
+        info = energy_state(0.0).orbit
         assert info.T_star == 0.5 * math.pi and info.T == 2.0 * math.pi
         assert evaluate_k(0.0, "resummed", 0) == EllipticEval(0.5 * math.pi, "resummed(order=0)")
 
@@ -276,7 +283,7 @@ class TestPeriod:
         # the resummed K needs 524,288 terms for a 1e-13 tail at E = 1.9999;
         # the AGM period serves energies closer to 2 at no such cost
         c = energy_state(1.9999).orbit
-        exact = period(energy_state(1.9999)).T_star
+        exact = energy_state(1.9999).orbit.T_star
         assert_allclose(c.scale * evaluate_k(c.k, "resummed", 524288).value, exact, rtol=1e-12)
         for energy in (1.99999, 2.0 - 1e-6):
-            assert math.isfinite(period(energy_state(energy)).T_star)
+            assert math.isfinite(energy_state(energy).orbit.T_star)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pendseries import SeparatrixError, build_trajectory, energy_state, period
+from pendseries import SeparatrixError, build_trajectory, energy_state
 from pendseries.convergence import roc_exact
 from pendseries.energy import (
     SEPARATRIX_ENERGY,
@@ -18,7 +18,7 @@ from pendseries.energy import (
     energy_of,
     separatrix_theta,
 )
-from pendseries.elliptic import ellipk_prime
+from pendseries.elliptic import ellipk_prime, period
 from pendseries.validation import rk4_sample
 
 

@@ -10,7 +10,6 @@ from pendseries import (
     SeparatrixError,
     build_trajectory,
     energy_state,
-    period,
     sup_error,
     tally_coefficient_ops,
 )
@@ -29,7 +28,7 @@ def make_inputs(energy, order, direction=1):
     """Canonical raw series carried in units of T*, as `build_trajectory` does."""
     state = energy_state(energy, direction)
     theta0, omega0 = canonical_top_ics(state)
-    t_star = period(state).T_star
+    t_star = state.orbit.T_star
     raw = pendulum_series(theta0, omega0, order, time_unit=t_star)
     return state, raw, t_star
 
@@ -62,7 +61,7 @@ def fused_horner_alpha_beta(a, state):
     for n in range(n_max - 1, -1, -1):
         dsig += sig
         sig += coeffs[n]
-    gap = state.orbit.omega_star * period(state).T_star - dsig
+    gap = state.orbit.omega_star * state.orbit.T_star - dsig
     return -(n_max + 2) * sig - gap, (n_max + 1) * sig + gap
 
 
@@ -164,7 +163,7 @@ class TestEvalResummed:
         # resum pins w* = -sqrt(2E), the canonical branch's endpoint, so the
         # start it is handed must be the canonical one whatever the direction
         state = energy_state(energy, direction)
-        t_star = period(state).T_star
+        t_star = state.orbit.T_star
         raw = pendulum_series(*canonical_top_ics(state), 200, time_unit=t_star)
         grid = np.linspace(0.0, t_star, 201)
         gap = eval_resummed(resum(raw, state), grid) - eval_poly(raw, grid)
@@ -218,7 +217,7 @@ class TestEvalResummed:
 class TestEfficientTruncation:
     def test_degenerate_zero_energy(self):
         state = energy_state(0.0)
-        t_star = period(state).T_star
+        t_star = state.orbit.T_star
         raw = SeriesCoefficients(np.zeros(9), t_star)
         e = efficient_truncation(raw, state)
         assert e.coeffs[-2] == 0.0 and e.coeffs[-1] == 0.0
@@ -273,7 +272,7 @@ class TestEfficientTruncation:
         # on the branch build_trajectory expands, exact seeds included
         state = energy_state(energy, direction)
         c = state.orbit
-        t_star = period(state).T_star
+        t_star = state.orbit.T_star
         for order in (2, 3, 40, 200, 1000, 4999):
             raw = pendulum_series(c.theta0, c.omega0, order, time_unit=t_star,
                                   sin_cos=c.sin_cos)
@@ -329,7 +328,7 @@ class TestEfficientTruncation:
         # both constructions need the branch in units of the orbit's own
         # T*, and say so with a ValueError, never an OverflowError
         state = energy_state(energy, direction)
-        t_star = period(state).T_star
+        t_star = state.orbit.T_star
         raw = pendulum_series(*canonical_top_ics(state), order,
                               time_unit=unit * t_star if per_t_star else unit)
         with pytest.raises(ValueError, match=r"units of T\*"):

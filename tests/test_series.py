@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pendseries import build_trajectory, energy_state, period, series
+from pendseries import build_trajectory, energy_state, series
 from pendseries.convergence import roc_exact
 from pendseries.energy import canonical_top_ics, energy_of
 from pendseries.series import SeriesCoefficients, eval_poly, pendulum_series
@@ -89,9 +89,8 @@ def _indexed_horner(a, t):
 def _top_start(energy, seeded=False):
     """(theta0, omega0, seeds, T*) of the top start; `seeded` passes the
     exact (sin, cos) seeds that `build_trajectory` passes."""
-    state = energy_state(energy)
-    c = state.orbit
-    return c.theta0, c.omega0, c.sin_cos if seeded else None, period(state).T_star
+    c = energy_state(energy).orbit
+    return c.theta0, c.omega0, c.sin_cos if seeded else None, c.T_star
 
 
 def _roc_bottom_start(energy):
@@ -110,7 +109,7 @@ PINNED_STARTS = {
     **{f"rotation {e:g}": (*_top_start(e), ()) for e in (2.0 + 1e-6, 5.0)},
     "rotation 10000": (*_top_start(1e4), (1000, 4999)),
     "inverted at rest": (math.pi, 0.0, None, 1.0, ()),
-    "at rest -0.0": (1.0, -0.0, None, period(energy_of(1.0, -0.0)).T_star, ()),
+    "at rest -0.0": (1.0, -0.0, None, energy_of(1.0, -0.0).orbit.T_star, ()),
     "bottom 0.5": (0.0, 1.0, None, 1.0, ()),
     "general": (0.3, 0.7, None, 1.0, ()),
     **{f"seeded rotation {e:g}": (*_top_start(e, seeded=True), ()) for e in (2.0 + 1e-6, 5.0)},
@@ -270,7 +269,7 @@ class TestPendulumSeries:
         # high orders stay in double range
         state = energy_state(energy)
         theta0, omega0 = canonical_top_ics(state)
-        h = period(state).T_star
+        h = state.orbit.T_star
         got = pendulum_series(theta0, omega0, order, time_unit=h).coeffs
         ref, scale = pendulum_series_by_fsum(theta0, omega0, order, h)
         assert np.all(np.abs(got - ref) <= 1e-13 * scale)

@@ -16,7 +16,6 @@ from pendseries import (
     build_trajectory,
     canonical_initial_state,
     energy_state,
-    period,
     sup_error,
     theta_at,
     theta_tilde,
@@ -78,7 +77,7 @@ class TestBuild:
     def test_in_band_message_names_the_band(self, energy):
         # E != 2 is still the separatrix inside |E - 2| <= 1e-12: both errors say so
         state = energy_state(energy)
-        for call in (lambda: build_trajectory(state, 40), lambda: period(state)):
+        for call in (lambda: build_trajectory(state, 40), lambda: state.orbit):
             with pytest.raises(SeparatrixError, match=r"\(\|E - 2\| <= 1e-12\)"):
                 call()
 
