@@ -15,8 +15,9 @@ the bottom, t = T*, the same lattice is (even, odd).  The radius of
 convergence about a chosen expansion point is the distance to the
 nearest pole; for the canonical top start it always exceeds the
 effective period T*, which is what makes the single-branch construction
-in ``trajectory`` possible.  ``roc_exact`` is the one place that forms
-the lattice constants; ``pole_lattice`` mirrors its top-start corner.
+in ``trajectory`` possible.  ``roc_exact`` reads T* from the record
+`state.orbit` and forms only K' (or Kt'); ``pole_lattice`` mirrors its
+top-start corner.
 On the separatrix the lattice degenerates into branch points at
 +- i pi/2 of 2 gd(t) = 4 arctan(tanh(t/2)); the rest orbit E = 0 has no
 poles, and there ``roc_exact`` and ``pole_lattice`` raise ``ValueError``.

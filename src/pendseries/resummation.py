@@ -12,14 +12,16 @@ with w* = -sqrt(2E) the exact endpoint velocity, pins the endpoint value
 are plain linear images of the original coefficients, so nothing
 approximate has been introduced.
 
-Both transforms take the series and its orbit, and read T* and w* from the
-orbit's record, `state.orbit`.  With s = t/T* the endpoint is s = 1 and the
-form reads
+The three transforms, ``resum(a, state)``, ``eval_resummed(a_hat, state, t)``
+and ``efficient_truncation(a, state)``, take a series and its orbit and read
+T* and w* from the orbit's record, `state.orbit`.  With s = t/T* the endpoint
+is s = 1 and the form reads
 
     w* T* (s - 1) + (s - 1)^2 sum_n ahat_n s^n,
 
-so no power of T* is ever formed.  The series must be carried in units of
-that T*, as `build_trajectory` carries it; any other unit raises `ValueError`.
+so no power of T* is ever formed.  Every series, ``resum``'s ahat_n included,
+is carried in units of that T*, as `build_trajectory` carries it; any other
+unit raises `ValueError`.  w* is never stored beside the ahat_n.
 
 The form is the unique polynomial of degree N+2 that matches a_0..a_N with
 the pinned value and slope, so ``efficient_truncation`` builds it a second
@@ -48,7 +50,6 @@ from .energy import EnergyState
 from .series import SeriesCoefficients, eval_poly
 
 __all__ = [
-    "ResummedSeries",
     "OpTally",
     "tally_coefficient_ops",
     "resum",
@@ -83,19 +84,8 @@ def _count(n: int) -> None:
     _ops += n
 
 
-@dataclass(frozen=True)
-class ResummedSeries:
-    """Endpoint-pinned form w* T* (s - 1) + (s - 1)^2 sum ahat_n s^n, s = t/T*.
-
-    `omega_star` is in physical time; T* is `a_hat.time_unit`.
-    """
-
-    omega_star: float
-    a_hat: SeriesCoefficients
-
-
 def _endpoint(a: SeriesCoefficients, state: EnergyState):
-    """Shared prologue of both resummations: (N, T*, w*) from the record `state.orbit`.
+    """Shared prologue of the three transforms: (N, T*, w*) from the record `state.orbit`.
 
     Raises, in this order, a `ValueError` for N < 2, a `SeparatrixError` at
     E = 2, and a `ValueError` for a series not carried in units of that T*.
@@ -110,8 +100,8 @@ def _endpoint(a: SeriesCoefficients, state: EnergyState):
     return n_max, c.T_star, c.omega_star
 
 
-def resum(a: SeriesCoefficients, state: EnergyState) -> ResummedSeries:
-    """Transform the orbit's raw coefficients into the endpoint-pinned form.
+def resum(a: SeriesCoefficients, state: EnergyState) -> SeriesCoefficients:
+    """The ahat_n of the orbit's raw coefficients, as a series in units of T*.
 
     `a` is in s = t/T*, T* = `state.orbit.T_star`.  With b its coefficients
     after absorbing the linear endpoint term (b_0 = a_0 + w* T*, b_1 = a_1 - w* T*,
@@ -130,18 +120,18 @@ def resum(a: SeriesCoefficients, state: EnergyState) -> ResummedSeries:
     b[1] -= w_s
     a_hat = np.convolve(np.arange(1.0, n_max + 2), b)[: n_max + 1]
     _count((n_max + 1) ** 2 + 3)  # 2n+1 multiply-adds per ahat_n, 3 to form b
-    return ResummedSeries(w, SeriesCoefficients(a_hat, t_star))
+    return SeriesCoefficients(a_hat, t_star)
 
 
-def eval_resummed(r: ResummedSeries, t):
-    """Evaluate the resummed form at t (scalar or array).
+def eval_resummed(a_hat: SeriesCoefficients, state: EnergyState, t):
+    """Evaluate the resummed form of `resum`'s ahat at t (scalar or array).
 
     By construction the value at t = T* is exactly zero and the slope
     there is exactly w*, independent of where the series is truncated.
     """
-    t_star = r.a_hat.time_unit
+    _, t_star, w = _endpoint(a_hat, state)
     ds = (np.asarray(t, dtype=float) - t_star) / t_star
-    out = (r.omega_star * t_star) * ds + ds * ds * eval_poly(r.a_hat, t)
+    out = (w * t_star) * ds + ds * ds * eval_poly(a_hat, t)
     return float(out) if out.ndim == 0 else out
 
 

@@ -21,7 +21,7 @@ from pendseries import (
 )
 from pendseries.convergence import roc_estimate, roc_exact
 from pendseries.elliptic import ellipk_resummed, ellipk_series
-from pendseries.energy import canonical_top_ics, separatrix_theta
+from pendseries.energy import separatrix_theta
 from pendseries.resummation import (
     efficient_truncation,
     eval_resummed,
@@ -31,18 +31,6 @@ from pendseries.series import SeriesCoefficients, eval_poly, pendulum_series
 from pendseries.validation import rk4_sample
 
 ORACLE_DT = 1e-5
-
-
-def rho_order(state, tol, floor):
-    """Smallest order N >= floor with rho^N / (1 - rho) <= tol.
-
-    rho = T*/R is the exact convergence ratio of the top-start series, so
-    the branch's truncation error falls like rho^N (README, "How it
-    works"); this is the order at which the paper's rate promises `tol`.
-    """
-    report = roc_exact(state, "top")
-    rho = report.t_star / report.exact_roc
-    return max(floor, math.ceil(math.log(tol * (1.0 - rho)) / math.log(rho)))
 
 
 def raw_top_errors(energy, orders, grid_points=1001):
@@ -68,7 +56,7 @@ def test_criterion_01_separatrix_closed_form_vs_rk4():
     assert elapsed < 30.0
 
 
-def test_criterion_02_raw_series_reaches_1e10_by_order_200():
+def test_criterion_02_raw_series_reaches_1e10_by_order_200(rho_order):
     # The sweep runs to order 200, or further where rho = T*/R is so close
     # to 1 that rho^N reaches 1e-10 only later (N = 796 at E = 1.9998,
     # 308 at E = 2.02): no fixed order serves every energy.
@@ -123,12 +111,16 @@ def test_criterion_04_top_radius_always_clears_t_star():
 
 
 def test_criterion_05_root_test_within_2_percent():
+    # the series `roc` fits: seeded by the record and carried in units of
+    # the exact radius R, so that no coefficient up to order 2000 underflows
     start = time.perf_counter()
     for energy in (1.71, 2.02):
         state = energy_state(energy, 1 if energy < 2 else -1)
-        series = pendulum_series(*canonical_top_ics(state), 2000)
-        estimate = roc_estimate(series)
+        c = state.orbit
         exact = roc_exact(state, "top").exact_roc
+        series = pendulum_series(c.theta0, c.omega0, 2000, time_unit=exact,
+                                 sin_cos=c.sin_cos)
+        estimate = roc_estimate(series)
         rel = abs(estimate - exact) / exact
         print(f"E={energy}: estimate {estimate:.6f} vs exact {exact:.6f} "
               f"({100 * rel:.3f}%)")
@@ -172,9 +164,9 @@ def test_criterion_07_two_monomial_form_matches_at_half_the_work():
             with tally_coefficient_ops() as tally:
                 corrected = efficient_truncation(series, state)
             efficient_ops += tally.total
-            diff = np.max(np.abs(eval_resummed(direct, grid)
+            diff = np.max(np.abs(eval_resummed(direct, state, grid)
                                  - eval_poly(corrected, grid)))
-            scale = np.max(np.abs(eval_resummed(direct, grid)))
+            scale = np.max(np.abs(eval_resummed(direct, state, grid)))
             assert diff <= 1e-11 * scale, (
                 f"E={energy} N={order}: relative gap {diff / scale:.3e}")
     print(f"coefficient-stage ops: efficient {efficient_ops} "
@@ -210,7 +202,7 @@ def test_criterion_09_period_limits(ellipk_mp):
     assert fast_gap < 1e-13
 
 
-def test_criterion_10_four_period_extension():
+def test_criterion_10_four_period_extension(rho_order):
     failures = []
     # The drift is the branch's own truncation error (the symmetry
     # extension adds none), so the order is sized from rho = T*/R for the

@@ -13,9 +13,7 @@ from pendseries import (
     sup_error,
     tally_coefficient_ops,
 )
-from pendseries.energy import canonical_top_ics
 from pendseries.resummation import (
-    ResummedSeries,
     efficient_truncation,
     eval_efficient,
     eval_resummed,
@@ -25,12 +23,9 @@ from pendseries.series import SeriesCoefficients, eval_poly, pendulum_series
 
 
 def make_inputs(energy, order, direction=1):
-    """Canonical raw series carried in units of T*, as `build_trajectory` does."""
+    """The raw branch `build_trajectory` ships: seeded by the record, in units of T*."""
     state = energy_state(energy, direction)
-    theta0, omega0 = canonical_top_ics(state)
-    t_star = state.orbit.T_star
-    raw = pendulum_series(theta0, omega0, order, time_unit=t_star)
-    return state, raw, t_star
+    return state, build_trajectory(state, order, "raw").branch, state.orbit.T_star
 
 
 def reexpand(w, t_star, a_hat):
@@ -68,6 +63,13 @@ def fused_horner_alpha_beta(a, state):
 FSUM_CASES = [(0.5, 1), (1.71, -1), (1.9998, 1), (5.0, -1)]
 FSUM_ORDERS = [2, 3, 6, 10, 20, 200, 1000]
 
+# eval_resummed at one t, so that all three transforms take (series, state)
+TRANSFORMS = {
+    "resum": resum,
+    "efficient_truncation": efficient_truncation,
+    "eval_resummed": lambda a, state: eval_resummed(a, state, 0.0),
+}
+
 
 class TestOmegaStar:
     def test_rotation_clockwise_value(self):
@@ -92,15 +94,15 @@ class TestResum:
         s, w = 1.0, state.orbit.omega_star * t_star  # the endpoint in s = t/T*
         a = raw.coeffs
         b0, b1 = a[0] + s * w, a[1] - w
-        assert r.a_hat.coeffs[0] == pytest.approx(b0 / s**2, rel=1e-13)
+        assert r.coeffs[0] == pytest.approx(b0 / s**2, rel=1e-13)
         # the two n=1 convolution terms nearly cancel: compare loosely
-        assert r.a_hat.coeffs[1] == pytest.approx(
+        assert r.coeffs[1] == pytest.approx(
             b0 * 2.0 / s**3 + b1 / s**2, rel=1e-11)
 
     def test_reconstruction_identity(self):
         state, raw, t_star = make_inputs(1.71, 20)
         r = resum(raw, state)
-        back = reexpand(r.omega_star * t_star, 1.0, r.a_hat.coeffs)
+        back = reexpand(state.orbit.omega_star * t_star, 1.0, r.coeffs)
         assert_allclose(back[:21], raw.coeffs, rtol=0, atol=1e-10)
 
     def test_reconstruction_holds_for_any_slope(self):
@@ -138,16 +140,19 @@ class TestResum:
                                     for k in range(n + 1))
                           for n in range(order + 1)])
         r = resum(raw, state)
-        assert np.all(np.abs(r.a_hat.coeffs - ref) <= 1e-14 * scale)
-        exact = ResummedSeries(r.omega_star, SeriesCoefficients(ref, t_star))
+        assert r.time_unit == t_star
+        assert np.all(np.abs(r.coeffs - ref) <= 1e-14 * scale)
         grid = np.linspace(0.0, t_star, 101)
-        branch = eval_resummed(exact, grid)
-        gap = np.max(np.abs(eval_resummed(r, grid) - branch))
+        branch = eval_resummed(SeriesCoefficients(ref, t_star), state, grid)
+        gap = np.max(np.abs(eval_resummed(r, state, grid) - branch))
         assert gap <= 1e-14 * np.max(np.abs(branch))
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            resum(SeriesCoefficients([1.0, 2.0]), energy_state(1.71))  # order < 2
+        # order < 2, checked before the unit by all three transforms
+        for transform in TRANSFORMS.values():
+            for coeffs in ([1.0], [1.0, 2.0]):
+                with pytest.raises(ValueError, match="order must be at least 2"):
+                    transform(SeriesCoefficients(coeffs), energy_state(1.71))
 
 
 class TestEvalResummed:
@@ -155,7 +160,7 @@ class TestEvalResummed:
         for energy in (0.5, 1.71, 1.9998, 2.02, 5.0):
             state, raw, t_star = make_inputs(energy, 14, -1 if energy > 2 else 1)
             r = resum(raw, state)
-            assert eval_resummed(r, t_star) == 0.0
+            assert eval_resummed(r, state, t_star) == 0.0
 
     @pytest.mark.parametrize("direction", [1, -1])
     @pytest.mark.parametrize("energy", [2.02, 5.0, 40.0])
@@ -164,33 +169,35 @@ class TestEvalResummed:
         # start it is handed must be the canonical one whatever the direction
         state = energy_state(energy, direction)
         t_star = state.orbit.T_star
-        raw = pendulum_series(*canonical_top_ics(state), 200, time_unit=t_star)
+        raw = build_trajectory(state, 200, "raw").branch
         grid = np.linspace(0.0, t_star, 201)
-        gap = eval_resummed(resum(raw, state), grid) - eval_poly(raw, grid)
+        gap = eval_resummed(resum(raw, state), state, grid) - eval_poly(raw, grid)
         assert np.max(np.abs(gap)) < 1e-8
 
     def test_value_at_origin(self):
         state, raw, _ = make_inputs(1.71, 14)
         r = resum(raw, state)
-        assert eval_resummed(r, 0.0) == pytest.approx(raw.coeffs[0], rel=1e-13)
+        assert eval_resummed(r, state, 0.0) == pytest.approx(raw.coeffs[0], rel=1e-13)
 
     def test_endpoint_slope_is_omega_star(self):
         state, raw, t_star = make_inputs(1.71, 14)
         r = resum(raw, state)
         h = 1e-6
-        slope = (eval_resummed(r, t_star + h) - eval_resummed(r, t_star - h)) / (2 * h)
+        slope = (eval_resummed(r, state, t_star + h)
+                 - eval_resummed(r, state, t_star - h)) / (2 * h)
         assert slope == pytest.approx(state.orbit.omega_star, abs=1e-8)
 
     def test_endpoint_curvature_vanishes_with_order(self):
         # the exact solution has theta'' = 0 at the bottom; truncations
-        # only approach it, so test the trend rather than exact zero
-        state, raw, t_star = make_inputs(1.71, 80)
+        # only approach it, so test the trend rather than exact zero; the
+        # order-n partial sum is the order-n build
         h = 1e-4
         curvatures = []
         for order in (10, 20, 40, 80):
-            r = resum(SeriesCoefficients(raw.coeffs[:order + 1], raw.time_unit), state)
-            c = (eval_resummed(r, t_star + h) - 2.0 * eval_resummed(r, t_star)
-                 + eval_resummed(r, t_star - h)) / (h * h)
+            state, raw, t_star = make_inputs(1.71, order)
+            r = resum(raw, state)
+            c = (eval_resummed(r, state, t_star + h) - 2.0 * eval_resummed(r, state, t_star)
+                 + eval_resummed(r, state, t_star - h)) / (h * h)
             curvatures.append(abs(c))
         assert curvatures[-1] < 1e-6
         assert curvatures[-1] < curvatures[0]
@@ -298,12 +305,12 @@ class TestEfficientTruncation:
         d1_sigma = np.dot(np.arange(c.size), c * powers) / s
         d1 = (d1_sigma + e.coeffs[-2] * (order + 1) * s**order
               + e.coeffs[-1] * (order + 2) * s ** (order + 1))
-        assert d1 == pytest.approx(r.omega_star * t_star, rel=1e-12)
+        assert d1 == pytest.approx(state.orbit.omega_star * t_star, rel=1e-12)
         ks = np.arange(c.size)
         d2_sigma = np.dot(ks * (ks - 1), c * powers) / s**2
         d2 = (d2_sigma + e.coeffs[-2] * (order + 1) * order * s ** (order - 1)
               + e.coeffs[-1] * (order + 2) * (order + 1) * s**order)
-        d2_direct = 2.0 * eval_poly(r.a_hat, t_star)
+        d2_direct = 2.0 * eval_poly(r, t_star)
         assert d2 == pytest.approx(d2_direct, rel=1e-10)
 
     @pytest.mark.parametrize("energy,direction", [(1.71, 1), (2.02, -1)])
@@ -313,7 +320,7 @@ class TestEfficientTruncation:
         r = resum(raw, state)
         e = efficient_truncation(raw, state)
         grid = np.linspace(0.0, t_star, 100)
-        direct = eval_resummed(r, grid)
+        direct = eval_resummed(r, state, grid)
         fast = eval_efficient(e, grid)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(fast - direct)) < 1e-11 * scale
@@ -325,16 +332,32 @@ class TestEfficientTruncation:
     ])
     def test_series_in_another_unit_raises_value_error(self, energy, order, direction,
                                                        unit, per_t_star):
-        # both constructions need the branch in units of the orbit's own
-        # T*, and say so with a ValueError, never an OverflowError
+        # all three transforms need the series in units of the orbit's own
+        # T*, and say so with one ValueError, never an OverflowError; the
+        # ahat that eval_resummed is handed is resum's, carried in the other unit
         state = energy_state(energy, direction)
-        t_star = state.orbit.T_star
-        raw = pendulum_series(*canonical_top_ics(state), order,
-                              time_unit=unit * t_star if per_t_star else unit)
-        with pytest.raises(ValueError, match=r"units of T\*"):
-            resum(raw, state)
-        with pytest.raises(ValueError, match=r"units of T\*"):
-            efficient_truncation(raw, state)
+        c = state.orbit
+        unit = unit * c.T_star if per_t_star else unit
+        raw = pendulum_series(c.theta0, c.omega0, order, time_unit=unit, sin_cos=c.sin_cos)
+        a_hat = SeriesCoefficients(resum(make_inputs(energy, order, direction)[1], state).coeffs,
+                                   unit)
+        messages = set()
+        for call in (lambda: resum(raw, state), lambda: efficient_truncation(raw, state),
+                     lambda: eval_resummed(a_hat, state, c.T_star)):
+            with pytest.raises(ValueError, match=r"units of T\*") as info:
+                call()
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
+
+class TestSharedEndpointCheck:
+    # the three transforms read N, T* and w* through one check, so they
+    # reject the same inputs the same way
+    @pytest.mark.parametrize("name", TRANSFORMS)
+    @pytest.mark.parametrize("energy", [2.0, 2.0 - 5e-13, 2.0 + 5e-13])
+    def test_separatrix_raises_separatrix_error(self, name, energy):
+        with pytest.raises(SeparatrixError, match="is the separatrix"):
+            TRANSFORMS[name](SeriesCoefficients(np.zeros(9)), energy_state(energy))
 
 
 class TestOpTally:

@@ -20,7 +20,6 @@ from pendseries import (
     theta_at,
     theta_tilde,
 )
-from pendseries.convergence import roc_exact
 from pendseries.energy import Regime, energy_of, separatrix_theta
 from pendseries.series import SeriesCoefficients, eval_poly, pendulum_series
 from pendseries.trajectory import _SEAM_SNAP_FRACTION, _orient, _tilde
@@ -28,18 +27,18 @@ from pendseries.validation import rk4_sample
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the orders that reach 1e-13 at each energy (ROADMAP's table)
+# the orders that reach 1e-13 at each energy (ROADMAP's table); the
+# `rho_order` fixture reproduces them (test_convergence_orders_are_rho_sized)
 CONVERGENCE_ORDERS = [
     (0.5, 64), (1.71, 168), (1.9998, 1004), (2.0 - 1e-6, 2096),
     (2.0 + 1e-6, 2096), (2.02, 391), (5.0, 79), (1e4, 23), (1.99, 463),
     (2.0 - 1e-10, 4999), (2.0 + 1e-10, 4999), (2.0 - 2e-12, 6624), (2.0 + 2e-12, 6624)]
 
 
-def _rho_sized_order(state):
-    """The order that rho = T*/R sizes for 1e-13, floor 40 (ROADMAP's table)."""
-    report = roc_exact(state)
-    rho = report.t_star / report.exact_roc
-    return max(40, math.ceil(math.log(1e-13 * (1.0 - rho)) / math.log(rho)))
+def test_convergence_orders_are_rho_sized(rho_order):
+    # the hard-coded table and the formula cannot drift apart
+    assert [(e, rho_order(energy_state(e), 1e-13, 1)) for e, _ in CONVERGENCE_ORDERS] == \
+        CONVERGENCE_ORDERS
 
 
 def _half_t_star_anchor(c, regime):
@@ -225,11 +224,11 @@ class TestSeparatrixGradeBranch:
         want = jacobi.theta_ref(energy, 1 if energy < 2.0 else -1, ts)
         assert np.max(np.abs(theta_tilde(sol, ts) - want)) < 1e-13
 
-    def test_branch_meets_the_closed_form_at_half_t_star(self, rng):
+    def test_branch_meets_the_closed_form_at_half_t_star(self, rng, rho_order):
         near = 2.0 + np.array([-1.0, 1.0] * 5) * 10.0 ** rng.uniform(-12.0, -3.0, 10)
         for energy in np.concatenate([10.0 ** rng.uniform(-6.0, 4.0, 16), near]):
             state = energy_state(energy)
-            order = _rho_sized_order(state)
+            order = rho_order(state, 1e-13, 40)
             sol = build_trajectory(state, order, "resummed")
             want = _half_t_star_anchor(state.orbit, state.regime)
             assert abs(theta_tilde(sol, 0.5 * state.orbit.T_star) - want) <= 2e-15, \
@@ -252,14 +251,15 @@ class TestSeparatrixGradeBranch:
     # 5.6e-16.  The gate adds about one ulp of 2 pi k to it.
     @pytest.mark.parametrize("energy", [0.5, 1.71, 2.0 - 1e-10, 2.0 + 1e-10, 5.0])
     @pytest.mark.parametrize("direction", [1, -1])
-    def test_orbit_meets_the_closed_form_at_every_odd_half_t_star(self, energy, direction):
+    def test_orbit_meets_the_closed_form_at_every_odd_half_t_star(self, energy, direction,
+                                                                 rho_order):
         # the fold table in `trajectory`'s docstring at t = (2j + 1) T*/2:
         # libration signs +, -, -, + by j mod 4; rotation +, - by j mod 2,
         # winding -2 pi (j // 2); the other direction reflects to -theta
         # (libration) or 2 pi - theta (rotation)
         state = energy_state(energy, direction)
         c = state.orbit
-        sol = build_trajectory(state, _rho_sized_order(state), "resummed")
+        sol = build_trajectory(state, rho_order(state, 1e-13, 40), "resummed")
         anchor = _half_t_star_anchor(c, state.regime)
         j = np.arange(8)
         times = (2 * j + 1) * 0.5 * c.T_star
