@@ -1,14 +1,31 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture
 def rng():
     # fixed seed: property tests must fail reproducibly
     return np.random.default_rng(20260815)
+
+
+@pytest.fixture(scope="session")
+def bench_module():
+    """Load `bench/<name>.py` as a module, by file path; bench/ is only read."""
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load
 
 
 @pytest.fixture

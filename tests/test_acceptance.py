@@ -1,4 +1,10 @@
-"""Acceptance checklist: one test per external guarantee of the package.
+"""Acceptance checklist: one test per external guarantee of the package,
+parametrized over the inputs it covers, so each case passes or fails alone.
+
+Each external guarantee is asserted here and only here. The module tests
+check internals (formulas, guards, bit identities) and do not restate a
+criterion; a case or bound that a criterion should also cover joins the
+criterion as one more input.
 
 Each test prints the measured quantities before asserting, so a failing
 run records how far off the implementation is, not just that it is.
@@ -10,6 +16,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from pendseries import (
     build_trajectory,
@@ -49,27 +56,27 @@ def test_criterion_01_separatrix_closed_form_vs_rk4():
     grid = np.linspace(0.0, 10.0, 1001)
     oracle, _ = rk4_sample(0.0, 2.0, grid, ORACLE_DT)
     exact = np.array([separatrix_theta(t) for t in grid])
-    sup = float(np.max(np.abs(exact - oracle)))
+    gap = np.abs(exact - oracle)
+    sup, early = float(np.max(gap)), float(np.max(gap[grid <= 5.0]))
     elapsed = time.perf_counter() - start
-    print(f"sup |closed form - RK4| on [0,10]: {sup:.3e}  ({elapsed:.1f} s)")
+    print(f"sup |closed form - RK4| on [0,10]: {sup:.3e}, on [0,5]: {early:.3e}  "
+          f"({elapsed:.1f} s)")
+    assert early < 1e-10  # the saddle at pi amplifies RK4's error like e^t
     assert sup < 1e-9
     assert elapsed < 30.0
 
 
-def test_criterion_02_raw_series_reaches_1e10_by_order_200(rho_order):
+@pytest.mark.parametrize("energy", [0.5, 1.71, 1.9998, 2.02, 5.0])
+def test_criterion_02_raw_series_reaches_1e10_by_order_200(energy, rho_order):
     # The sweep runs to order 200, or further where rho = T*/R is so close
     # to 1 that rho^N reaches 1e-10 only later (N = 796 at E = 1.9998,
     # 308 at E = 2.02): no fixed order serves every energy.
-    worst = {}
-    for energy in (0.5, 1.71, 1.9998, 2.02, 5.0):
-        state = energy_state(energy, 1 if energy < 2 else -1)
-        top = rho_order(state, 1e-10, 200)
-        errors = raw_top_errors(energy, sorted({*range(10, top + 1, 10), top}))
-        best_n = min(errors, key=errors.get)
-        worst[energy] = errors[best_n]
-        print(f"E={energy}: best sup {errors[best_n]:.3e} at N={best_n}")
-    for energy, err in worst.items():
-        assert err < 1e-10, f"E={energy}: best raw sup error {err:.3e}"
+    state = energy_state(energy, 1 if energy < 2 else -1)
+    top = rho_order(state, 1e-10, 200)
+    errors = raw_top_errors(energy, sorted({*range(10, top + 1, 10), top}))
+    best_n = min(errors, key=errors.get)
+    print(f"E={energy}: best sup {errors[best_n]:.3e} at N={best_n}")
+    assert errors[best_n] < 1e-10, f"E={energy}: best raw sup error {errors[best_n]:.3e}"
 
 
 def test_criterion_03_bottom_series_divergence():
@@ -90,98 +97,97 @@ def test_criterion_03_bottom_series_divergence():
     top_err = raw_top_errors(1.71, [200], grid_points=2)[200]
     print(f"E=1.71 at T*: bottom |S_200| = {bottom_mag:.3e}, "
           f"top error = {top_err:.3e}")
-    assert bottom_mag > 1e3
+    assert bottom_mag > 1e6
     assert top_err < 1e-9
 
 
-def test_criterion_04_top_radius_always_clears_t_star():
+@pytest.mark.parametrize("direction", [1, -1])
+def test_criterion_04_top_radius_always_clears_t_star(direction):
     energies = np.concatenate([np.geomspace(0.02, 1.99, 26)[1:],
                                np.geomspace(2.01, 100.0, 26)[:-1]])
     assert energies.size == 50
-    margins = [roc_exact(energy_state(e, 1 if e < 2 else -1), "top").margin
-               for e in energies]
-    print(f"min top margin over 50-point grid: {min(margins):.3e}")
+    margins = [roc_exact(energy_state(e, direction), "top").margin for e in energies]
+    print(f"dir={direction:+d}: min top margin over 50-point grid: {min(margins):.3e}")
     assert all(m > 0.0 for m in margins)
 
     for energy, above in ((2.5, False), (3.9, False), (4.1, True), (8.0, True)):
-        report = roc_exact(energy_state(energy, -1), "bottom")
-        print(f"E={energy} bottom margin: {report.margin:.3e}")
+        report = roc_exact(energy_state(energy, direction), "bottom")
+        print(f"E={energy} dir={direction:+d} bottom margin: {report.margin:.3e}")
         assert (report.margin > 0.0) is above
         assert report.margin != 0.0
 
 
-def test_criterion_05_root_test_within_2_percent():
+@pytest.mark.parametrize("energy", [1.71, 2.02])
+def test_criterion_05_root_test_within_2_percent(energy):
     # the series `roc` fits: seeded by the record and carried in units of
-    # the exact radius R, so that no coefficient up to order 2000 underflows
+    # the exact radius R, so that no coefficient up to order 2000 underflows;
+    # an order-n build is a prefix of the order-2000 one, so it is built once
     start = time.perf_counter()
-    for energy in (1.71, 2.02):
-        state = energy_state(energy, 1 if energy < 2 else -1)
-        c = state.orbit
-        exact = roc_exact(state, "top").exact_roc
-        series = pendulum_series(c.theta0, c.omega0, 2000, time_unit=exact,
-                                 sin_cos=c.sin_cos)
-        estimate = roc_estimate(series)
-        rel = abs(estimate - exact) / exact
-        print(f"E={energy}: estimate {estimate:.6f} vs exact {exact:.6f} "
-              f"({100 * rel:.3f}%)")
-        assert rel < 0.02
+    state = energy_state(energy, 1 if energy < 2 else -1)
+    c = state.orbit
+    exact = roc_exact(state, "top").exact_roc
+    series = pendulum_series(c.theta0, c.omega0, 2000, time_unit=exact,
+                             sin_cos=c.sin_cos)
+    errors = [abs(roc_estimate(SeriesCoefficients(series.coeffs[:n + 1], exact))
+                  - exact) / exact for n in (250, 500, 1000, 2000)]
     elapsed = time.perf_counter() - start
-    print(f"runtime: {elapsed:.1f} s")
-    assert elapsed < 60.0
+    print(f"E={energy}: exact {exact:.6f}, estimate off by "
+          + ", ".join(f"{100 * rel:.3f}%" for rel in errors)
+          + f" at N=250/500/1000/2000 ({elapsed:.1f} s)")
+    assert all(rel < 0.05 for rel in errors)
+    assert all(a > b for a, b in zip(errors, errors[1:]))  # falls at every order
+    assert errors[-1] < 0.02
+    assert elapsed < 30.0  # half the 60 s budget the two energies share
 
 
-def test_criterion_06_resummation_never_loses():
-    ratio_at_pinch = None
-    for energy in (0.5, 1.0, 1.5, 1.9, 1.9998, 2.02, 3.0, 6.0):
-        state = energy_state(energy, 1 if energy < 2 else -1)
-        raws = [build_trajectory(state, n, "raw") for n in (5, 10, 20)]
-        grid = np.linspace(0.0, raws[0].T_star, 1001)
-        oracle, _ = rk4_sample(*canonical_initial_state(raws[0]), grid, ORACLE_DT)
-        for raw in raws:
-            n = raw.order
-            raw_err = sup_error(raw, oracle=oracle)
-            res_err = sup_error(build_trajectory(state, n, "resummed"), oracle=oracle)
-            assert res_err <= raw_err, (
-                f"E={energy} N={n}: resummed {res_err:.3e} > raw {raw_err:.3e}")
-            if energy == 1.9998 and n == 20:
-                ratio_at_pinch = raw_err / res_err
-    print(f"raw/resummed at E=1.9998, N=20: {ratio_at_pinch:.1f}x")
-    assert ratio_at_pinch >= 10.0
+@pytest.mark.parametrize("energy", [0.5, 1.0, 1.5, 1.71, 1.9, 1.9998, 2.02, 3.0, 6.0])
+def test_criterion_06_resummation_never_loses(energy):
+    state = energy_state(energy, 1 if energy < 2 else -1)
+    raws = [build_trajectory(state, n, "raw") for n in (5, 10, 20)]
+    grid = np.linspace(0.0, raws[0].T_star, 1001)
+    oracle, _ = rk4_sample(*canonical_initial_state(raws[0]), grid, ORACLE_DT)
+    for raw in raws:
+        n = raw.order
+        raw_err = sup_error(raw, oracle=oracle)
+        res_err = sup_error(build_trajectory(state, n, "resummed"), oracle=oracle)
+        print(f"E={energy} N={n}: raw/resummed {raw_err / res_err:.1f}x")
+        assert res_err < raw_err, (
+            f"E={energy} N={n}: resummed {res_err:.3e} >= raw {raw_err:.3e}")
+        if energy == 1.9998 and n == 20:
+            assert raw_err / res_err >= 10.0  # the gain where rho pinches to 1
 
 
-def test_criterion_07_two_monomial_form_matches_at_half_the_work():
+@pytest.mark.parametrize("energy", [1.71, 2.02])
+def test_criterion_07_two_monomial_form_matches_at_half_the_work(energy):
     resummed_ops = 0
     efficient_ops = 0
-    for energy in (1.71, 2.02):
-        state = energy_state(energy, 1 if energy < 2 else -1)
-        t_star = state.orbit.T_star
-        grid = np.linspace(0.0, t_star, 100)
-        for order in (6, 20, 36):
-            series = build_trajectory(state, order, "raw").branch
-            with tally_coefficient_ops() as tally:
-                direct = resum(series, state)
-            resummed_ops += tally.total
-            with tally_coefficient_ops() as tally:
-                corrected = efficient_truncation(series, state)
-            efficient_ops += tally.total
-            diff = np.max(np.abs(eval_resummed(direct, state, grid)
-                                 - eval_poly(corrected, grid)))
-            scale = np.max(np.abs(eval_resummed(direct, state, grid)))
-            assert diff <= 1e-11 * scale, (
-                f"E={energy} N={order}: relative gap {diff / scale:.3e}")
-    print(f"coefficient-stage ops: efficient {efficient_ops} "
+    state = energy_state(energy, 1 if energy < 2 else -1)
+    grid = np.linspace(0.0, state.orbit.T_star, 100)
+    for order in (6, 20, 36):
+        series = build_trajectory(state, order, "raw").branch
+        with tally_coefficient_ops() as tally:
+            direct = resum(series, state)
+        resummed_ops += tally.total
+        with tally_coefficient_ops() as tally:
+            corrected = efficient_truncation(series, state)
+        efficient_ops += tally.total
+        branch = eval_resummed(direct, state, grid)
+        diff = np.max(np.abs(branch - eval_poly(corrected, grid)))
+        scale = np.max(np.abs(branch))
+        assert diff < 1e-11 * scale, (
+            f"E={energy} N={order}: relative gap {diff / scale:.3e}")
+    print(f"E={energy}: coefficient-stage ops: efficient {efficient_ops} "
           f"vs resummed {resummed_ops} "
           f"({efficient_ops / resummed_ops:.3f} of the work)")
     assert efficient_ops * 2 <= resummed_ops
 
 
 def test_criterion_08_resummed_elliptic_integral(ellipk_mp):
-    for k_squared in (1.9998 / 2.0, 2.0 / 2.02):
-        k = math.sqrt(k_squared)
+    for k in (math.sqrt(1.9998 / 2.0), math.sqrt(2.0 / 2.02), 0.999):
         reference = ellipk_mp(k)
         res_err = abs(ellipk_resummed(k, 10) - reference)
         series_err = abs(ellipk_series(k, 100) - reference)
-        print(f"k^2={k_squared:.6f}: resummed N=10 err {res_err:.3e}, "
+        print(f"k={k:.6f}: resummed N=10 err {res_err:.3e}, "
               f"series N=100 err {series_err:.3e}")
         assert res_err < series_err
     mid_err = abs(ellipk_resummed(0.5, 30) - ellipk_mp(0.5))
@@ -202,31 +208,27 @@ def test_criterion_09_period_limits(ellipk_mp):
     assert fast_gap < 1e-13
 
 
-def test_criterion_10_four_period_extension(rho_order):
-    failures = []
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("energy", [1.71, 2.02])
+def test_criterion_10_four_period_extension(energy, direction, rho_order):
     # The drift is the branch's own truncation error (the symmetry
     # extension adds none), so the order is sized from rho = T*/R for the
     # 1e-8 drift target, with 40 as the floor: 107 at E = 1.71, 252 at 2.02.
-    for energy in (1.71, 2.02):
-        for direction in (1, -1):
-            state = energy_state(energy, direction)
-            sol = build_trajectory(state, rho_order(state, 1e-8, 40), "resummed")
-            t_full, t_star = sol.T, sol.T_star
-            eps = 1e-11 * t_full
-            seams = np.arange(1, int(round(4.0 * t_full / t_star))) * t_star
-            seam_gap = float(np.max(np.abs(
-                theta_at(sol, seams - eps) - theta_at(sol, seams + eps))))
+    state = energy_state(energy, direction)
+    sol = build_trajectory(state, rho_order(state, 1e-8, 40), "resummed")
+    t_full, t_star = sol.T, sol.T_star
+    eps = 1e-11 * t_full
+    seams = np.arange(1, int(round(4.0 * t_full / t_star))) * t_star
+    seam_gap = float(np.max(np.abs(
+        theta_at(sol, seams - eps) - theta_at(sol, seams + eps))))
 
-            h = 1e-5
-            ts = np.linspace(h, 4.0 * t_full - h, 801)
-            omega = (theta_at(sol, ts + h) - theta_at(sol, ts - h)) / (2.0 * h)
-            energies = 0.5 * omega**2 + 1.0 - np.cos(theta_at(sol, ts))
-            energy_gap = float(np.max(np.abs(energies - energy)))
+    h = 1e-5
+    ts = np.linspace(h, 4.0 * t_full - h, 801)
+    omega = (theta_at(sol, ts + h) - theta_at(sol, ts - h)) / (2.0 * h)
+    energies = 0.5 * omega**2 + 1.0 - np.cos(theta_at(sol, ts))
+    energy_gap = float(np.max(np.abs(energies - energy)))
 
-            tag = f"E={energy} dir={direction:+d}"
-            print(f"{tag}: seam gap {seam_gap:.3e}, energy drift {energy_gap:.3e}")
-            if seam_gap >= 1e-9:
-                failures.append(f"{tag}: seam gap {seam_gap:.3e}")
-            if energy_gap >= 1e-8:
-                failures.append(f"{tag}: energy drift {energy_gap:.3e}")
-    assert not failures, "; ".join(failures)
+    print(f"E={energy} dir={direction:+d}: seam gap {seam_gap:.3e}, "
+          f"energy drift {energy_gap:.3e}")
+    assert seam_gap < 1e-9
+    assert energy_gap < 1e-8

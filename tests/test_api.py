@@ -10,7 +10,6 @@ and every source parses under the oldest supported Python's grammar.
 
 import ast
 import importlib
-import importlib.util
 import inspect
 import math
 import pkgutil
@@ -86,29 +85,22 @@ def test_readme_library_block_runs(capsys):
     assert math.isfinite(float(capsys.readouterr().out))
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
-
-
-def test_every_traced_name_resolves():
+def test_every_traced_name_resolves(bench_module):
     # the benchmark tracer wraps functions by "<module>.<name>"; a name
     # that moves or disappears would otherwise drop out of --trace silently
-    tracer = _load_tracer()
+    tracer = bench_module("tracer")
     assert tracer.FUNCTIONS
     for qual in tracer.FUNCTIONS:
         layer, name = qual.split(".")
         assert callable(getattr(importlib.import_module(f"pendseries.{layer}"), name, None)), qual
 
 
-def test_tracer_counters_read_what_the_package_passes():
+def test_tracer_counters_read_what_the_package_passes(bench_module):
     # beyond the names, the tracer's counters read evaluate_k(...).method,
     # pendulum_series' positional order, eval_poly's (a, t),
     # theta_at's t and rk4_sample's times and dt; a change to any of them
     # would pass the name check and crash a traced benchmark run
-    tracer_mod = _load_tracer()
+    tracer_mod = bench_module("tracer")
     modules = {layer: importlib.import_module(f"pendseries.{layer}")
                for layer in tracer_mod.LAYERS}
 

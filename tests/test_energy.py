@@ -19,7 +19,6 @@ from pendseries.energy import (
     separatrix_theta,
 )
 from pendseries.elliptic import ellipk_prime, period
-from pendseries.validation import rk4_sample
 
 
 class TestClassification:
@@ -197,10 +196,6 @@ class TestSeparatrixTheta:
                   + separatrix_theta(ts - h)) / (h * h)
         residual = second + np.sin(separatrix_theta(ts))
         assert np.max(np.abs(residual)) < 1e-7
-
-    def test_against_rk4(self):
-        thetas, _ = rk4_sample(0.0, 2.0, [1.0], 1e-5)
-        assert abs(separatrix_theta(1.0) - thetas[-1]) < 1e-8
 
     def test_exactly_odd(self):
         # 4 arctan(tanh(t/2)) is odd in floating point too, so the clockwise

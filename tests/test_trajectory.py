@@ -1,10 +1,8 @@
 """Solution assembly, periodic extension, and initial-condition alignment."""
 
-import importlib.util
 import math
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +19,9 @@ from pendseries import (
     theta_tilde,
 )
 from pendseries.energy import Regime, energy_of, separatrix_theta
-from pendseries.series import SeriesCoefficients, eval_poly, pendulum_series
 from pendseries.trajectory import _SEAM_SNAP_FRACTION, _orient, _tilde
 from pendseries.validation import rk4_sample
 
-ROOT = Path(__file__).resolve().parents[1]
 
 # the orders that reach 1e-13 at each energy (ROADMAP's table); the
 # `rho_order` fixture reproduces them (test_convergence_orders_are_rho_sized)
@@ -195,13 +191,10 @@ class TestCoefficientRange:
 
 
 @pytest.fixture(scope="module")
-def jacobi():
+def jacobi(bench_module):
     """The benchmark's mpmath reference (bench/truth.py, 30 digits): Jacobi
     elliptic functions, sharing no code with the package."""
-    spec = importlib.util.spec_from_file_location("bench_truth", ROOT / "bench" / "truth.py")
-    truth = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(truth)
-    return truth
+    return bench_module("truth")
 
 
 class TestSeparatrixGradeBranch:
@@ -551,27 +544,6 @@ class TestSeams:
             gaps.append(self.seam_gaps(sol, 1e-7)[0])
         assert gaps[2] < 1e-8
         assert gaps[2] < 1e-3 * gaps[0]
-
-
-class TestDivergenceReproduction:
-    def test_bottom_series_diverges_at_t_star_rotation(self):
-        state = energy_state(2.02, -1)
-        t_star = build_trajectory(state, 2, "raw").T_star
-        bottom = pendulum_series(0.0, -math.sqrt(2.0 * 2.02), 100)
-        partial = [SeriesCoefficients(bottom.coeffs[:n + 1], bottom.time_unit)
-                   for n in (10, 50, 100)]
-        values = [abs(eval_poly(s_n, t_star)) for s_n in partial]
-        assert values[1] > 10.0 * values[0]
-        assert values[2] > 10.0 * values[1]
-
-    def test_bottom_diverges_while_top_converges_libration(self):
-        state = energy_state(1.71)
-        sol = build_trajectory(state, 200, "raw")
-        t_star = sol.T_star
-        bottom = pendulum_series(0.0, -math.sqrt(2.0 * 1.71), 200)
-        assert abs(eval_poly(bottom, t_star)) > 1e6
-        oracle, _ = rk4_sample(*canonical_initial_state(sol), [t_star], 1e-4)
-        assert abs(theta_tilde(sol, t_star) - oracle[0]) < 1e-9
 
 
 class TestCanonicalInitialState:
