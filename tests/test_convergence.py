@@ -122,6 +122,9 @@ class TestRocExact:
         assert roc_exact(state, "bottom").exact_roc == pytest.approx(k_prime_k, rel=1e-14)
         assert roc_exact(state, "top").exact_roc == pytest.approx(
             math.hypot(0.5 * math.pi, k_prime_k), rel=1e-14)
+        for ics in ("top", "bottom"):
+            report = roc_exact(state, ics)
+            assert math.isfinite(report.t_star) and math.isfinite(report.margin)
 
     def test_rest_orbit_has_no_poles(self):
         # E = 0 builds and evaluates (theta = 0), but there is no lattice
