@@ -5,6 +5,7 @@ resolves, no module, in the package or among these tests, imports a
 name it never uses, the private names one package module imports
 from another are exactly the ones listed here, no package module
 calls a wrapper that only the benchmark tracer and tests still use,
+one test function alone calls each view of the orbit record or lattice,
 and every source parses under the oldest supported Python's grammar.
 """
 
@@ -13,6 +14,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import re
 import types
 from pathlib import Path
 
@@ -204,9 +206,11 @@ def test_private_import_check_sees_a_new_name():
 
 
 # Kept only because bench/tracer.py wraps them (or tests use them): the
-# package builds and evaluates without calling any of them.
-BENCH_PINNED_WRAPPERS = {"canonical_top_ics", "pole_lattice", "resum", "eval_resummed",
-                         "eval_efficient", "period"}
+# package builds and evaluates without calling any of them.  The views of
+# `state.orbit` and `roc_exact` among them have one test each, so that
+# removing a view deletes exactly one test.
+VIEWS = {"canonical_top_ics", "pole_lattice", "period"}
+BENCH_PINNED_WRAPPERS = VIEWS | {"resum", "eval_resummed", "eval_efficient"}
 
 
 def _called_names(source: str) -> set[str]:
@@ -220,6 +224,36 @@ def test_package_calls_no_bench_pinned_wrapper():
     found = {path.name: hits for path in SOURCES
              if (hits := _called_names(path.read_text(encoding="utf-8")) & BENCH_PINNED_WRAPPERS)}
     assert not found
+
+
+def _callers(source: str, names: set[str]) -> dict[str, list[str]]:
+    """Each of `names` that `source` calls, with the functions that call it.
+
+    A function is a top-level one or a class's method, named `Class.method`;
+    a call outside every function is made by `<module>`.
+    """
+    found = {}
+    for node in ast.parse(source).body:
+        scope, units = (f"{node.name}.", node.body) if isinstance(node, ast.ClassDef) else ("", [node])
+        for unit in units:
+            caller = scope + unit.name if isinstance(unit, ast.FunctionDef) else "<module>"
+            for name in _called_names(ast.unparse(unit)) & names:
+                found.setdefault(name, []).append(caller)
+    return found
+
+
+def test_each_view_is_called_from_one_test():
+    source = ("x = period(s)\ndef test_a():\n    period(s)\n"
+              "class TestB:\n    def test_c(self):\n        f(pole_lattice(s).real)\n")
+    assert _callers(source, VIEWS) == {"period": ["<module>", "test_a"],
+                                       "pole_lattice": ["TestB.test_c"]}
+    callers = {name: [] for name in VIEWS}
+    for path in TESTS:
+        for name, where in _callers(path.read_text(encoding="utf-8"), VIEWS).items():
+            callers[name] += [f"{path.name}::{caller}" for caller in where]
+    # one test function each, and no call from a helper or at module level
+    assert all(len(where) == 1 and re.fullmatch(r"test_\w+\.py::(\w+\.)?test_\w+", where[0])
+               for where in callers.values()), callers
 
 
 def _run_time_imports(source: str) -> set[str]:

@@ -1,10 +1,11 @@
-"""Elliptic integral routes and pendulum periods.
+"""Elliptic integral routes: the AGM `ellipk_prime` and the two K(k) series.
 
-The AGM, `ellipk_prime`, is itself validated here against a second,
-structurally different oracle: adaptive Gauss-Legendre quadrature of the
-defining integral, with the node count doubled until the value settles.
-The series routes and the periods are checked against mpmath's K
-(`ellipk_mp`), so no check compares the AGM with itself.
+The AGM is validated here against a second, structurally different
+oracle: adaptive Gauss-Legendre quadrature of the defining integral, with
+the node count doubled until the value settles.  The series routes are
+checked against mpmath's K (`ellipk_mp`), so no check compares the AGM
+with itself.  The period the AGM forms, the orbit record's T*, is
+checked against mpmath in `test_energy.py`.
 """
 
 import math
@@ -13,14 +14,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pendseries import SeparatrixError, energy_state
+from pendseries import energy_state
 from pendseries.elliptic import (
     EllipticEval,
     ellipk_prime,
     ellipk_resummed,
     ellipk_series,
     evaluate_k,
-    period,
 )
 
 
@@ -47,21 +47,21 @@ def bracket_coefficient(n):
     return 0.5 * math.pi * beta - 1.0 / (2.0 * n + 1.0)
 
 
-def ellipk_by_agm(k):
-    """K(k) = K'(k') by the package's AGM, k' = sqrt((1 - k)(1 + k))."""
-    return ellipk_prime(math.sqrt((1.0 - k) * (1.0 + k)))
-
-
 class TestAgm:
+    @staticmethod
+    def ellipk_by_agm(k):
+        """K(k) = K'(k') by the package's AGM, k' = sqrt((1 - k)(1 + k))."""
+        return ellipk_prime(math.sqrt((1.0 - k) * (1.0 + k)))
+
     def test_k_zero(self):
-        assert ellipk_by_agm(0.0) == 0.5 * math.pi
+        assert self.ellipk_by_agm(0.0) == 0.5 * math.pi
 
     def test_logarithmic_divergence_direction(self):
-        assert ellipk_by_agm(0.99999999) > 5.0
+        assert self.ellipk_by_agm(0.99999999) > 5.0
 
     def test_monotone_in_modulus(self):
         ks = np.linspace(0.0, 0.999999, 200)
-        values = [ellipk_by_agm(k) for k in ks]
+        values = [self.ellipk_by_agm(k) for k in ks]
         assert np.all(np.diff(values) > 0.0)
 
     def test_domain(self):
@@ -72,9 +72,13 @@ class TestAgm:
 
     def test_against_gauss_legendre(self):
         for k in [0.1, 0.3, 0.5, 0.7, 0.9, math.sqrt(1.71 / 2.0)]:
-            agm = ellipk_by_agm(k)
+            agm = self.ellipk_by_agm(k)
             gl = ellipk_gauss_legendre(k)
             assert abs(agm - gl) < 1e-12 * agm
+
+    def test_value_floor(self):
+        for k in (0.0, 0.2, 0.8):
+            assert self.ellipk_by_agm(k) >= 0.5 * math.pi
 
     def test_terminates_at_one_ulp_plateau(self):
         # AGM(1, sqrt(0.5)) leaves the gap cycling by one ulp; the
@@ -133,6 +137,12 @@ class TestResummedRoute:
         # the orders a 1e-13 tail bound, bracket_n <= 1/(4 n^2), asks for
         for k, order in ((0.3, 16), (0.9, 128), (0.999, 16384)):
             assert abs(ellipk_resummed(k, order) - ellipk_mp(k)) < 1e-12
+
+    def test_band_next_to_the_separatrix(self, ellipk_mp):
+        # the resummed K needs 524,288 terms for a 1e-13 tail at E = 1.9999;
+        # the AGM period serves energies closer to 2 at no such cost
+        k = energy_state(1.9999).orbit.k
+        assert_allclose(evaluate_k(k, "resummed", 524288).value, ellipk_mp(k), rtol=1e-12)
 
 
 @pytest.mark.parametrize("route", [
@@ -199,6 +209,10 @@ class TestEvaluateK:
         assert evaluate_k(0.5, "series", 10.0).method == "series(order=10)"
         assert evaluate_k(0.5, "resummed", 10.0).method == "resummed(order=10)"
 
+    def test_resummed_route_at_rest(self):
+        # k = 0, E = 0: the order-0 resummed K is pi/2
+        assert evaluate_k(0.0, "resummed", 0) == EllipticEval(0.5 * math.pi, "resummed(order=0)")
+
     def test_bad_combinations(self):
         for method in ("series", "resummed"):  # neither route sizes its own order
             with pytest.raises(TypeError):
@@ -208,70 +222,3 @@ class TestEvaluateK:
                 evaluate_k(0.5, method, 10)
         with pytest.raises(ValueError, match="order must be an integer"):
             evaluate_k(-0.5, "series", 10.7)  # the order is checked first
-
-    def test_value_floor(self):
-        for k in (0.0, 0.2, 0.8):
-            assert ellipk_by_agm(k) >= 0.5 * math.pi
-
-
-class TestPeriod:
-    def test_libration_formula(self, ellipk_mp):
-        info = energy_state(1.71).orbit
-        assert_allclose(info.T, 4.0 * ellipk_mp(math.sqrt(0.855)), rtol=1e-15)
-        assert info.T_star == 0.25 * info.T
-
-    def test_rotation_formula(self, ellipk_mp):
-        info = energy_state(5.0).orbit
-        k = math.sqrt(2.0 / 5.0)
-        assert_allclose(info.T, 2.0 * k * ellipk_mp(k), rtol=1e-15)
-        assert info.T_star == 0.5 * info.T
-
-    def test_uniform_rotation_limit(self):
-        info = energy_state(1e4).orbit
-        assert abs(info.T * math.sqrt(0.5e4) / math.pi - 1.0) < 1e-3
-
-    def test_monotone_in_energy(self):
-        librations = [energy_state(e).orbit.T for e in np.linspace(0.05, 1.95, 30)]
-        rotations = [energy_state(e).orbit.T for e in np.linspace(2.05, 30.0, 30)]
-        assert all(a < b for a, b in zip(librations, librations[1:]))
-        assert all(a > b for a, b in zip(rotations, rotations[1:]))
-
-    def test_separatrix_rejected(self):
-        with pytest.raises(SeparatrixError):
-            energy_state(2.0).orbit
-
-    @pytest.mark.parametrize("energy", [1.9998, 1.99999, 2.0 - 1e-6, 2.0 + 1e-6,
-                                        2.0 - 1e-10, 2.0 + 1e-10, 2.0 - 2e-12, 2.0 + 2e-12])
-    def test_period_next_to_the_separatrix_is_exact_to_rounding(self, energy):
-        # k'^2 from E: k' = sqrt((1 - k)(1 + k)) of a rounded k left T* off
-        # by 1.5e-11 relative at 2 + 1e-6 and 3.7e-6 at 2 - 2e-12
-        import mpmath as mp
-
-        with mp.workdps(40):
-            e = mp.mpf(energy)
-            m = e / 2 if energy < 2.0 else 2 / e
-            want = mp.ellipk(m) * (1 if energy < 2.0 else mp.sqrt(m))
-            got = energy_state(energy).orbit.T_star
-            assert float(abs(got - want) / want) < 4e-16
-
-    def test_takes_no_route_or_order(self):
-        # the AGM is the one period route; the series routes are evaluate_k's
-        with pytest.raises(TypeError):
-            period(energy_state(1.0), "resummed")
-        with pytest.raises(TypeError):
-            period(energy_state(1.0), order=5)
-
-    def test_resummed_route_at_rest(self):
-        # E = 0 is k = 0: the order-0 resummed K is the AGM's pi/2, T = 2 pi
-        info = energy_state(0.0).orbit
-        assert info.T_star == 0.5 * math.pi and info.T == 2.0 * math.pi
-        assert evaluate_k(0.0, "resummed", 0) == EllipticEval(0.5 * math.pi, "resummed(order=0)")
-
-    def test_resummed_route_band_next_to_the_separatrix(self):
-        # the resummed K needs 524,288 terms for a 1e-13 tail at E = 1.9999;
-        # the AGM period serves energies closer to 2 at no such cost
-        c = energy_state(1.9999).orbit
-        exact = energy_state(1.9999).orbit.T_star
-        assert_allclose(c.scale * evaluate_k(c.k, "resummed", 524288).value, exact, rtol=1e-12)
-        for energy in (1.99999, 2.0 - 1e-6):
-            assert math.isfinite(energy_state(energy).orbit.T_star)

@@ -1,7 +1,8 @@
-"""Energy classification, canonical starts, and the separatrix closed form."""
+"""Energy classification, the orbit record against mpmath, and the separatrix closed form."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -72,12 +73,11 @@ class TestEnergyOf:
         for omega0 in (0.5, -1.25, 3.0):
             assert energy_of(0.0, omega0).energy == 0.5 * omega0 * omega0
 
-    def test_turning_point_energy_is_relatively_exact(self):
+    @pytest.mark.parametrize("energy", [1e-20, 1e-12, 1e-6, 0.1, 0.5, 1.0, 1.71, 1.9, 2.5, 10.0])
+    def test_round_trip_through_the_top_start(self, energy):
         # 2 sin^2(theta/2) keeps the digits that 1 - cos(theta) cancels
-        for energy in (1e-20, 1e-12, 1e-6, 0.5, 1.71):
-            theta0, _ = canonical_top_ics(energy_state(energy))
-            assert energy_of(theta0, 0.0).energy == pytest.approx(
-                energy, rel=1e-15, abs=0.0)
+        c = energy_state(energy).orbit
+        assert energy_of(c.theta0, c.omega0).energy == pytest.approx(energy, rel=1e-15, abs=0.0)
 
     def test_non_finite_phase_point_rejected(self):
         for theta0, omega0 in ((math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0)):
@@ -90,75 +90,48 @@ class TestEnergyOf:
         assert energy_of(1.0, 0.0).direction == 1
 
 
-class TestCanonicalTopIcs:
-    def test_rotation_just_above_threshold(self):
-        # the canonical branch turns clockwise whatever the direction
-        for direction in (1, -1):
-            theta0, omega0 = canonical_top_ics(energy_state(2.02, direction))
-            assert theta0 == math.pi
-            assert_allclose(omega0, -0.2, rtol=1e-15)
-
-    def test_libration_reference_energy(self):
-        theta0, omega0 = canonical_top_ics(energy_state(1.71))
-        assert_allclose(theta0, math.acos(-0.71), rtol=0, atol=1e-15)
-        assert theta0 == pytest.approx(2.3603, abs=1e-4)
-        assert omega0 == 0.0
-
-    def test_low_energy_limit(self):
-        theta0, omega0 = canonical_top_ics(energy_state(1e-14))
-        assert theta0 == pytest.approx(0.0, abs=1e-6)
-        assert omega0 == 0.0
-
-    def test_separatrix_rejected(self):
-        with pytest.raises(SeparatrixError):
-            canonical_top_ics(energy_state(2.0))
-
-    def test_small_energy_keeps_relative_precision(self):
-        # theta_max = 2 asin(sqrt(E/2)) = sqrt(2E) (1 + E/12 + O(E^2));
-        # arccos(1 - E) loses half the digits of E to the cancellation
-        energy = 1e-12
-        theta0, _ = canonical_top_ics(energy_state(energy))
-        expected = math.sqrt(2.0 * energy) * (1.0 + energy / 12.0)
-        assert theta0 == pytest.approx(expected, rel=1e-15, abs=0.0)
-
-    def test_tiny_energy_does_not_collapse_to_rest(self):
-        theta0, _ = canonical_top_ics(energy_state(1e-20))
-        assert theta0 == pytest.approx(math.sqrt(2e-20), rel=1e-15, abs=0.0)
-
-    def test_round_trip(self):
-        for energy in (0.1, 1.0, 1.9, 2.5, 10.0):
-            theta0, omega0 = canonical_top_ics(energy_state(energy))
-            assert_allclose(energy_of(theta0, omega0).energy, energy,
-                            rtol=0, atol=1e-14)
+SEPARATRIX_BAND = r"is the separatrix \(\|E - 2\| <= 1e-12\)"
 
 
 class TestOrbitRecord:
-    """`EnergyState.orbit`: every constant of the orbit, formed once per state."""
+    """`EnergyState.orbit`: every constant of the orbit, formed once per state, from E alone."""
 
-    def test_formed_once_and_kept(self):
-        state = energy_state(1.71)
-        assert state.orbit is state.orbit
-
-    @pytest.mark.parametrize("energy", [1e-8, 1.71, 2.0 - 2e-12, 2.02, 1e4])
     @pytest.mark.parametrize("direction", [1, -1])
-    def test_record_takes_no_part_in_equality(self, energy, direction):
-        formed = energy_state(energy, direction)
-        formed.orbit  # formed and kept
-        fresh = energy_state(energy, direction)
-        assert formed == fresh and hash(formed) == hash(fresh)
-        assert repr(formed) == repr(fresh)
-
-    @pytest.mark.parametrize("energy", [1e-3, 1.71, 2.0 + 2e-12, 5.0])
-    def test_period_is_a_view_of_the_record(self, energy):
-        state = energy_state(energy)
+    def test_is_the_orbit_of_its_energy(self, orbit_mp, direction):
+        # theta_max within 1 ulp of mpmath; pi, omega0 and w* correctly
+        # rounded (half an ulp); T* within 4e-16 relative
+        energy = orbit_mp.energy
+        state = energy_state(energy, direction)
         c = state.orbit
-        assert period(state) is c
+        with mpmath.workdps(40):
+            for got, want, ulps in ((c.theta0, orbit_mp.theta0, 1.0 if energy < 2.0 else 0.5),
+                                    (c.omega0, orbit_mp.omega0, 0.5),
+                                    (c.omega_star, orbit_mp.omega_star, 0.5)):
+                assert abs(got - want) <= ulps * math.ulp(float(want))
+            assert abs(c.T_star - orbit_mp.T_star) <= 4e-16 * orbit_mp.T_star
         assert c.T == (4.0 if energy < 2.0 else 2.0) * c.T_star
+        if energy == 0.0:  # the rest orbit's period is the harmonic one, exactly
+            assert (c.T_star, c.T) == (0.5 * math.pi, 2.0 * math.pi)
+        # E's alone: the same record in both directions
+        assert energy_state(energy, -direction).orbit == c
+        # formed once and kept, with no part in equality, hash or repr
+        assert state.orbit is c
+        fresh = energy_state(energy, direction)
+        assert state == fresh and hash(state) == hash(fresh) and repr(state) == repr(fresh)
 
-    def test_separatrix_has_no_record(self):
-        state = energy_state(2.0)
-        for call in (lambda: state.orbit, lambda: period(state), lambda: roc_exact(state)):
-            with pytest.raises(SeparatrixError):
+    def test_monotone_in_energy(self):
+        librations = [energy_state(e).orbit.T for e in np.linspace(0.05, 1.95, 30)]
+        rotations = [energy_state(e).orbit.T for e in np.linspace(2.05, 30.0, 30)]
+        assert all(a < b for a, b in zip(librations, librations[1:]))
+        assert all(a > b for a, b in zip(rotations, rotations[1:]))
+
+    @pytest.mark.parametrize("energy", [2.0, 2.0 - 5e-13, 2.0 + 5e-13])
+    def test_separatrix_has_no_record(self, energy):
+        # period, canonical_top_ics and pole_lattice raise it too, each in its view test
+        state = energy_state(energy)
+        for call in (lambda: state.orbit, lambda: roc_exact(state, "top"),
+                     lambda: roc_exact(state, "bottom")):
+            with pytest.raises(SeparatrixError, match=SEPARATRIX_BAND):
                 call()
 
     @pytest.mark.parametrize("method", ["raw", "resummed", "efficient"])
@@ -172,6 +145,29 @@ class TestOrbitRecord:
         monkeypatch.setattr("pendseries.energy.ellipk_prime", counted)
         build_trajectory(energy_state(1.71), 20, method)
         assert len(calls) == 1
+
+    def test_period_is_a_view_of_the_record(self):
+        # it takes no route or order: the AGM is the one period route, and
+        # the series routes are evaluate_k's
+        for energy in (1e-3, 1.71, 2.0 + 2e-12, 5.0):
+            state = energy_state(energy)
+            assert period(state) is state.orbit
+        with pytest.raises(TypeError):
+            period(state, "resummed")
+        with pytest.raises(TypeError):
+            period(state, order=5)
+        for energy in (2.0, 2.0 - 5e-13, 2.0 + 5e-13):
+            with pytest.raises(SeparatrixError, match=SEPARATRIX_BAND):
+                period(energy_state(energy))
+
+    def test_canonical_top_ics_is_a_view_of_the_record(self):
+        for energy in (1e-20, 1e-14, 1e-12, 0.1, 1.0, 1.71, 1.9, 2.02, 2.5, 10.0):
+            for direction in (1, -1):
+                state = energy_state(energy, direction)
+                assert canonical_top_ics(state) == (state.orbit.theta0, state.orbit.omega0)
+        for energy in (2.0, 2.0 - 5e-13, 2.0 + 5e-13):
+            with pytest.raises(SeparatrixError, match=SEPARATRIX_BAND):
+                canonical_top_ics(energy_state(energy))
 
 
 class TestSeparatrixTheta:

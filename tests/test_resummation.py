@@ -27,22 +27,15 @@ def make_inputs(energy, order, direction=1):
     return state, build_trajectory(state, order, "raw").branch, state.orbit.T_star
 
 
-def reexpand(w, t_star, a_hat):
-    """Coefficients of w (t - T*) + (t - T*)^2 sum a_hat_n t^n about t = 0.
+def reexpand(w, a_hat):
+    """Coefficients of w (s - 1) + (s - 1)^2 sum a_hat_n s^n about s = 0.
 
-    Called in s = t/T* units: T* -> 1 and w -> w* T*.
+    In s = t/T*, the endpoint T* is s = 1 and the slope w* T* is w.
     """
-    square = np.array([t_star * t_star, -2.0 * t_star, 1.0])
-    prod = np.polymul(a_hat[::-1], square[::-1])[::-1]
-    prod[0] -= w * t_star
+    prod = np.polymul(a_hat[::-1], [1.0, -2.0, 1.0])[::-1]
+    prod[0] -= w
     prod[1] += w
     return prod
-
-
-def unit_inputs(energy, order, direction):
-    """`make_inputs` plus the endpoint in s = t/T*: s* = 1 and w_s = w* T*."""
-    state, raw, t_star = make_inputs(energy, order, direction)
-    return state, raw, t_star, 1.0, state.orbit.omega_star * t_star
 
 
 def fused_horner_alpha_beta(a, state):
@@ -59,8 +52,8 @@ def fused_horner_alpha_beta(a, state):
     return -(n_max + 2) * sig - gap, (n_max + 1) * sig + gap
 
 
-FSUM_CASES = [(0.5, 1), (1.71, -1), (1.9998, 1), (5.0, -1)]
-FSUM_ORDERS = [2, 3, 6, 10, 20, 200, 1000]
+FSUM_CASES = [(0.5, 1), (1.71, -1), (1.9998, 1), (2.02, -1), (5.0, -1)]
+FSUM_ORDERS = [2, 3, 6, 8, 10, 20, 200, 1000]
 
 # eval_resummed at one t, so that all three transforms take (series, state)
 TRANSFORMS = {
@@ -70,73 +63,51 @@ TRANSFORMS = {
 }
 
 
-class TestOmegaStar:
-    def test_rotation_clockwise_value(self):
-        assert energy_state(2.02, -1).orbit.omega_star == -math.sqrt(4.04)
-
-    def test_libration_magnitude(self):
-        assert abs(energy_state(1.71).orbit.omega_star) == pytest.approx(
-            math.sqrt(3.42), rel=1e-15)
-
-    def test_vanishes_with_energy(self):
-        assert abs(energy_state(1e-12).orbit.omega_star) < 1e-5
-
-    def test_separatrix_rejected(self):
-        with pytest.raises(SeparatrixError):
-            energy_state(2.0).orbit.omega_star
-
-
 class TestResum:
     def test_first_two_coefficients(self):
         state, raw, t_star = make_inputs(1.71, 12)
         r = resum(raw, state)
-        s, w = 1.0, state.orbit.omega_star * t_star  # the endpoint in s = t/T*
+        w = state.orbit.omega_star * t_star  # the endpoint slope in s = t/T*
         a = raw.coeffs
-        b0, b1 = a[0] + s * w, a[1] - w
-        assert r.coeffs[0] == pytest.approx(b0 / s**2, rel=1e-13)
+        b0, b1 = a[0] + w, a[1] - w
+        assert r.coeffs[0] == pytest.approx(b0, rel=1e-13)
         # the two n=1 convolution terms nearly cancel: compare loosely
-        assert r.coeffs[1] == pytest.approx(
-            b0 * 2.0 / s**3 + b1 / s**2, rel=1e-11)
+        assert r.coeffs[1] == pytest.approx(2.0 * b0 + b1, rel=1e-11)
 
     def test_reconstruction_identity(self):
         state, raw, t_star = make_inputs(1.71, 20)
         r = resum(raw, state)
-        back = reexpand(state.orbit.omega_star * t_star, 1.0, r.coeffs)
+        back = reexpand(state.orbit.omega_star * t_star, r.coeffs)
         assert_allclose(back[:21], raw.coeffs, rtol=0, atol=1e-10)
 
     def test_reconstruction_holds_for_any_slope(self):
         # exactness is an add-and-subtract identity: repeat the coefficient
         # transformation with the opposite slope sign by hand
         state, raw, t_star = make_inputs(1.71, 20)
-        s, w = 1.0, math.sqrt(2.0 * state.energy) * t_star  # in s = t/T*
+        w = math.sqrt(2.0 * state.energy) * t_star  # in s = t/T*
         b = raw.coeffs.copy()
-        b[0] += s * w
+        b[0] += w
         b[1] -= w
-        inv = 1.0 / s
-        a_hat = np.array([
-            sum(b[n - k] * (k + 1) * inv ** (k + 2) for k in range(n + 1))
-            for n in range(21)
-        ])
-        back = reexpand(w, s, a_hat)
+        a_hat = np.array([sum(b[n - k] * (k + 1) for k in range(n + 1)) for n in range(21)])
+        back = reexpand(w, a_hat)
         assert_allclose(back[:21], raw.coeffs, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("energy,direction", FSUM_CASES)
     @pytest.mark.parametrize("order", FSUM_ORDERS)
     def test_matches_fsum_definition(self, energy, direction, order):
-        # ahat_n = sum_k b_{n-k} (k+1) (1/s*)^(k+2), each n one math.fsum,
-        # in the series' unit s = t/T*, where s* = 1.  The weights do not
-        # decay there, so a high ahat_n is a near-cancelling sum of terms
-        # of size ~ n |b_0|: bound each error by 1e-14 of that absolute
+        # ahat_n = sum_k b_{n-k} (k+1), each n one math.fsum, in the
+        # series' unit s = t/T*, where the endpoint is s = 1.  The weights
+        # do not decay there, so a high ahat_n is a near-cancelling sum of
+        # terms of size ~ n |b_0|: bound each error by 1e-14 of that absolute
         # scale, and check that the branch it builds matches the exact one
-        state, raw, t_star, s_star, w_s = unit_inputs(energy, order, direction)
+        state, raw, t_star = make_inputs(energy, order, direction)
+        w = state.orbit.omega_star * t_star
         b = raw.coeffs.tolist()
-        b[0] += s_star * w_s
-        b[1] -= w_s
-        q = 1.0 / s_star
-        ref = np.array([math.fsum(b[n - k] * (k + 1) * q ** (k + 2) for k in range(n + 1))
+        b[0] += w
+        b[1] -= w
+        ref = np.array([math.fsum(b[n - k] * (k + 1) for k in range(n + 1))
                         for n in range(order + 1)])
-        scale = np.array([math.fsum(abs(b[n - k]) * (k + 1) * q ** (k + 2)
-                                    for k in range(n + 1))
+        scale = np.array([math.fsum(abs(b[n - k]) * (k + 1) for k in range(n + 1))
                           for n in range(order + 1)])
         r = resum(raw, state)
         assert r.time_unit == t_star
@@ -218,41 +189,28 @@ class TestEfficientTruncation:
         slope = (eval_efficient(e, t_star + h) - eval_efficient(e, t_star - h)) / (2 * h)
         assert slope == pytest.approx(state.orbit.omega_star, abs=1e-8)
 
-    def test_alpha_beta_formulas(self):
-        state, raw, t_star = make_inputs(2.02, 8, -1)
-        e = efficient_truncation(raw, state)
-        n = 8
-        a = raw.coeffs
-        s = 1.0  # the endpoint in s = t/T*
-        sigma = sum(a[i] * s**i for i in range(n + 1))
-        dsigma = sum(i * a[i] * s ** (i - 1) for i in range(1, n + 1))
-        gap = state.orbit.omega_star * t_star - dsigma
-        alpha = -(n + 2) * sigma * s ** (-n - 1) - gap * s**-n
-        beta = (n + 1) * sigma * s ** (-n - 2) + gap * s ** (-n - 1)
-        assert e.coeffs[-2] == pytest.approx(alpha, rel=1e-12)
-        assert e.coeffs[-1] == pytest.approx(beta, rel=1e-12)
-
     @pytest.mark.parametrize("energy,direction", FSUM_CASES)
     @pytest.mark.parametrize("order", FSUM_ORDERS)
     def test_matches_fsum_endpoint_sums(self, energy, direction, order):
-        # alpha and beta from sigma_N(T*) and sigma_N'(T*) summed with
-        # math.fsum; an error of 1e-14 of the sums' absolute scale in
-        # sigma_N and sigma_N' moves alpha and beta by at most `tol`
-        state, raw, _, s, w_s = unit_inputs(energy, order, direction)
+        # alpha = -(N+2) sigma_N - gap and beta = (N+1) sigma_N + gap, with
+        # gap = w* T* - sigma_N', from sigma_N(1) and sigma_N'(1) in s = t/T*
+        # summed with math.fsum; an error of 3e-15 of the sums' absolute
+        # scale in sigma_N and sigma_N' moves alpha and beta by at most `tol`,
+        # below 1e-12 of alpha and beta at E = 2.02, N = 8
+        state, raw, t_star = make_inputs(energy, order, direction)
+        w = state.orbit.omega_star * t_star
         c = raw.coeffs.tolist()
-        sigma = math.fsum(c[n] * s**n for n in range(order + 1))
-        dsigma = math.fsum(n * c[n] * s ** (n - 1) for n in range(1, order + 1))
-        scale0 = math.fsum(abs(c[n]) * s**n for n in range(order + 1))
-        scale1 = abs(w_s) + math.fsum(n * abs(c[n]) * s ** (n - 1)
-                                      for n in range(1, order + 1))
-        p0, p1, p2 = s**-order, s ** -(order + 1), s ** -(order + 2)
-        gap = w_s - dsigma
+        sigma = math.fsum(c)
+        dsigma = math.fsum(n * c[n] for n in range(1, order + 1))
+        scale0 = math.fsum(abs(x) for x in c)
+        scale1 = abs(w) + math.fsum(n * abs(c[n]) for n in range(1, order + 1))
+        gap = w - dsigma
         e = efficient_truncation(raw, state)
-        tol = 1e-14
-        assert abs(e.coeffs[-2] - (-(order + 2) * sigma * p1 - gap * p0)) <= tol * (
-            (order + 2) * scale0 * p1 + scale1 * p0)
-        assert abs(e.coeffs[-1] - ((order + 1) * sigma * p2 + gap * p1)) <= tol * (
-            (order + 1) * scale0 * p2 + scale1 * p1)
+        tol = 3e-15
+        assert abs(e.coeffs[-2] - (-(order + 2) * sigma - gap)) <= tol * (
+            (order + 2) * scale0 + scale1)
+        assert abs(e.coeffs[-1] - ((order + 1) * sigma + gap)) <= tol * (
+            (order + 1) * scale0 + scale1)
 
     @pytest.mark.parametrize("energy", [1e-10, 0.5, 1.71, 2.0 - 1e-6, 2.0 + 1e-6, 5.0, 1e3])
     @pytest.mark.parametrize("direction", [1, -1])
@@ -280,17 +238,12 @@ class TestEfficientTruncation:
         state, raw, t_star = make_inputs(energy, order, direction)
         r = resum(raw, state)
         e = efficient_truncation(raw, state)
-        s = 1.0
         c = e.coeffs[:-2]
-        powers = s ** np.arange(c.size)
-        d1_sigma = np.dot(np.arange(c.size), c * powers) / s
-        d1 = (d1_sigma + e.coeffs[-2] * (order + 1) * s**order
-              + e.coeffs[-1] * (order + 2) * s ** (order + 1))
-        assert d1 == pytest.approx(state.orbit.omega_star * t_star, rel=1e-12)
         ks = np.arange(c.size)
-        d2_sigma = np.dot(ks * (ks - 1), c * powers) / s**2
-        d2 = (d2_sigma + e.coeffs[-2] * (order + 1) * order * s ** (order - 1)
-              + e.coeffs[-1] * (order + 2) * (order + 1) * s**order)
+        d1 = np.dot(ks, c) + e.coeffs[-2] * (order + 1) + e.coeffs[-1] * (order + 2)
+        assert d1 == pytest.approx(state.orbit.omega_star * t_star, rel=1e-12)
+        d2 = (np.dot(ks * (ks - 1), c) + e.coeffs[-2] * (order + 1) * order
+              + e.coeffs[-1] * (order + 2) * (order + 1))
         d2_direct = 2.0 * eval_poly(r, t_star)
         assert d2 == pytest.approx(d2_direct, rel=1e-10)
 

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from pendseries import build_trajectory, energy_state, series
 from pendseries.convergence import roc_exact
-from pendseries.energy import canonical_top_ics, energy_of
+from pendseries.energy import energy_of
 from pendseries.series import SeriesCoefficients, eval_poly, pendulum_series
 from pendseries.validation import rk4_sample
 
@@ -267,11 +267,9 @@ class TestPendulumSeries:
     def test_matches_fsum_recurrence(self, energy, order):
         # in units of T*, as build_trajectory carries the branch, so the
         # high orders stay in double range
-        state = energy_state(energy)
-        theta0, omega0 = canonical_top_ics(state)
-        h = state.orbit.T_star
-        got = pendulum_series(theta0, omega0, order, time_unit=h).coeffs
-        ref, scale = pendulum_series_by_fsum(theta0, omega0, order, h)
+        c = energy_state(energy).orbit
+        got = pendulum_series(c.theta0, c.omega0, order, time_unit=c.T_star).coeffs
+        ref, scale = pendulum_series_by_fsum(c.theta0, c.omega0, order, c.T_star)
         assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
     def test_odd_coefficients_vanish_at_turning_point(self, rng):

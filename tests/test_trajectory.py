@@ -67,11 +67,14 @@ class TestBuild:
 
     @pytest.mark.parametrize("energy", [2.0 - 5e-13, 2.0 + 5e-13])
     def test_in_band_message_names_the_band(self, energy):
-        # E != 2 is still the separatrix inside |E - 2| <= 1e-12: both errors say so
-        state = energy_state(energy)
-        for call in (lambda: build_trajectory(state, 40), lambda: state.orbit):
-            with pytest.raises(SeparatrixError, match=r"\(\|E - 2\| <= 1e-12\)"):
-                call()
+        # E != 2 is still the separatrix inside |E - 2| <= 1e-12, and the error says so
+        with pytest.raises(SeparatrixError, match=r"\(\|E - 2\| <= 1e-12\)"):
+            build_trajectory(energy_state(energy), 40)
+
+    def test_rest_orbit_stays_at_rest(self):
+        # E = 0 builds and evaluates theta = 0, though it has no pole lattice
+        sol = build_trajectory(energy_state(0.0), 20, "resummed")
+        assert np.all(theta_at(sol, np.linspace(0.0, 10.0, 11)) == 0.0)
 
     def test_separatrix_method_needs_separatrix_energy(self):
         # 2 -+ 2e-12 lie just outside the separatrix band
