@@ -5,8 +5,8 @@ resolves, no module, in the package or among these tests, imports a
 name it never uses, the private names one package module imports
 from another are exactly the ones listed here, no package module
 calls a wrapper that only the benchmark tracer and tests still use,
-one test function alone calls each view of the orbit record or lattice,
-and every source parses under the oldest supported Python's grammar.
+one test function alone calls each view or names the efficient method
+alias, and every source parses under the oldest supported Python's grammar.
 """
 
 import ast
@@ -207,10 +207,10 @@ def test_private_import_check_sees_a_new_name():
 
 # Kept only because bench/tracer.py wraps them (or tests use them): the
 # package builds and evaluates without calling any of them.  The views of
-# `state.orbit` and `roc_exact` among them have one test each, so that
-# removing a view deletes exactly one test.
-VIEWS = {"canonical_top_ics", "pole_lattice", "period"}
-BENCH_PINNED_WRAPPERS = VIEWS | {"resum", "eval_resummed", "eval_efficient"}
+# `state.orbit`, `roc_exact` and `eval_poly` among them have one test each,
+# so that removing a view deletes exactly one test.
+VIEWS = {"canonical_top_ics", "pole_lattice", "period", "eval_efficient"}
+BENCH_PINNED_WRAPPERS = VIEWS | {"resum", "eval_resummed"}
 
 
 def _called_names(source: str) -> set[str]:
@@ -226,18 +226,22 @@ def test_package_calls_no_bench_pinned_wrapper():
     assert not found
 
 
-def _callers(source: str, names: set[str]) -> dict[str, list[str]]:
-    """Each of `names` that `source` calls, with the functions that call it.
+def _string_constants(source: str) -> set:
+    return {node.value for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Constant)}
+
+
+def _callers(source: str, names: set[str], uses=_called_names) -> dict[str, list[str]]:
+    """Each of `names` that `source` uses (by default, calls), with the functions that do.
 
     A function is a top-level one or a class's method, named `Class.method`;
-    a call outside every function is made by `<module>`.
+    a use outside every function is made by `<module>`.
     """
     found = {}
     for node in ast.parse(source).body:
         scope, units = (f"{node.name}.", node.body) if isinstance(node, ast.ClassDef) else ("", [node])
         for unit in units:
             caller = scope + unit.name if isinstance(unit, ast.FunctionDef) else "<module>"
-            for name in _called_names(ast.unparse(unit)) & names:
+            for name in uses(ast.unparse(unit)) & names:
                 found.setdefault(name, []).append(caller)
     return found
 
@@ -254,6 +258,19 @@ def test_each_view_is_called_from_one_test():
     # one test function each, and no call from a helper or at module level
     assert all(len(where) == 1 and re.fullmatch(r"test_\w+\.py::(\w+\.)?test_\w+", where[0])
                for where in callers.values()), callers
+
+
+def test_one_test_names_the_efficient_alias():
+    # "resummed" under a second name, kept for bench/: its one test goes with
+    # it; test_cli.py's usage errors reject the name, and this check names it
+    alias = {"efficient"}
+    assert _callers('@p(["efficient"])\ndef test_a():\n    f("efficient s")\n', alias,
+                    _string_constants) == {"efficient": ["test_a"]}
+    where = sorted(f"{path.name}::{caller}" for path in TESTS if path.name != "test_cli.py"
+                   for caller in _callers(path.read_text(encoding="utf-8"), alias,
+                                          _string_constants).get("efficient", []))
+    assert where == ["test_api.py::test_one_test_names_the_efficient_alias", "test_trajectory.py::"
+                     "TestEfficientBranch.test_agrees_with_resummed_at_convergence_orders"], where
 
 
 def _run_time_imports(source: str) -> set[str]:

@@ -142,7 +142,7 @@ class TestResummedRoute:
         # the resummed K needs 524,288 terms for a 1e-13 tail at E = 1.9999;
         # the AGM period serves energies closer to 2 at no such cost
         k = energy_state(1.9999).orbit.k
-        assert_allclose(evaluate_k(k, "resummed", 524288).value, ellipk_mp(k), rtol=1e-12)
+        assert_allclose(ellipk_resummed(k, 524288), ellipk_mp(k), rtol=1e-12)
 
 
 @pytest.mark.parametrize("route", [
@@ -166,9 +166,7 @@ def test_series_routes_reject_a_negative_order():
 @pytest.mark.parametrize("route", [
     lambda n: ellipk_series(0.5, n),
     lambda n: ellipk_resummed(0.5, n),
-    lambda n: evaluate_k(0.5, "series", n).value,
-    lambda n: evaluate_k(0.5, "resummed", n).value,
-], ids=["series", "resummed", "evaluate_k", "evaluate_k_resummed"])
+], ids=["series", "resummed"])
 def test_k_routes_never_truncate_the_order(route):
     # int(order) used to sum 10 terms for order 10.7
     with pytest.raises(ValueError, match="order must be an integer"):
@@ -202,14 +200,11 @@ class TestKPrime:
 
 
 class TestEvaluateK:
-    def test_method_tags(self):
-        assert evaluate_k(0.5, "series", 10).method == "series(order=10)"
-        assert evaluate_k(0.5, "resummed", 10).method == "resummed(order=10)"
-        # the tag names the whole order the sum used, not the order as passed
-        assert evaluate_k(0.5, "series", 10.0).method == "series(order=10)"
-        assert evaluate_k(0.5, "resummed", 10.0).method == "resummed(order=10)"
-
-    def test_resummed_route_at_rest(self):
+    def test_route_value_and_tag(self):
+        for method, route in (("series", ellipk_series), ("resummed", ellipk_resummed)):
+            want = EllipticEval(route(0.5, 10), f"{method}(order=10)")
+            # the tag names the whole order the sum used, not the order as passed
+            assert evaluate_k(0.5, method, 10) == evaluate_k(0.5, method, 10.0) == want
         # k = 0, E = 0: the order-0 resummed K is pi/2
         assert evaluate_k(0.0, "resummed", 0) == EllipticEval(0.5 * math.pi, "resummed(order=0)")
 
@@ -220,5 +215,6 @@ class TestEvaluateK:
         for method in ("trapezoid", "quadrature"):  # the AGM route is the orbit record's alone
             with pytest.raises(ValueError, match="unknown method"):
                 evaluate_k(0.5, method, 10)
-        with pytest.raises(ValueError, match="order must be an integer"):
-            evaluate_k(-0.5, "series", 10.7)  # the order is checked first
+        for method in ("series", "resummed"):  # the order is checked first
+            with pytest.raises(ValueError, match="order must be an integer"):
+                evaluate_k(-0.5, method, 10.7)

@@ -134,7 +134,7 @@ class TestOrbitRecord:
             with pytest.raises(SeparatrixError, match=SEPARATRIX_BAND):
                 call()
 
-    @pytest.mark.parametrize("method", ["raw", "resummed", "efficient"])
+    @pytest.mark.parametrize("method", ["raw", "resummed"])
     def test_build_runs_the_agm_once(self, monkeypatch, method):
         calls = []
 

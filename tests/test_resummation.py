@@ -184,10 +184,17 @@ class TestEfficientTruncation:
     def test_endpoint_matching(self):
         state, raw, t_star = make_inputs(1.71, 20)
         e = efficient_truncation(raw, state)
-        assert abs(eval_efficient(e, t_star)) < 1e-12
+        assert abs(eval_poly(e, t_star)) < 1e-12
         h = 1e-6
-        slope = (eval_efficient(e, t_star + h) - eval_efficient(e, t_star - h)) / (2 * h)
+        slope = (eval_poly(e, t_star + h) - eval_poly(e, t_star - h)) / (2 * h)
         assert slope == pytest.approx(state.orbit.omega_star, abs=1e-8)
+
+    def test_eval_efficient_is_a_view_of_eval_poly(self):
+        state, raw, t_star = make_inputs(1.71, 20)
+        e = efficient_truncation(raw, state)
+        for t in (0.3 * t_star, np.linspace(-t_star, 2.0 * t_star, 7)):
+            assert np.asarray(eval_efficient(e, t)).tobytes() == \
+                np.asarray(eval_poly(e, t)).tobytes()
 
     @pytest.mark.parametrize("energy,direction", FSUM_CASES)
     @pytest.mark.parametrize("order", FSUM_ORDERS)
