@@ -14,7 +14,7 @@ The flags several subcommands share (--out, the comma-list --energy,
 Output is deterministic for a fixed configuration: `#`-prefixed metadata
 lines echo the package version and the config, reals carry 17
 significant digits, and rows are emitted in input order.  Angles are
-computed in radians; --degrees rescales them at formatting time only.
+computed in radians; --degrees rescales the angle columns written.
 Energies that fall on the separatrix are skipped where the requested
 quantity does not exist there (no finite period); each skip is listed on
 standard error and makes the exit status nonzero.
@@ -23,7 +23,6 @@ standard error and makes the exit status nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 
@@ -40,10 +39,11 @@ from .validation import rk4_sample, sup_error
 __all__ = ["main"]
 
 _RAD2DEG = 180.0 / math.pi
+_REAL = "%.17g"  # 17 significant digits round-trip every double
 
 
 def _fmt(x) -> str:
-    return "%.17g" % (float(x) + 0.0)  # -0.0 + 0.0 is +0.0: never emit -0
+    return _REAL % (float(x) + 0.0)  # -0.0 + 0.0 is +0.0: never emit -0
 
 
 def _number(kind, low, strict=False, many=False):
@@ -121,18 +121,23 @@ def _orbit(e: float, args, method: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (meta_lines, header, rows, skipped)
+# subcommands: each returns (meta_lines, header, columns, skipped), with
+# columns as `_emit` takes them
+
+
+def _columns(rows, width: int) -> list:
+    """Rows as columns: a column of reals becomes a float array, and any
+    other column, text or reals with a None (an empty field), a list."""
+    return [np.array(values, dtype=float) if all(isinstance(v, float) for v in values)
+            else list(values) for values in (zip(*rows) if rows else [()] * width)]
 
 
 def cmd_trajectory(args):
     sol, grid, theta, meta = _orbit(args.energy, args, args.method)
     oracle, _ = rk4_sample(*canonical_initial_state(sol), grid, args.oracle_dt)
     scale = _angle_scale(args)
-    rows = [
-        [_fmt(t), _fmt(scale * a), _fmt(scale * r), _fmt(scale * abs(a - r))]
-        for t, a, r in zip(grid, theta, oracle)
-    ]
-    return [meta], ["t", "theta_analytic", "theta_rk4", "abs_error"], rows, []
+    columns = [grid, scale * theta, scale * oracle, scale * np.abs(theta - oracle)]
+    return [meta], ["t", "theta_analytic", "theta_rk4", "abs_error"], columns, []
 
 
 def cmd_error_sweep(args):
@@ -149,14 +154,14 @@ def _period_sweep(args):
         for n in args.order:
             for route in ("series", "resummed"):
                 approx = c.scale * evaluate_k(c.k, route, n).value
-                rows.append([_fmt(e), str(n), route, _fmt(abs(approx - c.T_star))])
-    return meta, ["energy", "order", "method", "T_star_abs_error"], rows, skipped
+                rows.append((e, str(n), route, abs(approx - c.T_star)))
+    header = ["energy", "order", "method", "T_star_abs_error"]
+    return meta, header, _columns(rows, len(header)), skipped
 
 
 def _trajectory_sweep(args):
     meta, rows, skipped = [], [], []
     methods = ["raw", "resummed"] if args.method == "auto" else [args.method]
-    scale = _angle_scale(args)
     for e in _off_separatrix(args.energy, skipped, "no finite T*"):
         state = _state(e, args.direction)
         sols = [build_trajectory(state, n, method) for method in methods for n in args.order]
@@ -166,18 +171,20 @@ def _trajectory_sweep(args):
         oracle, _ = rk4_sample(*canonical_initial_state(sols[0]), grid, args.oracle_dt)
         for sol in sols:
             err = sup_error(sol, grid_points=args.grid, oracle=oracle)
-            rows.append([_fmt(e), str(sol.order), sol.method, _fmt(scale * err)])
-    return meta, ["energy", "order", "method", "sup_error"], rows, skipped
+            rows.append((e, str(sol.order), sol.method, err))
+    header = ["energy", "order", "method", "sup_error"]
+    energy, order, method, error = _columns(rows, len(header))
+    return meta, header, [energy, order, method, _angle_scale(args) * error], skipped
 
 
 def cmd_surface(args):
-    meta, rows = [], []
-    scale = _angle_scale(args)
+    meta, curves = [], []
     for e in args.energy:
         _, grid, theta, line = _orbit(e, args, "auto")
         meta.append(line)
-        rows.extend([_fmt(e), _fmt(t), _fmt(scale * th)] for t, th in zip(grid, theta))
-    return meta, ["energy", "t", "theta"], rows, []
+        curves.append((np.full(grid.size, e), grid, theta))
+    energy, time, theta = map(np.concatenate, zip(*curves))
+    return meta, ["energy", "t", "theta"], [energy, time, _angle_scale(args) * theta], []
 
 
 def cmd_roc(args):
@@ -190,13 +197,13 @@ def cmd_roc(args):
         starts = {"top": (c.theta0, c.omega0, c.sin_cos), "bottom": (0.0, c.omega_star, None)}
         for ics, (theta0, omega0, sin_cos) in starts.items():
             rep = roc_exact(state, ics)
-            estimate, note = "", None
+            estimate, note = None, None
             try:
                 # the radius as unit keeps a_n R^n in range at any order;
                 # the fitted radius does not depend on the unit
                 series = pendulum_series(theta0, omega0, args.order,
                                          time_unit=rep.exact_roc, sin_cos=sin_cos)
-                estimate = _fmt(roc_estimate(series))
+                estimate = roc_estimate(series)
             except ValueError as exc:
                 note = f"no root-test estimate for energy={_fmt(e)} ics={ics}: {exc}"
             else:
@@ -207,14 +214,11 @@ def cmd_roc(args):
                             f"max(3|omega0|, 5)R = {reach:.4g}")
             if note:
                 print(f"note: {note}", file=sys.stderr)
-            rows.append(
-                [_fmt(e), ics, _fmt(rep.exact_roc), _fmt(rep.t_star),
-                 _fmt(rep.margin), estimate, _fmt(rep.nearest_pole.real),
-                 _fmt(rep.nearest_pole.imag)]
-            )
+            rows.append((e, ics, rep.exact_roc, rep.t_star, rep.margin, estimate,
+                         rep.nearest_pole.real, rep.nearest_pole.imag))
     header = ["energy", "ics", "exact_roc", "t_star", "margin",
               "root_test_estimate", "nearest_pole_re", "nearest_pole_im"]
-    return meta, header, rows, skipped
+    return meta, header, _columns(rows, len(header)), skipped
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +238,29 @@ def _config_echo(args) -> str:
     return " ".join(items)
 
 
-def _emit(stream, args, meta, header, rows) -> None:
+def _fields(column):
+    """A column's %-conversion and values: a float array by `_fmt`'s rule; a
+    list one field per entry, text as it is, None empty and a real by `_fmt`."""
+    if isinstance(column, np.ndarray):
+        return _REAL, (column + 0.0).tolist()  # -0.0 + 0.0 is +0.0: never emit -0
+    return "%s", ["" if v is None else v if isinstance(v, str) else _fmt(v) for v in column]
+
+
+def _emit(stream, args, meta, header, columns) -> None:
+    """The `#` lines, the header, then one row per index of the columns.
+
+    A column is a float array, or a list of text and reals in which None
+    is an empty field (`_fields`).  No field holds a comma, a quote or a
+    newline, so each row is one %-format.
+    """
     stream.write(f"# pendseries {__version__} {args.command}\n")
     stream.write(f"# config: {_config_echo(args)}\n")
     for line in meta:
         stream.write(f"# {line}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    stream.write(",".join(header) + "\n")
+    conversions, values = zip(*map(_fields, columns))
+    row = ",".join(conversions) + "\n"
+    stream.write("".join([row % fields for fields in zip(*values)]))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -310,17 +329,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        meta, header, rows, skipped = args.func(args)
+        meta, header, columns, skipped = args.func(args)
     except ValueError as exc:  # a value the flag checks pass but the library rejects
         parser.error(str(exc))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as stream:
-                _emit(stream, args, meta, header, rows)
+                _emit(stream, args, meta, header, columns)
         except OSError as exc:
             parser.error(f"cannot write --out {args.out!r}: {exc.strerror}")
     else:
-        _emit(sys.stdout, args, meta, header, rows)
+        _emit(sys.stdout, args, meta, header, columns)
     for line in skipped:
         print(f"skipped: {line}", file=sys.stderr)
     return 1 if skipped else 0

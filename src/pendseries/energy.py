@@ -149,7 +149,7 @@ def energy_of(theta0: float, omega0: float) -> EnergyState:
 
     direction is the sign of omega0 (+1 at rest): the sense of rotation above E = 2,
     but for libration only the turning point the orbit starts from (`EnergyState`),
-    not this point's motion.  `align_to_ics` reads only the energy.
+    not this point's motion.  `align_to_ics` reads only the energy and regime.
     """
     if not (math.isfinite(theta0) and math.isfinite(omega0)):
         raise ValueError(f"phase point ({theta0!r}, {omega0!r}) is not finite")

@@ -147,10 +147,14 @@ def theta_tilde(sol: TrajectorySolution, t):
     return _tilde(sol, tt)
 
 
-def _theta_at_scalar(sol: TrajectorySolution, t: float) -> float:
-    t_star, t_full = sol.T_star, sol.T
+def _require_phase(t: float, t_star: float) -> None:
     if not math.ulp(t) < t_star:  # NaN, +-inf, or doubles too far apart for a phase
         raise ValueError(f"trajectories need finite t with ulp(t) < T*, got {t!r}")
+
+
+def _theta_at_scalar(sol: TrajectorySolution, t: float) -> float:
+    t_star, t_full = sol.T_star, sol.T
+    _require_phase(t, t_star)
     state = sol.energy_state
     if state.regime is Regime.SEPARATRIX:
         return _orient(state, _tilde(sol, t))
@@ -180,14 +184,19 @@ def theta_at(sol: TrajectorySolution, t):
     rotation, and the reflection selected by the solution's direction.
     Negative times fold onto [0, T) like any other, so the orbit runs
     backwards from its canonical start too; on the separatrix the closed
-    form holds for every real t.  An array result has the input's shape.
-    A t with no phase raises `ValueError` in every regime, anywhere in an
-    array: NaN, +-inf, or ulp(t) >= T* (|t| >~ 2^52 T*).  Below that the
-    error grows like |omega| ulp(t), about 0.4 rad by 2^50 T* at E = 1.71.
+    form holds for every real t, in one call for a whole array.  An array
+    result has the input's shape.  A t with no phase raises `ValueError` in
+    every regime, anywhere in an array: NaN, +-inf, or ulp(t) >= T*
+    (|t| >~ 2^52 T*).  Below that the error grows like |omega| ulp(t),
+    about 0.4 rad by 2^50 T* at E = 1.71.
     """
     tt = np.asarray(t, dtype=float)
     if tt.ndim == 0:
         return _theta_at_scalar(sol, float(tt))
+    if sol.method == "separatrix":  # no fold: T* is infinite
+        for x in tt[~np.isfinite(tt)].flat:  # raises at the first
+            _require_phase(float(x), sol.T_star)
+        return _orient(sol.energy_state, _tilde(sol, tt))
     flat = [_theta_at_scalar(sol, x) for x in tt.ravel().tolist()]
     return np.array(flat, dtype=float).reshape(tt.shape)
 
@@ -227,20 +236,22 @@ def align_to_ics(sol: TrajectorySolution, theta0: float, omega0: float) -> float
 
     The phase point (theta0, omega0) must be finite and on the solution's
     orbit: its energy must match to 1e-10 relative to E (or within the least
-    normal double, below which `energy_of` resolves no finer) and, where the
-    orbit fixes a velocity sign, the sign must agree.  Periodic
-    regimes return t0 in [0, T), resolved to 1e-12 min(T*, 1); the
+    normal double, below which `energy_of` resolves no finer), its regime
+    too, and, where the orbit fixes a velocity sign, the sign must agree.
+    Periodic regimes return t0 in [0, T), resolved to 1e-12 min(T*, 1);
+    on rotation theta_at(sol, t0) is theta0 + 2 pi counterclockwise.  The
     separatrix returns 2 atanh(tan(theta/4)), negative behind theta = 0.
     """
     state = sol.energy_state
     user = energy_of(theta0, omega0)
     if omega0 == 0.0 and math.remainder(theta0, math.pi) == 0.0:
         raise ValueError(f"({theta0!r}, {omega0!r}) is a fixed point, not an orbit")
-    if not math.isclose(user.energy, state.energy,
-                        rel_tol=_ENERGY_MATCH_TOL, abs_tol=sys.float_info.min):
+    # near E = 2 an energy within the tolerance can lie in the other regime
+    if user.regime is not state.regime or not math.isclose(
+            user.energy, state.energy, rel_tol=_ENERGY_MATCH_TOL, abs_tol=sys.float_info.min):
         raise ValueError(
-            f"initial conditions have energy {user.energy!r}, "
-            f"solution has {state.energy!r}"
+            f"initial conditions have energy {user.energy!r} ({user.regime.value}), "
+            f"solution has {state.energy!r} ({state.regime.value})"
         )
     # reflect into the canonical frame, where libration falls from
     # +theta_max, rotation turns clockwise and the separatrix rises

@@ -391,13 +391,34 @@ USAGE_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("x,text", [
+FMT_CASES = [
     (-0.0, "0"), (np.float64(-0.0), "0"), (0.0, "0"), (math.nan, "nan"), (math.inf, "inf"),
     (-math.inf, "-inf"), (5e-324, "4.9406564584124654e-324"), (1 / 3, "0.33333333333333331"),
-    (1e308, "1e+308")])
+    (1e308, "1e+308")]
+
+
+@pytest.mark.parametrize("x,text", FMT_CASES)
 def test_fmt_strings(x, text):
     # 17 significant digits round-trip every double; -0 is never written
     assert cli._fmt(x) == text
+
+
+def test_emitted_rows_format_reals_like_fmt():
+    # a data row writes each real as `_fmt` writes it, -0.0 as 0, from a float
+    # array and from a list alike; empty text and None are empty fields
+    reals = np.array([x for x, _ in FMT_CASES])
+    text = ["", "a b", ""] * 3
+    gappy = [None if i % 2 == 0 else -x for i, x in enumerate(reals.tolist())]
+    stream = io.StringIO()
+    args = argparse.Namespace(command="surface", energy=[1.5, 2.0])
+    cli._emit(stream, args, ["energy=1.5"], ["x", "label", "y"], [reals, text, gappy])
+    lines = stream.getvalue().split("\n")
+    assert lines[:4] == [f"# pendseries {cli.__version__} surface", "# config: energy=1.5,2",
+                         "# energy=1.5", "x,label,y"]
+    assert lines[4:] == [
+        f"{want},{label},{'' if i % 2 == 0 else cli._fmt(-x)}"
+        for i, ((x, want), label) in enumerate(zip(FMT_CASES, text))] + [""]
+    assert lines[4] == "0,,"
 
 
 class TestUsageErrors:

@@ -1,6 +1,7 @@
 """Solution assembly, periodic extension, and initial-condition alignment."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -659,6 +660,40 @@ class TestAlign:
             omega0 = direction * math.sqrt(2.0 * energy - 4.0 * math.sin(0.5 * theta0) ** 2)
             t0 = align_to_ics(sol, theta0, omega0)
             assert abs(math.remainder(t0 - t, t_full)) <= 1e-12 * t_star
+
+    @pytest.mark.parametrize("energy,theta0,omega0,message", [
+        # libration just below 2: (pi, sqrt(2e-11)) is 2 + 1e-11, within 1e-10,
+        # and was aligned to t0 = 0, 1.0e-5 rad from theta0
+        (2.0 - 5e-11, math.pi, math.sqrt(2e-11),
+         "energy 2.00000000001 (rotation), solution has 1.99999999995 (libration)"),
+        # rotation just above 2: the turning point pi - sqrt(2e-11) is 2 - 1e-11
+        (2.0 + 5e-11, math.pi - math.sqrt(2e-11), 0.0,
+         "energy 1.99999999999 (libration), solution has 2.00000000005 (rotation)"),
+        # the separatrix band ends 1e-12 from 2
+        (2.0, math.pi - math.sqrt(1e-11), 0.0,
+         "energy 1.999999999995 (libration), solution has 2.0 (separatrix)"),
+    ], ids=["libration", "rotation", "separatrix"])
+    def test_phase_point_of_the_other_regime_rejected(self, energy, theta0, omega0, message):
+        state = energy_state(energy)
+        sol = build_trajectory(state, None if energy == 2.0 else 40,
+                               "separatrix" if energy == 2.0 else "resummed")
+        assert math.isclose(energy_of(theta0, omega0).energy, energy, rel_tol=1e-10)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            align_to_ics(sol, theta0, omega0)
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("energy", [2.5, 4.0])
+    def test_rotation_passes_theta0_modulo_two_pi(self, energy, direction):
+        # theta_at runs a counterclockwise rotation on [pi, 3 pi) over [0, T),
+        # so it passes theta0 + 2 pi there; clockwise it passes theta0 itself
+        sol = build_trajectory(energy_state(energy, direction), 40, "resummed")
+        turn = 2.0 * math.pi if direction > 0 else 0.0
+        for theta0 in (3.0, -3.0, 0.5, -0.5):
+            omega0 = direction * math.sqrt(2.0 * energy - 4.0 * math.sin(0.5 * theta0) ** 2)
+            t0 = align_to_ics(sol, theta0, omega0)
+            assert 0.0 <= t0 < sol.T
+            # the offset is resolved to 1e-12 in t: theta to |omega| 1e-12
+            assert theta_at(sol, t0) - theta0 == pytest.approx(turn, abs=1e-11), theta0
 
     def test_energy_matched_relative_to_a_small_orbit(self):
         # (1e-5, 0) has 50 times the energy of E = 1e-12 (theta_max 1.41e-6),
